@@ -17,7 +17,6 @@ from .errors import (
     PosetCatError,
     ShapeError,
     SiteMismatch,
-    TruncationUnstable,
 )
 from .poset import (
     LatticeStructure,

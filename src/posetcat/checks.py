@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import catalog, karoubi, presheaf
-from .errors import PosetCatError
+from .errors import InvariantViolation, PosetCatError
 from .poset import (
     MonotoneMap,
     Poset,
@@ -28,6 +28,15 @@ from .poset import (
 )
 
 LATTICE_CERTIFICATE_SIZE = 6
+
+
+def require(cond: bool, msg: object) -> None:
+    """Fail the running check with InvariantViolation(msg) unless cond holds.
+
+    Unlike `assert`, this still checks under `python -O`.
+    """
+    if not cond:
+        raise InvariantViolation(str(msg))
 
 
 @dataclass
@@ -87,11 +96,11 @@ def check_poset_laws(max_poset: int) -> dict:
                 lower = [x for x in range(P.size) if P.leq(x, a) and P.leq(x, b)]
                 glb = [x for x in lower if all(P.leq(y, x) for y in lower)]
                 m = meet(P, a, b)
-                assert m == (glb[0] if glb else None), (P, a, b)
+                require(m == (glb[0] if glb else None), ("meet", P, a, b))
                 upper = [x for x in range(P.size) if P.leq(a, x) and P.leq(b, x)]
                 lub = [x for x in upper if all(P.leq(x, y) for y in upper)]
                 j = join(P, a, b)
-                assert j == (lub[0] if lub else None), (P, a, b)
+                require(j == (lub[0] if lub else None), ("join", P, a, b))
                 pairs += 1
     # associativity/unit laws on a fixed sample of composable triples
     triples = 0
@@ -103,11 +112,14 @@ def check_poset_laws(max_poset: int) -> dict:
                 gs = catalog.monotone_maps(Q, R)[:3]
                 hs = catalog.monotone_maps(R, chain(1))[:2]
                 for f in fs:
-                    assert compose(f, MonotoneMap(P, P, tuple(range(P.size)))) == f
+                    require(compose(f, MonotoneMap(P, P, tuple(range(P.size)))) == f, ("unit", f))
                     for g in gs:
                         gf = compose(g, f)
                         for h in hs:
-                            assert compose(h, gf) == compose(compose(h, g), f)
+                            require(
+                                compose(h, gf) == compose(compose(h, g), f),
+                                ("associativity", f, g, h),
+                            )
                             triples += 1
     return {"posets": len(posets), "pairs": pairs, "triples": triples}
 
@@ -122,10 +134,10 @@ def check_retract_transfer(max_poset: int) -> dict:
         if t_a is not None:
             with_terminal += 1
             image = ret.retraction.image[t_a]
-            assert terminal(B) == image, (A, B)
+            require(terminal(B) == image, ("terminal", A, B))
         if is_complete(A):
             complete += 1
-            assert is_complete(B), (A, B)
+            require(is_complete(B), ("completeness", A, B))
             # transported infima agree with the definitional infimum in B
             subsets = [[b] for b in range(B.size)]
             subsets += [[a, b] for a in range(B.size) for b in range(a + 1, B.size)]
@@ -137,7 +149,7 @@ def check_retract_transfer(max_poset: int) -> dict:
                     x for x in range(B.size) if all(B.leq(x, t) for t in targets)
                 ]
                 best = [x for x in lower if all(B.leq(y, x) for y in lower)]
-                assert best and got == best[0], (A, B, targets)
+                require(bool(best) and got == best[0], ("infimum", A, B, targets))
                 limits += 1
     return {
         "retracts": retracts,
@@ -156,8 +168,8 @@ def check_cube_idempotents(max_dim: int, deep: bool = False) -> dict:
     counts = {}
     for n in dims:
         report = karoubi.audit_cube_idempotents(n)
-        assert not report.violations, report.violations
-        assert report.endos == dedekind[n] ** n, (n, report.endos)
+        require(not report.violations, report.violations)
+        require(report.endos == dedekind[n] ** n, ("endos", n, report.endos))
         counts[f"dim{n}_endos"] = report.endos
         counts[f"dim{n}_idempotents"] = report.idempotents
     return counts
@@ -206,12 +218,12 @@ def check_lattice_certificates(max_size: int = LATTICE_CERTIFICATE_SIZE) -> dict
     per_size = {}
     for n in range(1, max_size + 1):
         lats = catalog.enumerate_lattices(n)
-        assert len(lats) == _independent_lattice_count(n), n
+        require(len(lats) == _independent_lattice_count(n), ("lattice count", n))
         for cp in lats:
             cert = karoubi.retract_certificate(cp.poset)
-            assert cert.cube_dim == n
+            require(cert.cube_dim == n, ("cube_dim", cp.poset))
             for c in range(n):
-                assert cert.section.image[c] == cp.poset.down[c]
+                require(cert.section.image[c] == cp.poset.down[c], ("section", cp.poset, c))
         per_size[f"size{n}"] = len(lats)
         total += len(lats)
     per_size["total"] = total
@@ -222,14 +234,14 @@ def check_simplex_retracts(max_n: int = 6) -> dict:
     for n in range(max_n + 1):
         ret = karoubi.simplex_retract(n)
         for k in range(n + 1):
-            assert ret.retraction.image[ret.section.image[k]] == k
+            require(ret.retraction.image[ret.section.image[k]] == k, ("simplex retract", n, k))
     return {"max_dim": max_n}
 
 
 def check_sort_splits(max_m: int = 5) -> dict:
     for m in range(max_m + 1):
         ok, iso = karoubi.verify_sort_split(m)
-        assert ok and iso is not None, m
+        require(ok and iso is not None, ("sort split", m))
     return {"max_dim": max_m}
 
 
@@ -254,8 +266,8 @@ def check_triangulation(max_simplex: int, max_cube: int = 4) -> dict:
         X = presheaf.triangulate(n, d)
         for m in range(d + 1):
             expect = _threshold_count(m) ** n
-            assert _threshold_count(m) == m + 2
-            assert X.cells[m] == expect, (n, m, X.cells[m], expect)
+            require(_threshold_count(m) == m + 2, ("threshold count", m))
+            require(X.cells[m] == expect, (n, m, X.cells[m], expect))
             checked += 1
             if n <= 3 and m <= 3:
                 # second oracle: filter all vertex functions into the cube
@@ -273,7 +285,7 @@ def check_triangulation(max_simplex: int, max_cube: int = 4) -> dict:
                         for j in range(i, m + 1)
                     ):
                         brute += 1
-                assert brute == expect, (n, m)
+                require(brute == expect, ("brute force", n, m))
     return {"cells_checked": checked, "truncation": d}
 
 
@@ -287,7 +299,7 @@ def check_kan_oracle(max_simplex: int, max_poset: int) -> dict:
         X = presheaf.representable(presheaf.delta_site(m), chain(m))
         for M in lattices:
             result = presheaf.left_kan(X, M)
-            assert result.count == catalog.count_monotone_maps(M, chain(m)), (m, M)
+            require(result.count == catalog.count_monotone_maps(M, chain(m)), (m, M))
             checked += 1
     return {"evaluations": checked, "lattices": len(lattices)}
 
@@ -311,6 +323,7 @@ def check_mono_preservation(max_simplex: int, max_poset: int) -> dict:
     for n in range(1, min(3, max_simplex) + 1):
         site = presheaf.delta_site(n)
         rep = presheaf.representable(site, chain(n))
+        horns = [(I, presheaf.horn(n, I, n)) for I in _horn_index_sets(n)]
         id_cell = catalog.monotone_maps(chain(n), chain(n)).index(
             MonotoneMap(chain(n), chain(n), tuple(range(n + 1)))
         )
@@ -321,18 +334,20 @@ def check_mono_preservation(max_simplex: int, max_poset: int) -> dict:
                 h_idx: target.component(n, target.phi_index(n, h), id_cell)
                 for h_idx, h in enumerate(homs)
             }
-            assert len(set(comp_of_hom.values())) == len(homs) == target.count
-            for I in _horn_index_sets(n):
-                incl = presheaf.horn(n, I, n)
+            require(
+                len(set(comp_of_hom.values())) == len(homs) == target.count,
+                ("representable components", n, M),
+            )
+            for I, incl in horns:
                 mapping, src, _ = presheaf.left_kan_map(incl, M, target=target)
-                assert len(set(mapping)) == len(mapping), (n, I, M)
+                require(len(set(mapping)) == len(mapping), ("injective", n, I, M))
                 oracle = {
                     comp_of_hom[h_idx]
                     for h_idx, h in enumerate(homs)
                     if any(i not in set(h.image) for i in I)
                 }
-                assert set(mapping) == oracle, (n, I, M)
-                assert src.count == len(oracle)
+                require(set(mapping) == oracle, ("image", n, I, M))
+                require(src.count == len(oracle), ("horn components", n, I, M))
                 horns_checked += 1
     return {"horn_instances": horns_checked, "lattices": len(lattices)}
 
@@ -353,8 +368,7 @@ def check_contracting_homotopies(max_n: int = 5) -> dict:
     for n in range(max_n + 1):
         H = presheaf.contracting_homotopy(n)
         for k in range(n + 1):
-            assert H.image[2 * k] == 0
-            assert H.image[2 * k + 1] == k
+            require(H.image[2 * k] == 0 and H.image[2 * k + 1] == k, ("homotopy", n, k))
     return {"max_chain": max_n}
 
 
@@ -366,7 +380,7 @@ def check_nat_hom(max_lattice: int = 4) -> dict:
     for L in lattices:
         for L2 in lattices:
             maps = presheaf.nat_hom_via_retract(L, L2, max_lattice)
-            assert len(maps) == catalog.count_monotone_maps(L, L2)
+            require(len(maps) == catalog.count_monotone_maps(L, L2), ("nat-hom", L, L2))
             pairs += 1
     return {"pairs": pairs}
 

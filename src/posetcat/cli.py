@@ -29,6 +29,21 @@ def _workers() -> int:
         return 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low` (else exit 2 with usage)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _emit(data) -> None:
     sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
@@ -196,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="posets/lattices up to iso, or monotone maps")
     p.add_argument("--kind", choices=["posets", "lattices", "maps"], required=True)
-    p.add_argument("--size", type=int, default=0)
+    p.add_argument("--size", type=_int_at_least(0), default=0)
     p.add_argument("--dom", help="domain poset JSON file (maps)")
     p.add_argument("--cod", help="codomain poset JSON file (maps)")
     p.add_argument("--format", choices=["json", "count"], default="json")
@@ -205,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit-idempotents", help="split every idempotent cube endomorphism")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_int_at_least(1), default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_audit_idempotents)

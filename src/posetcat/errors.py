@@ -37,9 +37,5 @@ class SiteMismatch(PosetCatError):
     """Presheaf operation applied across incompatible sites."""
 
 
-class TruncationUnstable(PosetCatError):
-    """Comma-category truncation too small: component count changed when raised."""
-
-
 class BadIndexSet(PosetCatError):
     """Horn face-index set must be a nonempty proper subset of the vertex set."""

@@ -1,11 +1,15 @@
 """Finite presheaves over truncated poset-sites.
 
 A site is a finite full subcategory of posets (e.g. the chains [0]..[d] or the
-cubes [1]^0..[1]^d) with every hom-set materialized in enumeration order.  A
-presheaf stores a cell count per object and one action table per site
-morphism.  Everything downstream (colimits, left Kan extension along the
-inclusion of chains into complete posets, horns, pushouts) is finite and
-checked exhaustively at construction time.
+cubes [1]^0..[1]^d) with every hom-set materialized in enumeration order and a
+set of generating homs found by greedy closure (on the chain site, exactly the
+cofaces and codegeneracies).  A presheaf stores a cell count per object and
+one action table per site morphism.  Functor laws, naturality of maps between
+presheaves, and the unions behind left Kan extension are checked or taken
+along generators only: every hom is a word in them, so nothing is lost.
+Everything downstream (colimits, left Kan extension along the inclusion of
+chains into complete posets, horns, pushouts) is finite and checked
+exhaustively at construction time.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .errors import (
     InvariantViolation,
     NotComplete,
     SiteMismatch,
-    TruncationUnstable,
 )
 from .karoubi import retract_certificate
 from .poset import (
@@ -61,30 +64,50 @@ class PosetSite:
         self.identity_index = tuple(
             self._index[i][i][tuple(range(self.objects[i].size))] for i in range(n)
         )
-        # composition tables; building them asserts closure of the hom-sets
-        self._compose: dict[tuple[int, int, int], list[list[int]]] = {}
+        self.generators = self._greedy_generators()
+
+    def _greedy_generators(self) -> tuple[tuple[int, int, int], ...]:
+        """Homs (i, j, h) such that every hom is a word in them (or an identity).
+
+        Candidates are visited by larger object, then non-endomorphisms first,
+        then nearer objects first, then larger image first; a candidate becomes
+        a generator only when the words in the earlier generators miss it.  On
+        the chain site this keeps exactly the cofaces and codegeneracies.
+        """
+        n = len(self.objects)
+        reached = [[set() for _ in range(n)] for _ in range(n)]
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    idx = self._index[i][k]
-                    table = []
-                    for f in self.homs[i][j]:
-                        row = []
-                        for g in self.homs[j][k]:
-                            image = tuple(g.image[x] for x in f.image)
-                            c = idx.get(image)
-                            if c is None:
-                                raise SiteMismatch("hom-sets are not closed under composition")
-                            row.append(c)
-                        table.append(row)
-                    self._compose[(i, j, k)] = table
+            reached[i][i].add(tuple(range(self.objects[i].size)))
+        leaving: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+
+        def order(key):
+            i, j, h = key
+            return (max(i, j), i == j, abs(i - j), -len(set(self.homs[i][j][h].image)), key)
+
+        candidates = sorted(
+            ((i, j, h) for i in range(n) for j in range(n) for h in range(len(self.homs[i][j]))),
+            key=order,
+        )
+        generators = []
+        for i, j, h in candidates:
+            image = self.homs[i][j][h].image
+            if image in reached[i][j]:
+                continue
+            generators.append((i, j, h))
+            leaving[i].append((j, image))
+            # new words: g . w for the words w so far, closed under postcomposition
+            stack = [(a, j, tuple(image[x] for x in w)) for a in range(n) for w in reached[a][i]]
+            while stack:
+                a, b, word = stack.pop()
+                if word in reached[a][b]:
+                    continue
+                reached[a][b].add(word)
+                for c, g in leaving[b]:
+                    stack.append((a, c, tuple(g[x] for x in word)))
+        return tuple(generators)
 
     def hom_index(self, i: int, j: int, image: tuple[int, ...]) -> int:
         return self._index[i][j][image]
-
-    def compose_index(self, i: int, j: int, k: int, a: int, b: int) -> int:
-        """Index in hom(i,k) of homs[j][k][b] . homs[i][j][a]."""
-        return self._compose[(i, j, k)][a][b]
 
     def object_index(self, P: Poset) -> Optional[int]:
         for i, Q in enumerate(self.objects):
@@ -114,8 +137,9 @@ def delta_site(d: int) -> PosetSite:
 def box_site(d: int) -> PosetSite:
     """Truncated cube site with objects [1]^0, ..., [1]^d.
 
-    Capped low: the closure assertion needs every pairwise composite, and
-    |End([1]^3)| = 8000 already makes that quadratic check unreasonable.
+    Capped at BOX_SITE_BOUND: dimension 3 materializes |End([1]^3)| = 8000
+    homs and an action table for each, and no benchmark workload measures a
+    cube site yet; raise the cap together with one.
     """
     if d > BOX_SITE_BOUND:
         raise BoundExceeded(f"cube site capped at dimension {BOX_SITE_BOUND}")
@@ -150,19 +174,20 @@ class Presheaf:
             ident = self.actions[(i, i, site.identity_index[i])]
             if ident != tuple(range(self.cells[i])):
                 raise InvariantViolation(f"identity law fails at object {i}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    table = site._compose[(i, j, k)]
-                    for a in range(len(site.homs[i][j])):
-                        af = self.actions[(i, j, a)]
-                        row = table[a]
-                        for b in range(len(site.homs[j][k])):
-                            ag = self.actions[(j, k, b)]
-                            if self.actions[(i, k, row[b])] != tuple(af[x] for x in ag):
-                                raise InvariantViolation(
-                                    f"composition law fails for ({i},{j},{k}) homs ({a},{b})"
-                                )
+        # X(g.w) = X(w)X(g) for generators g and all homs w gives X(u.w) =
+        # X(w)X(u) for every hom u, by induction on the length of u as a word.
+        for j, k, b in site.generators:
+            ag = self.actions[(j, k, b)]
+            gimg = site.homs[j][k][b].image
+            for i in range(n):
+                index = site._index[i][k]
+                for a, w in enumerate(site.homs[i][j]):
+                    af = self.actions[(i, j, a)]
+                    c = index[tuple(gimg[x] for x in w.image)]
+                    if self.actions[(i, k, c)] != tuple(af[x] for x in ag):
+                        raise InvariantViolation(
+                            f"composition law fails for ({i},{j},{k}) homs ({a},{b})"
+                        )
 
     def __eq__(self, other):
         return (
@@ -200,15 +225,14 @@ class PresheafMap:
                 raise InvariantViolation(f"component {i} has wrong length")
             if any(not 0 <= v < self.target.cells[i] for v in comp):
                 raise InvariantViolation(f"component {i} out of range")
-        for i in range(n):
-            for j in range(n):
-                for h in range(len(site.homs[i][j])):
-                    ax = self.source.actions[(i, j, h)]
-                    ay = self.target.actions[(i, j, h)]
-                    ci, cj = self.components[i], self.components[j]
-                    for x in range(self.source.cells[j]):
-                        if ay[cj[x]] != ci[ax[x]]:
-                            raise InvariantViolation(f"naturality fails at hom ({i},{j},{h})")
+        # naturality squares paste along composites, so generators suffice
+        for i, j, h in site.generators:
+            ax = self.source.actions[(i, j, h)]
+            ay = self.target.actions[(i, j, h)]
+            ci, cj = self.components[i], self.components[j]
+            for x in range(self.source.cells[j]):
+                if ay[cj[x]] != ci[ax[x]]:
+                    raise InvariantViolation(f"naturality fails at hom ({i},{j},{h})")
 
     def __eq__(self, other):
         return (
@@ -475,21 +499,21 @@ def _kan_once(X: Presheaf, M: Poset, D: int) -> KanResult:
             starts[(k, pi)] = total
             total += ck
     uf = _UnionFind(total)
-    for k in range(min(D, d) + 1):
-        for k2 in range(min(D, d) + 1):
-            if X.cells[k] == 0 or X.cells[k2] == 0:
-                continue
-            homs = site.homs[k][k2]
-            for h, u in enumerate(homs):
-                tab = X.actions[(k, k2, h)]
-                uimg = u.image
-                for pi, phi in enumerate(phi_lists[k]):
-                    phi2 = tuple(uimg[v] for v in phi)
-                    pi2 = phis[k2][phi2]
-                    base = starts[(k, pi)]
-                    base2 = starts[(k2, pi2)]
-                    for c2, c in enumerate(tab):
-                        uf.union(base + c, base2 + c2)
+    # every hom of the site is a word in the generators through its own
+    # objects (all at levels <= d <= D), so unions along them give the same
+    # partition as unions along every hom
+    for k, k2, h in site.generators:
+        if X.cells[k] == 0 or X.cells[k2] == 0:
+            continue
+        tab = X.actions[(k, k2, h)]
+        uimg = site.homs[k][k2][h].image
+        for pi, phi in enumerate(phi_lists[k]):
+            phi2 = tuple(uimg[v] for v in phi)
+            pi2 = phis[k2][phi2]
+            base = starts[(k, pi)]
+            base2 = starts[(k2, pi2)]
+            for c2, c in enumerate(tab):
+                uf.union(base + c, base2 + c2)
     label_of_root: dict[int, int] = {}
     labels: dict[tuple[int, int, int], int] = {}
     for (k, pi), base in starts.items():
@@ -511,9 +535,9 @@ def left_kan(X: Presheaf, M: Poset, trunc: Optional[int] = None) -> KanResult:
     """Value of the extension of X along chains -> complete posets, at M.
 
     Builds the comma category of pairs ([k], M -> [k]) with k up to the
-    working truncation (default d+1), pulls X back, and takes connected
-    components.  Recomputes at trunc+1 and insists the component count is
-    unchanged.
+    working truncation D (default d+1, allowed d..d+2), pulls X back, and
+    takes connected components.  X has cells only at levels <= d, so every D
+    in the window gives the same components; D is reported as the depth.
     """
     d = _require_chain_site(X)
     if not is_complete(M):
@@ -521,13 +545,7 @@ def left_kan(X: Presheaf, M: Poset, trunc: Optional[int] = None) -> KanResult:
     D = d + 1 if trunc is None else trunc
     if not d <= D <= d + 2:
         raise BoundExceeded("working truncation must lie in [d, d+2]")
-    result = _kan_once(X, M, D)
-    recheck = _kan_once(X, M, D + 1)
-    if result.count != recheck.count:
-        raise TruncationUnstable(
-            f"component count changed from {result.count} to {recheck.count}; raise the truncation"
-        )
-    return result
+    return _kan_once(X, M, D)
 
 
 def left_kan_map(

@@ -157,6 +157,22 @@ class TestEnumerate:
         assert code == 2 and err
 
 
+class TestRangeChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--kind", "posets", "--size", "-1"],
+            ["audit-idempotents", "--dim", "2", "--samples", "-5"],
+        ],
+    )
+    def test_out_of_range_exits_2_without_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "must be at least" in err and "Traceback" not in err
+
+
 class TestVerifyAllFlags:
     def test_bad_dim_exits_2(self, capsys):
         code, _, err = run(capsys, ["verify-all", "--max-dim", "99"])

@@ -1,11 +1,14 @@
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetcat import catalog, presheaf as ps
 from posetcat.errors import (
     BadIndexSet,
     BoundExceeded,
+    InvariantViolation,
     NotComplete,
     SiteMismatch,
 )
@@ -35,6 +38,188 @@ class TestSites:
 
     def test_custom_full_site_closed(self):
         ps.PosetSite([chain(0), chain(1), interval_power(2)])
+
+
+def mixed_site():
+    return ps.PosetSite([chain(0), chain(1), chain(2), interval_power(2)])
+
+
+def words_reach_every_hom(site):
+    """Close the identities under postcomposition with generators, then
+    compare with the full hom-sets."""
+    n = len(site.objects)
+    reached = {(i, i, tuple(range(site.objects[i].size))) for i in range(n)}
+    frontier = list(reached)
+    while frontier:
+        new = []
+        for a, b, img in frontier:
+            for j, k, h in site.generators:
+                if j == b:
+                    word = (a, k, tuple(site.homs[j][k][h].image[x] for x in img))
+                    if word not in reached:
+                        reached.add(word)
+                        new.append(word)
+        frontier = new
+    every = {(i, j, f.image) for i in range(n) for j in range(n) for f in site.homs[i][j]}
+    return reached == every
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("d", range(6))
+    def test_delta_generators_are_cofaces_and_codegeneracies(self, d):
+        site = ps.delta_site(d)
+        assert len(site.generators) == d * (d + 2)
+        for i, j, h in site.generators:
+            image = site.homs[i][j][h].image
+            coface = j == i + 1 and len(set(image)) == len(image)
+            codegeneracy = j == i - 1 and set(image) == set(range(j + 1))
+            assert coface or codegeneracy, (i, j, image)
+
+    @pytest.mark.parametrize(
+        "site", [ps.delta_site(3), ps.box_site(2), mixed_site()], ids=repr
+    )
+    def test_words_in_generators_reach_every_hom(self, site):
+        assert words_reach_every_hom(site)
+
+
+def full_pair_functorial(X):
+    """Reference: identity law, and X(g.f) = X(f)X(g) on every composable pair."""
+    site = X.site
+    n = len(site.objects)
+    for i in range(n):
+        if X.actions[(i, i, site.identity_index[i])] != tuple(range(X.cells[i])):
+            return False
+    for i, j, k in product(range(n), repeat=3):
+        for a, f in enumerate(site.homs[i][j]):
+            af = X.actions[(i, j, a)]
+            for b, g in enumerate(site.homs[j][k]):
+                c = site.hom_index(i, k, tuple(g.image[x] for x in f.image))
+                if X.actions[(i, k, c)] != tuple(af[x] for x in X.actions[(j, k, b)]):
+                    return False
+    return True
+
+
+def full_naturality(F):
+    """Reference: the naturality square at every hom of the site."""
+    for (i, j, h), ax in F.source.actions.items():
+        ay = F.target.actions[(i, j, h)]
+        ci, cj = F.components[i], F.components[j]
+        if any(ay[cj[x]] != ci[ax[x]] for x in range(len(ax))):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def sample_presheaves():
+    sites = [ps.delta_site(1), ps.delta_site(2), ps.box_site(2), mixed_site()]
+    return tuple(ps.representable(site, P) for site in sites for P in (chain(1), interval_power(2)))
+
+
+@lru_cache(maxsize=None)
+def sample_maps():
+    maps = [identity_psmap(X) for X in sample_presheaves()]
+    maps.append(ps.representable_map(ps.delta_site(2), MonotoneMap(chain(1), chain(2), (0, 2))))
+    maps.append(ps.horn(2, {1, 2}))
+    maps.append(ps.horn(2, {0}))
+    return tuple(maps)
+
+
+def replace_entry(tab, x, rank):
+    """tab with entry x set to the rank-th value other than tab[x]."""
+    value = rank if rank < tab[x] else rank + 1
+    return tab[:x] + (value,) + tab[x + 1:]
+
+
+class TestGeneratorValidation:
+    def test_references_accept_the_samples(self):
+        for X in sample_presheaves():
+            assert full_pair_functorial(X)
+        for F in sample_maps():
+            assert full_naturality(F)
+
+    # Each case below breaks the law, or the naturality square, of exactly
+    # one generator of delta_site(1): homs (0,1,0) and (0,1,1) pick the
+    # vertices 0 and 1 of [1], hom (1,0,0) collapses [1] onto [0].
+
+    @pytest.mark.parametrize("endo", [0, 2])
+    def test_constant_endo_must_factor_through_the_vertex(self, endo):
+        # y[1] with the constant endomorphism of [1] acting as the identity
+        X = ps.representable(ps.delta_site(1), chain(1))
+        actions = dict(X.actions)
+        actions[(1, 1, endo)] = (0, 1, 2)
+        bad = ps.Presheaf(X.site, X.cells, actions, validate=False)
+        assert not full_pair_functorial(bad)
+        with pytest.raises(InvariantViolation):
+            bad.validate()
+
+    def test_degeneracy_must_split_the_faces(self):
+        # two vertices, one edge with both ends at vertex 0, and a degeneracy
+        # sending both vertices to that edge: every law holds except d_i s = id
+        site = ps.delta_site(1)
+        actions = {(0, 0, 0): (0, 1), (1, 0, 0): (0, 0)}
+        actions.update({(0, 1, h): (0,) for h in range(2)})
+        actions.update({(1, 1, h): (0,) for h in range(3)})
+        bad = ps.Presheaf(site, [2, 1], actions, validate=False)
+        assert not full_pair_functorial(bad)
+        with pytest.raises(InvariantViolation):
+            bad.validate()
+
+    @pytest.mark.parametrize("edge_image", [(0, 2, 2), (0, 0, 2)])
+    def test_edge_map_must_respect_each_vertex(self, edge_image):
+        # y[1] -> y[1], identity on vertices, the edge 0->1 sent to a loop
+        X = ps.representable(ps.delta_site(1), chain(1))
+        bad = ps.PresheafMap(X, X, [(0, 1), edge_image], validate=False)
+        assert not full_naturality(bad)
+        with pytest.raises(InvariantViolation):
+            bad.validate()
+
+    def test_vertex_map_must_respect_the_degeneracy(self):
+        # y[0] -> (one vertex, a degenerate and a free loop), sending the
+        # degenerate edge to the free loop
+        site = ps.delta_site(1)
+        X = ps.representable(site, chain(0))
+        actions = {(0, 0, 0): (0,), (1, 0, 0): (0,), (1, 1, 1): (0, 1)}
+        actions.update({(0, 1, h): (0, 0) for h in range(2)})
+        actions.update({(1, 1, h): (0, 0) for h in (0, 2)})
+        Y = ps.Presheaf(site, [1, 2], actions)
+        bad = ps.PresheafMap(X, Y, [(0,), (1,)], validate=False)
+        assert not full_naturality(bad)
+        with pytest.raises(InvariantViolation):
+            bad.validate()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_corrupted_action_entry_is_rejected(self, data):
+        X = data.draw(st.sampled_from(sample_presheaves()))
+        keys = [k for k in sorted(X.actions) if X.actions[k] and X.cells[k[0]] >= 2]
+        key = data.draw(st.sampled_from(keys))
+        tab = X.actions[key]
+        x = data.draw(st.integers(0, len(tab) - 1))
+        rank = data.draw(st.integers(0, X.cells[key[0]] - 2))
+        actions = dict(X.actions)
+        actions[key] = replace_entry(tab, x, rank)
+        bad = ps.Presheaf(X.site, X.cells, actions, validate=False)
+        assert not full_pair_functorial(bad)
+        with pytest.raises(InvariantViolation):
+            bad.validate()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_corrupted_component_entry_is_rejected(self, data):
+        F = data.draw(st.sampled_from(sample_maps()))
+        levels = [
+            i for i, c in enumerate(F.components) if c and F.target.cells[i] >= 2
+        ]
+        i = data.draw(st.sampled_from(levels))
+        comp = F.components[i]
+        x = data.draw(st.integers(0, len(comp) - 1))
+        rank = data.draw(st.integers(0, F.target.cells[i] - 2))
+        comps = list(F.components)
+        comps[i] = replace_entry(comp, x, rank)
+        bad = ps.PresheafMap(F.source, F.target, comps, validate=False)
+        assert not full_naturality(bad)
+        with pytest.raises(InvariantViolation):
+            bad.validate()
 
 
 class TestRepresentable:
@@ -252,6 +437,13 @@ class TestLeftKan:
         ps.left_kan(X, chain(1), trunc=3)
         with pytest.raises(BoundExceeded):
             ps.left_kan(X, chain(1), trunc=4)
+
+    def test_every_truncation_gives_the_same_labels(self):
+        for m in range(0, 3):
+            X = ps.representable(ps.delta_site(m), chain(m))
+            for M in [chain(1), interval_power(2), diamond()]:
+                runs = [ps.left_kan(X, M, trunc=D) for D in (m, m + 1, m + 2)]
+                assert len({(r.count, tuple(sorted(r._labels.items()))) for r in runs}) == 1
 
     def test_non_chain_site_rejected(self):
         # the dim-1 cube site IS the dim-1 chain site; dim 2 is not
