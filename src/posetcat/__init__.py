@@ -15,6 +15,7 @@ from .errors import (
     NotComplete,
     NotIdempotent,
     PosetCatError,
+    SchemaError,
     ShapeError,
     SiteMismatch,
 )

@@ -1,5 +1,9 @@
 """Enumeration engines: posets up to isomorphism, monotone maps, retracts.
 
+Posets of size n are canonicalized one naturally labelled poset at a time;
+lattices of size n are built from the posets of size n - 2 by adjoining a new
+bottom and top, so they never touch the n-element posets.
+
 The monotone-map enumerator is the performance-critical core: images are
 assigned along a fixed linear extension of the domain, with the candidate set
 for each element obtained by intersecting the up-sets of the images of its
@@ -185,10 +189,35 @@ def enumerate_posets(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPo
     return tuple(seen[k] for k in sorted(seen))
 
 
+def _bounded(Q: Poset) -> Poset:
+    """Q with a new bottom (element 0) and a new top (element Q.size + 1) adjoined."""
+    top = 1 << (Q.size + 1)
+    full = (top << 1) - 1
+    return Poset(Q.size + 2, (full,) + tuple(row << 1 | top for row in Q.up) + (top,))
+
+
 @lru_cache(maxsize=None)
 def enumerate_lattices(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPoset, ...]:
-    """Representatives of complete (= bounded-lattice) posets of size n."""
-    return tuple(cp for cp in enumerate_posets(n, bound) if is_complete(cp.poset))
+    """Representatives of complete (= bounded-lattice) posets of size n.
+
+    A finite lattice L with n >= 2 elements has a bottom and a top, and
+    removing them leaves a poset on n - 2 elements; conversely L is that
+    interior with a new bottom and top adjoined.  An isomorphism of lattices
+    fixes bottom and top, so it restricts to an isomorphism of interiors, and
+    an isomorphism of interiors extends to one of the bounded posets.  Hence
+    running over one representative per class of (n - 2)-element posets and
+    keeping the complete results yields every lattice class exactly once.
+    Sizes 0 and 1 are read off the posets of that size (none and the point).
+    Canonicalizing each survivor gives the same keys, representatives and
+    order as filtering all n-element posets.
+    """
+    if n > bound:
+        raise BoundExceeded(f"lattice enumeration capped at size {bound}")
+    if n < 2:
+        return tuple(cp for cp in enumerate_posets(n) if is_complete(cp.poset))
+    found = (_bounded(cp.poset) for cp in enumerate_posets(n - 2))
+    lattices = [CanonicalPoset.canonicalize(L) for L in found if is_complete(L)]
+    return tuple(sorted(lattices, key=lambda cp: cp.key))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ class DomainMismatch(PosetCatError):
     """Composition or comparison of maps with incompatible endpoints."""
 
 
+class SchemaError(PosetCatError):
+    """JSON input does not have the documented shape or types."""
+
+
 class BoundExceeded(PosetCatError):
     """Requested size or dimension is beyond the configured enumeration bound."""
 

@@ -11,7 +11,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .errors import CycleError, DomainMismatch, InvariantViolation, NotComplete
+from .errors import (
+    BoundExceeded,
+    CycleError,
+    DomainMismatch,
+    InvariantViolation,
+    NotComplete,
+    SchemaError,
+)
 
 
 @dataclass(frozen=True)
@@ -207,11 +214,13 @@ def interval_power(n: int) -> Poset:
     """The cube [1]^n; vertices are little-endian bit-vectors (bit i = coordinate i)."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    size = 1 << n
-    up = tuple(
-        sum(1 << y for y in range(size) if x & ~y == 0) for x in range(size)
-    )
-    return Poset(size, up)
+    # [1]^(k+1) is [1]^k below a shifted copy of itself: x <= y + 2^k for
+    # every y >= x, so each doubling costs O(2^k) row operations.
+    up = [1]
+    for k in range(n):
+        half = 1 << k
+        up = [row | row << half for row in up] + [row << half for row in up]
+    return Poset(1 << n, tuple(up))
 
 
 @lru_cache(maxsize=None)
@@ -381,8 +390,34 @@ def poset_to_json(P: Poset) -> dict:
     return {"size": P.size, "relation": [list(p) for p in sorted(cover_pairs(P))]}
 
 
-def poset_from_json(data: dict) -> Poset:
-    return validate_poset([tuple(p) for p in data["relation"]], data["size"])
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def poset_from_json(data: dict, max_size: Optional[int] = None) -> Poset:
+    """Inverse of poset_to_json; any pairs are accepted, closure restores the order.
+
+    Raises SchemaError unless data is {"size": n, "relation": [[i, j], ...]}
+    with n a non-negative integer and every i, j in 0..n-1, and BoundExceeded
+    when n > max_size, before doing work that grows with n.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(f"poset must be a JSON object, got {type(data).__name__}")
+    size, relation = data.get("size"), data.get("relation")
+    if not _is_int(size) or size < 0:
+        raise SchemaError(f"poset size must be a non-negative integer, got {size!r}")
+    if max_size is not None and size > max_size:
+        raise BoundExceeded(f"poset size {size} exceeds the bound {max_size}")
+    if not isinstance(relation, list):
+        raise SchemaError("poset relation must be a list of [i, j] pairs")
+    for k, p in enumerate(relation):
+        if not (
+            isinstance(p, (list, tuple))
+            and len(p) == 2
+            and all(_is_int(v) and 0 <= v < size for v in p)
+        ):
+            raise SchemaError(f"relation entry {k} is not a pair of elements of 0..{size - 1}")
+    return validate_poset([tuple(p) for p in relation], size)
 
 
 def map_to_json(f: MonotoneMap) -> dict:

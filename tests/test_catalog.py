@@ -18,7 +18,7 @@ from posetcat.poset import (
 
 # isomorphism-class counts, confirmed against brute-force relation filtering below
 POSET_CLASSES = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
-LATTICE_CLASSES = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+LATTICE_CLASSES = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}  # OEIS A006966
 
 
 def brute_force_posets(n):
@@ -85,6 +85,35 @@ class TestEnumerateLattices:
     @pytest.mark.parametrize("n,expect", sorted(LATTICE_CLASSES.items()))
     def test_class_counts(self, n, expect):
         assert len(catalog.enumerate_lattices(n)) == expect
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_filtering_all_posets(self, n):
+        reference = tuple(
+            cp for cp in catalog.enumerate_posets(n) if is_complete(cp.poset)
+        )
+        lattices = catalog.enumerate_lattices(n)
+        assert [cp.key for cp in lattices] == [cp.key for cp in reference]
+        assert [cp.poset for cp in lattices] == [cp.poset for cp in reference]
+
+    def test_empty(self):
+        assert catalog.enumerate_lattices(0) == ()
+
+    def test_bound(self):
+        with pytest.raises(BoundExceeded):
+            catalog.enumerate_lattices(8)
+
+    def test_asks_only_for_posets_of_size_n_minus_2(self, monkeypatch):
+        asked = []
+        real = catalog.enumerate_posets
+
+        def recording(n, *args, **kwargs):
+            asked.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "enumerate_posets", recording)
+        catalog.enumerate_lattices.cache_clear()
+        catalog.enumerate_lattices(7)
+        assert asked == [5]
 
     def test_sublist_of_posets(self):
         poset_keys = {cp.key for cp in catalog.enumerate_posets(4)}

@@ -61,6 +61,29 @@ class TestCertify:
         for c, v in enumerate(data["section"]):
             assert data["retraction"][v] == c
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"size": 2, "relation": [[0, 5]]},
+            {"size": "2", "relation": []},
+            [1, 2],
+        ],
+    )
+    def test_malformed_input_exits_2_without_traceback(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["certify", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert "error" in err and "Traceback" not in err
+
+    def test_size_bound_exits_2(self, capsys, tmp_path):
+        n = cli.MAX_CERTIFY_SIZE + 1
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"size": n, "relation": [[i, i + 1] for i in range(n - 1)]}))
+        code, out, err = run(capsys, ["certify", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert "bound" in err and "Traceback" not in err
+
     def test_incomplete_input_exits_2(self, capsys, tmp_path):
         path = tmp_path / "vee.json"
         path.write_text(json.dumps({"size": 3, "relation": [[0, 2], [1, 2]]}))

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from posetcat.errors import CycleError, DomainMismatch, InvariantViolation, NotComplete
+from posetcat.errors import (
+    BoundExceeded,
+    CycleError,
+    DomainMismatch,
+    InvariantViolation,
+    NotComplete,
+    SchemaError,
+)
 from posetcat.poset import (
     MonotoneMap,
     Poset,
@@ -105,6 +112,14 @@ class TestProducts:
 
     def test_product_matches_power(self):
         assert product(chain(1), chain(1)) == interval_power(2)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_power_rows_match_subset_order(self, n):
+        size = 1 << n
+        subset_rows = tuple(
+            sum(1 << y for y in range(size) if x & ~y == 0) for x in range(size)
+        )
+        assert interval_power(n).up == subset_rows
 
     def test_mixed_product_order(self):
         P = product(chain(1), chain(2))
@@ -222,6 +237,32 @@ class TestJson:
     def test_map_round_trip(self):
         f = MonotoneMap(chain(1), interval_power(2), (0, 3))
         assert map_from_json(map_to_json(f)) == f
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            {"relation": []},
+            {"size": "2", "relation": []},
+            {"size": True, "relation": []},
+            {"size": -1, "relation": []},
+            {"size": 2},
+            {"size": 2, "relation": {"0": 1}},
+            {"size": 2, "relation": [[0, 5]]},
+            {"size": 2, "relation": [[-1, 0]]},
+            {"size": 2, "relation": [[0, 1, 1]]},
+            {"size": 2, "relation": [[0, 1.0]]},
+            {"size": 2, "relation": [0]},
+        ],
+    )
+    def test_malformed_input_rejected(self, data):
+        with pytest.raises(SchemaError):
+            poset_from_json(data)
+
+    def test_size_bound_checked_before_closure(self):
+        with pytest.raises(BoundExceeded):
+            poset_from_json({"size": 10 ** 12, "relation": []}, max_size=12)
+        assert poset_from_json(poset_to_json(chain(2)), max_size=3) == chain(2)
 
 
 @st.composite
