@@ -7,8 +7,10 @@ bottom and top, so they never touch the n-element posets.
 The monotone-map enumerator is the performance-critical core: images are
 assigned along a fixed linear extension of the domain, with the candidate set
 for each element obtained by intersecting the up-sets of the images of its
-already-assigned predecessors.  Counting shares the same search tree without
-materializing maps.
+lower covers.  One flat loop per root value walks the search tree over an
+explicit stack of pending candidate masks.  Counting shares that tree without
+materializing maps, and adds the popcount of each last-level mask instead of
+visiting its leaves.
 """
 
 from __future__ import annotations
@@ -225,50 +227,57 @@ def enumerate_lattices(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[Canonical
 
 
 def _map_search(P: Poset, Q: Poset, emit: bool, root_filter=None):
-    """Backtracking core; yields image tuples (emit=True) or leaf counts per root."""
+    """Search core; yields image tuples (emit=True) or one leaf count per root.
+
+    Images are assigned along a linear extension of P, so level t holds the
+    t-th element of it.  The candidates at a level are the meet of the
+    up-sets of the images of the element's lower covers; its other
+    predecessors lie below a lower cover and add nothing.  One flat loop per
+    root walks the tree with a stack of pending candidate masks, one per
+    level, taking the lowest candidate first.  At the last level every
+    candidate is a leaf: emit mode yields them in turn, count mode adds the
+    popcount of the mask.
+    """
     n = P.size
     if n == 0:
-        if emit:
-            yield ()
-        else:
-            yield 1
+        yield () if emit else 1
         return
     order = _linear_extension(P)
-    preds = []
-    for e in order:
-        preds.append([p for p in order if P.down[e] >> p & 1 and p != e])
+    lower = [[i for i, c in enumerate(P.covers) if c >> e & 1] for e in order]
     full = (1 << Q.size) - 1
     qup = Q.up
     img = [0] * n
-
-    def cand_mask(t: int) -> int:
-        c = full
-        for p in preds[t]:
-            c &= qup[img[p]]
-            if not c:
-                break
-        return c
-
-    def rec(t: int):
-        if t == n:
-            yield tuple(img) if emit else 1
-            return
-        e = order[t]
-        m = cand_mask(t)
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            img[e] = q
-            yield from rec(t + 1)
-
-    e0 = order[0]
+    last = n - 1
+    pending = [0] * n
     roots = range(Q.size) if root_filter is None else root_filter
     for q0 in roots:
-        img[e0] = q0
-        if emit:
-            yield from rec(1)
-        else:
-            yield sum(rec(1))
+        pending[0] = 1 << q0
+        leaves = 0
+        t = 0
+        while t >= 0:
+            m = pending[t]
+            if t == last:
+                if emit:
+                    e = order[t]
+                    while m:
+                        img[e] = (m & -m).bit_length() - 1
+                        m &= m - 1
+                        yield tuple(img)
+                else:
+                    leaves += m.bit_count()
+                t -= 1
+            elif m:
+                pending[t] = m & (m - 1)
+                img[order[t]] = (m & -m).bit_length() - 1
+                t += 1
+                c = full
+                for p in lower[t]:
+                    c &= qup[img[p]]
+                pending[t] = c
+            else:
+                t -= 1
+        if not emit:
+            yield leaves
 
 
 def enumerate_monotone_maps(

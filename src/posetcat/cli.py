@@ -15,7 +15,7 @@ import sys
 
 from . import catalog, checks, karoubi, presheaf
 from .errors import PosetCatError
-from .poset import chain, poset_from_json, poset_to_json
+from .poset import JSON_POSET_BOUND, chain, poset_from_json, poset_to_json
 
 MAX_POSET_LIMIT = 5
 MAX_DIM_LIMIT = 3
@@ -51,7 +51,7 @@ def _emit(data) -> None:
     sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
 
-def _read_poset(path: str | None, max_size: int | None = None):
+def _read_poset(path: str | None, max_size: int = JSON_POSET_BOUND):
     raw = sys.stdin.read() if path in (None, "-") else open(path).read()
     return poset_from_json(json.loads(raw), max_size)
 

@@ -25,12 +25,15 @@ from .errors import (
     BoundExceeded,
     InvariantViolation,
     NotComplete,
+    SchemaError,
     SiteMismatch,
 )
 from .karoubi import retract_certificate
 from .poset import (
+    JSON_POSET_BOUND,
     MonotoneMap,
     Poset,
+    _is_int,
     chain,
     induced_subposet,
     interval_power,
@@ -163,6 +166,8 @@ class Presheaf:
     def validate(self):
         site = self.site
         n = len(site.objects)
+        if len(self.cells) != n:
+            raise InvariantViolation("one cell count per site object required")
         for i in range(n):
             for j in range(n):
                 for h in range(len(site.homs[i][j])):
@@ -829,11 +834,25 @@ def site_to_json(site: PosetSite) -> dict:
 
 
 def site_from_json(data: dict) -> PosetSite:
-    if data["kind"] == "delta":
-        return delta_site(data["dim"])
-    if data["kind"] == "box":
-        return box_site(data["dim"])
-    return PosetSite([poset_from_json(p) for p in data["objects"]], kind="custom")
+    """Inverse of site_to_json; raises SchemaError on a malformed site.
+
+    A delta or box site needs a non-negative integer "dim"; a custom site
+    needs a list of poset "objects", each at most JSON_POSET_BOUND elements.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(f"site must be a JSON object, got {type(data).__name__}")
+    kind = data.get("kind")
+    if kind in ("delta", "box"):
+        dim = data.get("dim")
+        if not _is_int(dim) or dim < 0:
+            raise SchemaError(f"site dim must be a non-negative integer, got {dim!r}")
+        return delta_site(dim) if kind == "delta" else box_site(dim)
+    if kind != "custom":
+        raise SchemaError(f"site kind must be delta, box or custom, got {kind!r}")
+    objects = data.get("objects")
+    if not isinstance(objects, list):
+        raise SchemaError("custom site objects must be a list of posets")
+    return PosetSite([poset_from_json(p, JSON_POSET_BOUND) for p in objects], kind="custom")
 
 
 def presheaf_to_json(X: Presheaf) -> dict:
@@ -847,9 +866,25 @@ def presheaf_to_json(X: Presheaf) -> dict:
 
 
 def presheaf_from_json(data: dict) -> Presheaf:
-    site = site_from_json(data["site"])
+    """Inverse of presheaf_to_json; raises SchemaError on a malformed document.
+
+    "cells" must be a list of non-negative integers and "actions" an object
+    whose keys are "i,j,h" and whose values are lists of integers; Presheaf
+    then checks shapes, ranges and the functor laws.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(f"presheaf must be a JSON object, got {type(data).__name__}")
+    cells, raw = data.get("cells"), data.get("actions")
+    if not isinstance(cells, list) or not all(_is_int(c) and c >= 0 for c in cells):
+        raise SchemaError("presheaf cells must be a list of non-negative integers")
+    if not isinstance(raw, dict):
+        raise SchemaError("presheaf actions must be an object of action tables")
     actions = {}
-    for key, tab in data["actions"].items():
-        i, j, h = (int(v) for v in key.split(","))
-        actions[(i, j, h)] = tuple(tab)
-    return Presheaf(site, data["cells"], actions)
+    for key, tab in raw.items():
+        parts = key.split(",")
+        if len(parts) != 3 or not all(v.isdecimal() for v in parts):
+            raise SchemaError(f"action key {key!r} is not of the form \"i,j,h\"")
+        if not isinstance(tab, list) or not all(_is_int(v) for v in tab):
+            raise SchemaError(f"action table {key!r} must be a list of integers")
+        actions[tuple(int(v) for v in parts)] = tuple(tab)
+    return Presheaf(site_from_json(data.get("site")), cells, actions)

@@ -191,6 +191,78 @@ class TestMonotoneMapCounts:
         assert catalog.count_monotone_maps(chain(1), Poset(0, ())) == 0
 
 
+def recursive_search(P, Q, emit, root_filter=None):
+    """The recursive search that the flat loop of _map_search replaced."""
+    n = P.size
+    if n == 0:
+        yield () if emit else 1
+        return
+    order = catalog._linear_extension(P)
+    preds = [[p for p in order if P.down[e] >> p & 1 and p != e] for e in order]
+    full = (1 << Q.size) - 1
+    img = [0] * n
+
+    def rec(t):
+        if t == n:
+            yield tuple(img) if emit else 1
+            return
+        m = full
+        for p in preds[t]:
+            m &= Q.up[img[p]]
+        while m:
+            img[order[t]] = (m & -m).bit_length() - 1
+            m &= m - 1
+            yield from rec(t + 1)
+
+    for q0 in range(Q.size) if root_filter is None else root_filter:
+        img[order[0]] = q0
+        if emit:
+            yield from rec(1)
+        else:
+            yield sum(rec(1))
+
+
+SEARCH_PAIRS = {
+    "cube3-to-square": (interval_power(3), interval_power(2)),
+    "six-to-lattice7": (
+        catalog.enumerate_posets(6)[150].poset,
+        catalog.enumerate_lattices(7)[30].poset,
+    ),
+    "point-domain": (chain(0), chain(3)),
+    "empty-domain": (Poset(0, ()), chain(1)),
+    "empty-codomain": (interval_power(2), Poset(0, ())),
+    "antichain-domain": (antichain(3), interval_power(2)),
+}
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize("name", sorted(SEARCH_PAIRS))
+    def test_images_and_root_counts_match_recursive_search(self, name):
+        P, Q = SEARCH_PAIRS[name]
+        images = list(catalog._map_search(P, Q, emit=True))
+        assert images == list(recursive_search(P, Q, emit=True))
+        counts = list(catalog._map_search(P, Q, emit=False))
+        assert counts == list(recursive_search(P, Q, emit=False))
+        for q0 in range(Q.size):
+            assert list(catalog._map_search(P, Q, emit=True, root_filter=[q0])) == list(
+                recursive_search(P, Q, emit=True, root_filter=[q0])
+            )
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_PAIRS))
+    def test_count_equals_stream_length(self, name):
+        P, Q = SEARCH_PAIRS[name]
+        stream = [f.image for f in catalog.enumerate_monotone_maps(P, Q)]
+        assert catalog.count_monotone_maps(P, Q) == len(stream)
+        assert catalog.count_monotone_maps(P, Q, workers=2) == len(stream)
+        assert [f.image for f in catalog.monotone_maps(P, Q)] == stream
+
+    def test_pairs_are_nontrivial(self):
+        P, L = SEARCH_PAIRS["six-to-lattice7"]
+        assert P.size == 6 and L.size == 7 and is_complete(L)
+        assert catalog.count_monotone_maps(P, L) > 100
+        assert catalog.count_monotone_maps(*SEARCH_PAIRS["empty-codomain"]) == 0
+
+
 class TestEnumerationDeterminism:
     def test_stream_stable_across_worker_counts(self):
         P, Q = interval_power(2), chain(2)

@@ -131,6 +131,94 @@ class TestKan:
         assert data["components"] == 6 and data["truncation"] == 3
 
 
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+DELTA_1 = {"kind": "delta", "dim": 1}
+
+
+class TestKanPresheaf:
+    def test_representable_matches_hom_count(self, capsys, tmp_path):
+        from posetcat import presheaf as ps
+        from posetcat.poset import chain
+
+        X = ps.representable(ps.delta_site(1), chain(1))
+        path = write_json(tmp_path, "y1.json", ps.presheaf_to_json(X))
+        code, out, _ = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+        assert code == 0 and json.loads(out)["components"] == 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"site": [1], "cells": [], "actions": {}},
+            [1, 2],
+            {"site": {"kind": "simplex", "dim": 1}, "cells": [1, 1], "actions": {}},
+            {"site": {"dim": 1}, "cells": [1, 1], "actions": {}},
+            {"site": {"kind": "delta", "dim": "1"}, "cells": [1, 1], "actions": {}},
+            {"site": {"kind": "box", "dim": True}, "cells": [1, 1], "actions": {}},
+            {"site": {"kind": "delta", "dim": -1}, "cells": [], "actions": {}},
+            {"site": {"kind": "custom", "objects": {}}, "cells": [], "actions": {}},
+            {"site": {"kind": "custom", "objects": [[0]]}, "cells": [1], "actions": {}},
+            {"site": DELTA_1, "cells": "2", "actions": {}},
+            {"site": DELTA_1, "cells": [1, -1], "actions": {}},
+            {"site": DELTA_1, "cells": [1, 1.5], "actions": {}},
+            {"site": DELTA_1, "cells": [1, 1], "actions": []},
+            {"site": DELTA_1, "cells": [1, 1], "actions": {"0,0": [0]}},
+            {"site": DELTA_1, "cells": [1, 1], "actions": {"0,x,0": [0]}},
+            {"site": DELTA_1, "cells": [1, 1], "actions": {"0,0,-1": [0]}},
+            {"site": DELTA_1, "cells": [1, 1], "actions": {"0,0,0": 0}},
+            {"site": DELTA_1, "cells": [1, 1], "actions": {"0,0,0": ["0"]}},
+            {"site": DELTA_1, "cells": [1], "actions": {}},
+            {"site": DELTA_1, "cells": [1, 1], "actions": {"0,0,0": [0]}},
+        ],
+    )
+    def test_malformed_presheaf_exits_2_without_traceback(self, capsys, tmp_path, data):
+        path = write_json(tmp_path, "bad.json", data)
+        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+        assert code == 2 and out == ""
+        assert "error" in err and "Traceback" not in err
+
+
+class TestInputPosetBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kan", "--target", "{big}"],
+            ["enumerate", "--kind", "maps", "--dom", "{big}", "--cod", "{arrow}"],
+            ["enumerate", "--kind", "maps", "--dom", "{arrow}", "--cod", "{big}"],
+            ["kan", "--presheaf", "{site}", "--target", "{arrow}"],
+        ],
+    )
+    def test_oversized_poset_exits_2_before_its_closure(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        from posetcat import poset
+
+        big = {"size": 3000, "relation": []}
+        files = {
+            "big": write_json(tmp_path, "big.json", big),
+            "arrow": arrow_file(tmp_path),
+            "site": write_json(
+                tmp_path, "site.json",
+                {"site": {"kind": "custom", "objects": [big]}, "cells": [1], "actions": {}},
+            ),
+        }
+        real = poset.validate_poset
+
+        def bounded(relation, size):
+            # fail fast: past the closure, a 3000-element site object hangs
+            assert size <= poset.JSON_POSET_BOUND, "closure of an oversized poset"
+            return real(relation, size)
+
+        monkeypatch.setattr(poset, "validate_poset", bounded)
+        code, out, err = run(capsys, [a.format(**files) for a in argv])
+        assert code == 2 and out == ""
+        assert "bound" in err and "Traceback" not in err
+
+
 class TestHorn:
     def test_counts(self, capsys):
         code, out, _ = run(

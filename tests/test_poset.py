@@ -1,5 +1,7 @@
+from itertools import product as iproduct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from posetcat.errors import (
     BoundExceeded,
@@ -9,6 +11,7 @@ from posetcat.errors import (
     NotComplete,
     SchemaError,
 )
+from posetcat.catalog import enumerate_posets, monotone_maps
 from posetcat.poset import (
     MonotoneMap,
     Poset,
@@ -16,6 +19,7 @@ from posetcat.poset import (
     antichain,
     chain,
     compose,
+    cover_pairs,
     identity_map,
     initial,
     interval_power,
@@ -97,6 +101,83 @@ class TestCompose:
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
             MonotoneMap(chain(1), chain(1), (1, 0))
+
+
+def monotone_on_all_pairs(P, Q, image):
+    """Reference check: every value in range and f(i) <= f(j) for all i <= j."""
+    if len(image) != P.size or any(not 0 <= v < Q.size for v in image):
+        return False
+    return all(
+        Q.leq(image[i], image[j])
+        for i in range(P.size)
+        for j in range(P.size)
+        if P.leq(i, j)
+    )
+
+
+def accepted(P, Q, image):
+    try:
+        MonotoneMap(P, Q, image)
+    except ValueError:
+        return False
+    return True
+
+
+POSETS_TO_FIVE = [cp.poset for n in range(6) for cp in enumerate_posets(n)]
+
+
+class TestCoverCheck:
+    """MonotoneMap checks covering pairs only; it must agree with all pairs."""
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_accepts_exactly_the_monotone_tuples(self, data):
+        P = data.draw(st.sampled_from(POSETS_TO_FIVE))
+        Q = data.draw(st.sampled_from(POSETS_TO_FIVE))
+        values = st.integers(-1, Q.size)
+        homs = monotone_maps(P, Q)
+        if P.size and homs and data.draw(st.booleans()):
+            # a monotone map with one value replaced: mostly near misses
+            image = list(data.draw(st.sampled_from(homs)).image)
+            image[data.draw(st.integers(0, P.size - 1))] = data.draw(values)
+        else:
+            image = data.draw(st.lists(values, min_size=P.size, max_size=P.size))
+        image = tuple(image)
+        assert accepted(P, Q, image) == monotone_on_all_pairs(P, Q, image)
+
+    def test_exhaustive_to_three_elements(self):
+        posets = [P for P in POSETS_TO_FIVE if P.size <= 3]
+        for P in posets:
+            for Q in posets:
+                for image in iproduct(range(-1, Q.size + 1), repeat=P.size):
+                    assert accepted(P, Q, image) == monotone_on_all_pairs(P, Q, image)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            MonotoneMap(chain(1), chain(1), (0,))
+
+    def test_cover_pairs_of_the_cube(self):
+        cube = interval_power(3)
+        assert len(cube.cover_edges) == 12
+        assert cover_pairs(cube) == list(cube.cover_edges)
+        for i, j in cube.cover_edges:
+            assert (i ^ j).bit_count() == 1 and i < j
+
+    @pytest.mark.parametrize("edge", interval_power(3).cover_edges)
+    def test_breaking_one_cover_is_rejected(self, edge):
+        cube = interval_power(3)
+        i, j = edge
+        up = list(cube.up)
+        up[i] &= ~(1 << j)
+        # nothing lies strictly between i and j, so the rest stays transitive
+        broken = Poset(cube.size, tuple(up))
+        lost = [
+            (a, b) for a in range(cube.size) for b in range(cube.size)
+            if cube.leq(a, b) and not broken.leq(a, b)
+        ]
+        assert lost == [edge]
+        with pytest.raises(ValueError, match=f"not monotone on {i} <= {j}"):
+            MonotoneMap(cube, broken, tuple(range(cube.size)))
 
 
 class TestProducts:

@@ -10,9 +10,16 @@ from posetcat.errors import (
     BoundExceeded,
     InvariantViolation,
     NotComplete,
+    SchemaError,
     SiteMismatch,
 )
-from posetcat.poset import MonotoneMap, chain, interval_power, validate_poset
+from posetcat.poset import (
+    JSON_POSET_BOUND,
+    MonotoneMap,
+    chain,
+    interval_power,
+    validate_poset,
+)
 
 
 def diamond():
@@ -562,6 +569,46 @@ class TestJson:
         X = ps.representable(site, chain(1))
         back = ps.presheaf_from_json(ps.presheaf_to_json(X))
         assert back.cells == X.cells and back.actions == X.actions
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            {"site": [1], "cells": [], "actions": {}},
+            {"site": {"kind": "simplex", "dim": 1}, "cells": [1, 1], "actions": {}},
+            {"site": {"dim": 1}, "cells": [1, 1], "actions": {}},
+            {"site": {"kind": "delta", "dim": 1.0}, "cells": [1, 1], "actions": {}},
+            {"site": {"kind": "box"}, "cells": [1, 1], "actions": {}},
+            {"site": {"kind": "custom"}, "cells": [], "actions": {}},
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, True], "actions": {}},
+            {"site": {"kind": "delta", "dim": 1}, "actions": {}},
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1]},
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0,0": [0]}},
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0,0,0,0": [0]}},
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0, 0,0": [0]}},
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0,0,-1": [0]}},
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0,0,0": [None]}},
+        ],
+    )
+    def test_malformed_input_rejected(self, data):
+        with pytest.raises(SchemaError):
+            ps.presheaf_from_json(data)
+
+    def test_custom_site_objects_are_bounded(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("site built from an oversized object")
+
+        # End of any 257-element poset is far too large to materialize
+        monkeypatch.setattr(ps, "PosetSite", unreachable)
+        objects = [{"size": JSON_POSET_BOUND + 1, "relation": []}]
+        with pytest.raises(BoundExceeded):
+            ps.site_from_json({"kind": "custom", "objects": objects})
+
+    def test_cell_counts_must_match_the_site(self):
+        data = ps.presheaf_to_json(ps.representable(ps.delta_site(1), chain(1)))
+        data["cells"].append(1)
+        with pytest.raises(InvariantViolation, match="one cell count per site object"):
+            ps.presheaf_from_json(data)
 
 
 class TestValidationErrors:
