@@ -7,6 +7,10 @@ cofaces and codegeneracies).  A presheaf stores a cell count per object and
 one action table per site morphism.  Functor laws, naturality of maps between
 presheaves, and the unions behind left Kan extension are checked or taken
 along generators only: every hom is a word in them, so nothing is lost.
+Action tables are built and checked by gathers that run in C (itemgetter
+and map over a cell index, see _picker), not one cell at a time, and a
+presheaf carries exactly one table per hom: a key that names no hom of the
+site is rejected.
 Everything downstream (colimits, left Kan extension along the inclusion of
 chains into complete posets, horns, pushouts) is finite and checked
 exhaustively at construction time.
@@ -17,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import catalog
 from .errors import (
@@ -47,6 +52,20 @@ DELTA_SITE_BOUND = 5
 BOX_SITE_BOUND = 2
 TRIANGULATE_BOUND = 4
 HORN_DIM_BOUND = 4
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """t -> tuple(t[x] for x in positions), gathered in C by itemgetter.
+
+    itemgetter returns a bare value for one position and needs at least one,
+    so those lengths (the empty poset, [0], [1]^0) are wrapped.
+    """
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    if positions:
+        x = positions[0]
+        return lambda t: (t[x],)
+    return lambda t: ()
 
 
 class PosetSite:
@@ -164,32 +183,45 @@ class Presheaf:
         return self.actions[(i, j, h)]
 
     def validate(self):
+        """Check shapes, ranges, the identity law and X(g.w) = X(w)X(g) for
+        generators g; raise InvariantViolation on the first failure.
+
+        There must be exactly one table per hom of the site: a key that names
+        no hom is rejected, since colimits and pushouts read every table.
+        Ranges are checked by min/max and composites by C-level gathers.
+        """
         site = self.site
         n = len(site.objects)
         if len(self.cells) != n:
             raise InvariantViolation("one cell count per site object required")
+        homs = 0
         for i in range(n):
             for j in range(n):
+                homs += len(site.homs[i][j])
                 for h in range(len(site.homs[i][j])):
                     tab = self.actions.get((i, j, h))
                     if tab is None or len(tab) != self.cells[j]:
                         raise InvariantViolation(f"missing or misshapen action table ({i},{j},{h})")
-                    if any(not 0 <= v < self.cells[i] for v in tab):
+                    if tab and (min(tab) < 0 or max(tab) >= self.cells[i]):
                         raise InvariantViolation(f"action table ({i},{j},{h}) out of range")
             ident = self.actions[(i, i, site.identity_index[i])]
             if ident != tuple(range(self.cells[i])):
                 raise InvariantViolation(f"identity law fails at object {i}")
+        # every hom has its table, so a surplus can only be keys of no hom
+        if len(self.actions) != homs:
+            raise InvariantViolation(
+                f"{len(self.actions) - homs} action table(s) for homs the site does not have"
+            )
         # X(g.w) = X(w)X(g) for generators g and all homs w gives X(u.w) =
         # X(w)X(u) for every hom u, by induction on the length of u as a word.
         for j, k, b in site.generators:
-            ag = self.actions[(j, k, b)]
+            pick = _picker(self.actions[(j, k, b)])
             gimg = site.homs[j][k][b].image
             for i in range(n):
                 index = site._index[i][k]
                 for a, w in enumerate(site.homs[i][j]):
-                    af = self.actions[(i, j, a)]
-                    c = index[tuple(gimg[x] for x in w.image)]
-                    if self.actions[(i, k, c)] != tuple(af[x] for x in ag):
+                    c = index[tuple(map(gimg.__getitem__, w.image))]
+                    if self.actions[(i, k, c)] != pick(self.actions[(i, j, a)]):
                         raise InvariantViolation(
                             f"composition law fails for ({i},{j},{k}) homs ({a},{b})"
                         )
@@ -263,20 +295,21 @@ def is_mono(F: PresheafMap) -> bool:
 def representable(site: PosetSite, P: Poset) -> Presheaf:
     """Cells at Q are the monotone maps Q -> P; action is precomposition.
 
-    P need not be an object of the site (restricted representable).
+    P need not be an object of the site (restricted representable).  The
+    table of f sends each cell g to the index of g.f: the image of g.f is
+    gathered from g's image by an itemgetter on f's image, and looked up in
+    the cell index, both in C.
     """
     n = len(site.objects)
-    hom_to_p = [catalog.monotone_maps(Q, P) for Q in site.objects]
-    index = [{f.image: c for c, f in enumerate(hom_to_p[i])} for i in range(n)]
+    images = [[g.image for g in catalog.monotone_maps(Q, P)] for Q in site.objects]
+    index = [{img: c for c, img in enumerate(imgs)} for imgs in images]
     actions = {}
     for i in range(n):
+        cell_of = index[i].__getitem__
         for j in range(n):
             for h, f in enumerate(site.homs[i][j]):
-                fimg = f.image
-                actions[(i, j, h)] = tuple(
-                    index[i][tuple(g.image[x] for x in fimg)] for g in hom_to_p[j]
-                )
-    return Presheaf(site, [len(hs) for hs in hom_to_p], actions)
+                actions[(i, j, h)] = tuple(map(cell_of, map(_picker(f.image), images[j])))
+    return Presheaf(site, [len(imgs) for imgs in images], actions)
 
 
 def representable_cells(site: PosetSite, P: Poset, level: int) -> tuple[MonotoneMap, ...]:
@@ -333,17 +366,14 @@ def subpresheaf(X: Presheaf, keep: Sequence[Iterable[int]]) -> tuple[Presheaf, P
     """Sub-presheaf on the given cells (must be closed under the actions)."""
     kept = [sorted(set(k)) for k in keep]
     pos = [{c: s for s, c in enumerate(ks)} for ks in kept]
+    picks = [_picker(ks) for ks in kept]
     site = X.site
     actions = {}
     for (i, j, h), tab in X.actions.items():
-        sub_tab = []
-        for c in kept[j]:
-            target = tab[c]
-            s = pos[i].get(target)
-            if s is None:
-                raise InvariantViolation("cell selection is not closed under the actions")
-            sub_tab.append(s)
-        actions[(i, j, h)] = tuple(sub_tab)
+        sub_tab = tuple(map(pos[i].get, picks[j](tab)))
+        if None in sub_tab:
+            raise InvariantViolation("cell selection is not closed under the actions")
+        actions[(i, j, h)] = sub_tab
     sub = Presheaf(site, [len(ks) for ks in kept], actions)
     incl = PresheafMap(sub, X, [tuple(ks) for ks in kept])
     return sub, incl
@@ -620,15 +650,15 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
                 tab[lab] = val
             elif tab[lab] != val:
                 raise InvariantViolation("pushout action not well defined on C cells")
-        if any(v is None for v in tab):
+        if None in tab:
             raise InvariantViolation("pushout cell without representative")
         actions[(i, j, h)] = tuple(tab)
     P = Presheaf(site, counts, actions)
     in_b = PresheafMap(B, P, lab_b)
     in_c = PresheafMap(C, P, lab_c)
     if any(
-        tuple(in_b.components[i][f.components[i][a]] for a in range(A.cells[i]))
-        != tuple(in_c.components[i][g.components[i][a]] for a in range(A.cells[i]))
+        _picker(f.components[i])(in_b.components[i])
+        != _picker(g.components[i])(in_c.components[i])
         for i in range(n)
     ):
         raise InvariantViolation("pushout square does not commute")

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posetcat import cli
 
@@ -182,6 +188,20 @@ class TestKanPresheaf:
         assert "error" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("key", ["0,1,9", "5,5,5"])
+    def test_action_key_of_no_hom_exits_2(self, capsys, tmp_path, key):
+        from posetcat import presheaf as ps
+        from posetcat.poset import chain
+
+        X = ps.representable(ps.delta_site(1), chain(0))
+        data = ps.presheaf_to_json(ps.coproduct(X, X))
+        data["actions"][key] = [1, 1]
+        path = write_json(tmp_path, "extra.json", data)
+        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+        assert code == 2 and out == ""
+        assert "homs the site does not have" in err and "Traceback" not in err
+
+
 class TestInputPosetBound:
     @pytest.mark.parametrize(
         "argv",
@@ -301,3 +321,174 @@ class TestVerifyAllFlags:
     def test_missing_input_file_exits_2(self, capsys):
         code, _, err = run(capsys, ["certify", "--input", "/nonexistent.json"])
         assert code == 2 and "input error" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract in-process: generated argv over generated
+# JSON documents must exit 0, 1 or 2 and never show a traceback.
+
+SMALL = st.integers(-2, 6)
+JUNK = st.recursive(
+    st.none() | st.booleans() | SMALL | st.sampled_from(["", "1", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["size", "relation", "site", "cells", "actions", "kind", "dim"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def poset_documents(draw):
+    # at most 6 elements: the hom search behind `enumerate --kind maps` has
+    # no work bound, and a large antichain makes it run without end
+    from posetcat import catalog
+    from posetcat.poset import poset_to_json
+
+    kind = draw(st.sampled_from(["valid", "raw", "junk"]))
+    if kind == "valid":
+        size = draw(st.integers(0, 4))
+        reps = catalog.enumerate_posets(size)
+        return poset_to_json(reps[draw(st.integers(0, len(reps) - 1))].poset)
+    if kind == "raw":
+        pairs = st.lists(st.integers(-1, 6), max_size=3)
+        return {"size": draw(st.integers(-1, 6)), "relation": draw(st.lists(pairs, max_size=8))}
+    return draw(JUNK)
+
+
+@st.composite
+def presheaf_documents(draw):
+    from posetcat import presheaf as ps
+    from posetcat.poset import chain
+
+    if draw(st.booleans()):
+        return draw(JUNK)
+    y0 = ps.representable(ps.delta_site(1), chain(0))
+    bases = [
+        ps.representable(ps.delta_site(1), chain(1)),
+        ps.representable(ps.delta_site(2), chain(1)),
+        ps.coproduct(y0, y0),
+        ps.representable(ps.PosetSite([chain(0), chain(1)]), chain(1)),
+    ]
+    data = ps.presheaf_to_json(draw(st.sampled_from(bases)))
+    actions = data["actions"]
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["add", "drop", "set", "cells"]))
+        keys = sorted(actions)
+        if op == "add":
+            key = ",".join(str(draw(st.integers(0, 9))) for _ in range(3))
+            actions[key] = draw(st.lists(SMALL, max_size=3))
+        elif op == "drop" and keys:
+            del actions[draw(st.sampled_from(keys))]
+        elif op == "set" and keys:
+            tab = actions[draw(st.sampled_from(keys))]
+            if tab:
+                tab[draw(st.integers(0, len(tab) - 1))] = draw(SMALL)
+        elif op == "cells" and data["cells"]:
+            data["cells"][draw(st.integers(0, len(data["cells"]) - 1))] = draw(SMALL)
+    return data
+
+
+def option(flag, values):
+    return st.one_of(st.just([]), given_option(flag, values))
+
+
+def given_option(flag, values):
+    return st.sampled_from(values).map(lambda v: [flag, str(v)])
+
+
+def switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+FILES = ["{dom}", "{cod}", "{presheaf}", "{missing}"]
+COMMANDS = {
+    # enumerating the 7-element posets costs about 12 s, so --size skips 7
+    "enumerate": [
+        given_option("--kind", ["posets", "lattices", "maps", "sets"]),
+        option("--size", [-1, 0, 1, 2, 3, 4, 5, 6, 8, "x"]),
+        option("--dom", FILES),
+        option("--cod", FILES),
+        option("--format", ["json", "count", "csv"]),
+    ],
+    # sampled mode defaults to 100,000 samples, so --samples is always given
+    "audit-idempotents": [
+        given_option("--dim", [-1, 0, 1, 2, 3, 4, "x"]),
+        option("--mode", ["exhaustive", "sampled", "random"]),
+        st.integers(-5, 50).map(lambda v: ["--samples", str(v)]),
+        option("--seed", [-1, 0, 7]),
+        switch("--timings"),
+    ],
+    "certify": [option("--input", FILES + ["-"])],
+    "triangulate": [
+        given_option("--cube-dim", [-1, 0, 1, 2, 3, 4, 9, "x"]),
+        given_option("--trunc", [-1, 0, 1, 2, 3, 4, 9]),
+        option("--format", ["json", "count", "human", "csv"]),
+    ],
+    "kan": [
+        option("--simplex", [-1, 0, 1, 2, 3, 4, 5, 6]),
+        option("--presheaf", FILES),
+        given_option("--target", FILES + ["-"]),
+        option("--trunc", [-1, 0, 1, 2, 3, 4, 5, 7]),
+    ],
+    "horn": [
+        given_option("--dim", [-1, 0, 1, 2, 3, 4, 5]),
+        given_option("--faces", ["", "0", "0,1", "1,2,3", "0,9", "-1", "x"]),
+        option("--trunc", [-1, 0, 2, 4, 5, 6]),
+        option("--format", ["json", "count", "csv"]),
+    ],
+    # the default --max-* bounds run the full 2 s suite, so all three are given
+    "verify-all": [
+        given_option("--max-poset", [0, 1, 2, 9]),
+        given_option("--max-dim", [-1, 0, 1, 9]),
+        given_option("--max-simplex", [0, 1, 2, 9]),
+        option("--seed", [-1, 3]),
+        option("--format", ["json", "human", "csv"]),
+        switch("--timings"),
+        switch("--deep"),
+    ],
+}
+# mostly nothing, sometimes a stray token after the options
+TRAILING = st.sampled_from([[], [], [], [], ["--help"], ["-x"], ["1"], [""]])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS) * 4 + ["bogus"]))
+    argv = [command]
+    for part in COMMANDS.get(command, []):
+        argv += draw(part)
+    return argv + draw(TRAILING)
+
+
+class TestFuzz:
+    @given(
+        argv=argvs(),
+        dom=poset_documents(),
+        cod=poset_documents(),
+        presheaf=presheaf_documents(),
+        stdin=poset_documents(),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_code_contract(self, argv, dom, cod, presheaf, stdin):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"missing": str(Path(tmp) / "missing.json")}
+            for name, doc in (("dom", dom), ("cod", cod), ("presheaf", presheaf)):
+                files[name] = str(Path(tmp) / f"{name}.json")
+                Path(files[name]).write_text(json.dumps(doc))
+            argv = [a.format(**files) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            saved_stdin = sys.stdin
+            sys.stdin = io.StringIO(json.dumps(stdin))
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+            finally:
+                sys.stdin = saved_stdin
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -227,6 +230,167 @@ class TestGeneratorValidation:
         assert not full_naturality(bad)
         with pytest.raises(InvariantViolation):
             bad.validate()
+
+
+# The per-cell table constructions that the C-level gathers replaced, kept
+# here as references.
+
+
+def reference_representable(site, P):
+    n = len(site.objects)
+    hom_to_p = [catalog.monotone_maps(Q, P) for Q in site.objects]
+    index = [{f.image: c for c, f in enumerate(hom_to_p[i])} for i in range(n)]
+    actions = {}
+    for i in range(n):
+        for j in range(n):
+            for h, f in enumerate(site.homs[i][j]):
+                fimg = f.image
+                actions[(i, j, h)] = tuple(
+                    index[i][tuple(g.image[x] for x in fimg)] for g in hom_to_p[j]
+                )
+    return tuple(len(hs) for hs in hom_to_p), actions
+
+
+def reference_subpresheaf(X, keep):
+    kept = [sorted(set(k)) for k in keep]
+    pos = [{c: s for s, c in enumerate(ks)} for ks in kept]
+    actions = {}
+    for (i, j, h), tab in X.actions.items():
+        sub_tab = []
+        for c in kept[j]:
+            s = pos[i].get(tab[c])
+            if s is None:
+                raise InvariantViolation("cell selection is not closed under the actions")
+            sub_tab.append(s)
+        actions[(i, j, h)] = tuple(sub_tab)
+    return tuple(len(ks) for ks in kept), actions
+
+
+EMPTY = validate_poset(set(), 0)
+GATHER_POSETS = [chain(0), chain(1), chain(2), interval_power(0), interval_power(1),
+                 interval_power(2)]
+# objects of size 0 and 1 give gathers over no position and over one
+EDGE_SITE_OBJECTS = (EMPTY, chain(0), chain(1), interval_power(2))
+GATHER_CASES = (
+    [("delta", d, P) for d in range(5) for P in GATHER_POSETS]
+    + [("box", d, P) for d in range(3) for P in GATHER_POSETS]
+    + [("edge", None, P) for P in [EMPTY, *GATHER_POSETS]]
+)
+
+
+def gather_site(kind, d):
+    if kind == "delta":
+        return ps.delta_site(d)
+    if kind == "box":
+        return ps.box_site(d)
+    return ps.PosetSite(EDGE_SITE_OBJECTS)
+
+
+def sub_keeps(site, P):
+    """Selections of cells of y(P): everything, nothing, the maps missing one
+    element of P (all closed), and the first half at each level (maybe not)."""
+    cells = [catalog.monotone_maps(Q, P) for Q in site.objects]
+    keeps = [[range(len(cs)) for cs in cells], [[] for _ in cells]]
+    for p in range(P.size):
+        keeps.append([[c for c, g in enumerate(cs) if p not in g.image] for cs in cells])
+    keeps.append([range((len(cs) + 1) // 2) for cs in cells])
+    return keeps
+
+
+class TestGatherTables:
+    @pytest.mark.parametrize(
+        "kind,d,P", GATHER_CASES, ids=[f"{k}{d}-{P.size}" for k, d, P in GATHER_CASES]
+    )
+    def test_tables_equal_the_per_cell_reference(self, kind, d, P):
+        site = gather_site(kind, d)
+        X = ps.representable(site, P)
+        cells, actions = reference_representable(site, P)
+        assert X.cells == cells and X.actions == actions
+        for keep in sub_keeps(site, P):
+            try:
+                expected = reference_subpresheaf(X, keep)
+            except InvariantViolation:
+                with pytest.raises(InvariantViolation, match="not closed"):
+                    ps.subpresheaf(X, keep)
+                continue
+            sub, _ = ps.subpresheaf(X, keep)
+            assert (sub.cells, sub.actions) == expected
+
+    def test_edge_site_uses_short_gathers(self):
+        site = ps.PosetSite(EDGE_SITE_OBJECTS)
+        lengths = {len(f.image) for row in site.homs for hs in row for f in hs}
+        assert {0, 1} <= lengths
+        assert ps.representable(site, EMPTY).cells == (1, 0, 0, 0)
+
+    def test_selection_that_is_not_closed_is_rejected(self):
+        X = ps.representable(ps.delta_site(1), chain(1))
+        # the edge 0->1 without its endpoint 1
+        with pytest.raises(InvariantViolation, match="not closed"):
+            ps.subpresheaf(X, [[0], [1]])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_picker_gathers_every_length(self, n):
+        positions = tuple(range(n - 1, -1, -1))
+        t = (10, 11, 12)
+        assert ps._picker(positions)(t) == tuple(t[x] for x in positions)
+
+
+# Under python -O: each bad table must still raise InvariantViolation.
+RANGE_CHECK_UNDER_O = """
+import sys
+from posetcat import presheaf as ps
+from posetcat.errors import InvariantViolation
+from posetcat.poset import chain
+X = ps.representable(ps.delta_site(1), chain(1))
+for value in (-1, X.cells[0]):
+    actions = dict(X.actions)
+    actions[(0, 1, 0)] = (value,) + actions[(0, 1, 0)][1:]
+    try:
+        ps.Presheaf(X.site, X.cells, actions)
+        print("accepted")
+    except InvariantViolation as exc:
+        print(type(exc).__name__, exc)
+print(sys.flags.optimize)
+"""
+
+
+class TestRangeCheck:
+    @pytest.mark.parametrize("value", [-1, "count"])
+    def test_entry_out_of_range_rejected(self, value):
+        X = ps.representable(ps.delta_site(1), chain(1))
+        key = (0, 1, 0)
+        value = X.cells[0] if value == "count" else value
+        actions = dict(X.actions)
+        actions[key] = (value,) + actions[key][1:]
+        with pytest.raises(InvariantViolation, match=r"\(0,1,0\) out of range"):
+            ps.Presheaf(X.site, X.cells, actions)
+
+    def test_largest_entry_accepted(self):
+        X = ps.representable(ps.delta_site(1), chain(1))
+        assert max(X.actions[(0, 1, 0)]) == X.cells[0] - 1
+        X.validate()
+
+    def test_empty_tables_at_zero_cell_levels_accepted(self):
+        site = ps.delta_site(1)
+        empty = {(i, j, h): () for i in range(2) for j in range(2)
+                 for h in range(len(site.homs[i][j]))}
+        assert ps.Presheaf(site, [0, 0], empty).cells == (0, 0)
+        # one cell on the empty poset, none on the others: empty tables
+        # into a nonempty level as well
+        X = ps.representable(ps.PosetSite(EDGE_SITE_OBJECTS), EMPTY)
+        assert X.actions[(0, 1, 0)] == () and X.actions[(0, 0, 0)] == (0,)
+
+    def test_rejections_hold_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(ps.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", RANGE_CHECK_UNDER_O],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "1"
+        assert lines[:-1] == ["InvariantViolation action table (0,1,0) out of range"] * 2
 
 
 class TestRepresentable:
@@ -603,6 +767,17 @@ class TestJson:
         objects = [{"size": JSON_POSET_BOUND + 1, "relation": []}]
         with pytest.raises(BoundExceeded):
             ps.site_from_json({"kind": "custom", "objects": objects})
+
+    @pytest.mark.parametrize("key", ["0,1,9", "5,5,5"])
+    def test_action_key_of_no_hom_rejected(self, key):
+        # before the check, "0,1,9" validated and glued the two vertices of
+        # y[0] + y[0] in colim, and "5,5,5" made colim raise IndexError
+        X = ps.representable(ps.delta_site(1), chain(0))
+        data = ps.presheaf_to_json(ps.coproduct(X, X))
+        assert ps.colim(ps.presheaf_from_json(data)).count == 2
+        data["actions"][key] = [1, 1]
+        with pytest.raises(InvariantViolation, match="homs the site does not have"):
+            ps.presheaf_from_json(data)
 
     def test_cell_counts_must_match_the_site(self):
         data = ps.presheaf_to_json(ps.representable(ps.delta_site(1), chain(1)))
