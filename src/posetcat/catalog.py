@@ -4,13 +4,15 @@ Posets of size n are canonicalized one naturally labelled poset at a time;
 lattices of size n are built from the posets of size n - 2 by adjoining a new
 bottom and top, so they never touch the n-element posets.
 
-The monotone-map enumerator is the performance-critical core: images are
-assigned along a fixed linear extension of the domain, with the candidate set
-for each element obtained by intersecting the up-sets of the images of its
-lower covers.  One flat loop per root value walks the search tree over an
+One monotone-map search engine, `_map_search`, is the performance-critical
+core: images are assigned along a fixed linear extension of the domain, with
+the candidate set for each element obtained by intersecting the up-sets of the
+images of its lower covers.  One flat loop walks the search tree over an
 explicit stack of pending candidate masks.  Counting shares that tree without
 materializing maps, and adds the popcount of each last-level mask instead of
-visiting its leaves.
+visiting its leaves.  Per-element masks of allowed images and an injectivity
+flag let the same loop find isomorphisms and retractions, and split the tree
+at its root over threads.
 """
 
 from __future__ import annotations
@@ -226,15 +228,24 @@ def enumerate_lattices(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[Canonical
 # monotone-map enumeration
 
 
-def _map_search(P: Poset, Q: Poset, emit: bool, root_filter=None):
-    """Search core; yields image tuples (emit=True) or one leaf count per root.
+def _search_plan(P: Poset) -> tuple[list[int], list[list[int]]]:
+    """A linear extension of P and, per position, the lower covers of its element."""
+    order = _linear_extension(P)
+    return order, [[i for i, c in enumerate(P.covers) if c >> e & 1] for e in order]
+
+
+def _map_search(P: Poset, Q: Poset, emit: bool, allowed=None, injective=False):
+    """Search core; yields image tuples (emit=True) or one leaf count.
 
     Images are assigned along a linear extension of P, so level t holds the
     t-th element of it.  The candidates at a level are the meet of the
     up-sets of the images of the element's lower covers; its other
-    predecessors lie below a lower cover and add nothing.  One flat loop per
-    root walks the tree with a stack of pending candidate masks, one per
-    level, taking the lowest candidate first.  At the last level every
+    predecessors lie below a lower cover and add nothing.  `allowed[e]`, a
+    bitmask over Q, also bounds the images of element e (all of Q when None),
+    and `injective` removes the images already taken on the branch.  One flat
+    loop walks the tree with a stack of pending candidate masks, one per
+    level, lowest candidate first, so maps come out in lexicographic order of
+    the image tuple read along the extension.  At the last level every
     candidate is a leaf: emit mode yields them in turn, count mode adds the
     popcount of the mask.
     """
@@ -242,42 +253,64 @@ def _map_search(P: Poset, Q: Poset, emit: bool, root_filter=None):
     if n == 0:
         yield () if emit else 1
         return
-    order = _linear_extension(P)
-    lower = [[i for i, c in enumerate(P.covers) if c >> e & 1] for e in order]
+    order, lower = _search_plan(P)
     full = (1 << Q.size) - 1
+    start = [full] * n if allowed is None else [allowed[e] for e in order]
     qup = Q.up
     img = [0] * n
     last = n - 1
     pending = [0] * n
-    roots = range(Q.size) if root_filter is None else root_filter
-    for q0 in roots:
-        pending[0] = 1 << q0
-        leaves = 0
-        t = 0
-        while t >= 0:
-            m = pending[t]
-            if t == last:
-                if emit:
-                    e = order[t]
-                    while m:
-                        img[e] = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        yield tuple(img)
-                else:
-                    leaves += m.bit_count()
-                t -= 1
-            elif m:
-                pending[t] = m & (m - 1)
-                img[order[t]] = (m & -m).bit_length() - 1
-                t += 1
-                c = full
-                for p in lower[t]:
-                    c &= qup[img[p]]
-                pending[t] = c
+    pending[0] = start[0]
+    used = [0] * n  # images taken at the levels below t, when injective
+    leaves = 0
+    t = 0
+    while t >= 0:
+        m = pending[t]
+        if t == last:
+            if emit:
+                e = order[t]
+                while m:
+                    img[e] = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    yield tuple(img)
             else:
-                t -= 1
-        if not emit:
-            yield leaves
+                leaves += m.bit_count()
+            t -= 1
+        elif m:
+            low = m & -m
+            pending[t] = m ^ low
+            img[order[t]] = low.bit_length() - 1
+            t += 1
+            c = start[t]
+            for p in lower[t]:
+                c &= qup[img[p]]
+            if injective:
+                used[t] = used[t - 1] | low
+                c &= ~used[t]
+            pending[t] = c
+        else:
+            t -= 1
+    if not emit:
+        yield leaves
+
+
+def _search(P: Poset, Q: Poset, emit: bool, workers: int):
+    """`_map_search`, split at the root over a thread pool when workers > 1.
+
+    Chunk q0 pins the first element of P's extension to q0, so the chunks
+    merged in root order are the serial stream, for any worker count.
+    """
+    if workers <= 1 or Q.size <= 1 or P.size == 0:
+        return _map_search(P, Q, emit)
+    first = _linear_extension(P)[0]
+
+    def chunk(q0: int) -> list:
+        allowed = [(1 << Q.size) - 1] * P.size
+        allowed[first] = 1 << q0
+        return list(_map_search(P, Q, emit, allowed))
+
+    with ThreadPoolExecutor(max_workers=min(workers, Q.size)) as pool:
+        return [x for part in pool.map(chunk, range(Q.size)) for x in part]
 
 
 def enumerate_monotone_maps(
@@ -286,39 +319,15 @@ def enumerate_monotone_maps(
     """Every monotone map P -> Q exactly once, in a deterministic order.
 
     Order is lexicographic in the image tuple read along the fixed linear
-    extension of P.  With workers > 1 the search tree is split at the first
-    assignment level; results are merged back in root order, so the stream is
-    identical for any worker count.
+    extension of P, the same for any worker count.
     """
-    if P.size == 0:
-        yield MonotoneMap(P, Q, ())
-        return
-    if workers <= 1 or Q.size <= 1:
-        for image in _map_search(P, Q, emit=True):
-            yield MonotoneMap(P, Q, image)
-        return
-    with ThreadPoolExecutor(max_workers=min(workers, Q.size)) as pool:
-        chunks = pool.map(
-            lambda q0: list(_map_search(P, Q, emit=True, root_filter=[q0])),
-            range(Q.size),
-        )
-        for chunk in chunks:
-            for image in chunk:
-                yield MonotoneMap(P, Q, image)
+    for image in _search(P, Q, True, workers):
+        yield MonotoneMap(P, Q, image)
 
 
 def count_monotone_maps(P: Poset, Q: Poset, workers: int = 1) -> int:
     """Number of monotone maps P -> Q; same search tree, nothing materialized."""
-    if P.size == 0:
-        return 1
-    if workers <= 1 or Q.size <= 1:
-        return sum(_map_search(P, Q, emit=False))
-    with ThreadPoolExecutor(max_workers=min(workers, Q.size)) as pool:
-        counts = pool.map(
-            lambda q0: sum(_map_search(P, Q, emit=False, root_filter=[q0])),
-            range(Q.size),
-        )
-        return sum(counts)
+    return sum(_search(P, Q, False, workers))
 
 
 @lru_cache(maxsize=None)
@@ -329,22 +338,19 @@ def monotone_maps(P: Poset, Q: Poset) -> tuple[MonotoneMap, ...]:
 
 def random_monotone_map(P: Poset, Q: Poset, rng) -> MonotoneMap:
     """Seeded random monotone map; requires every candidate set nonempty
-    (guaranteed when Q has a top element, e.g. Q complete)."""
-    n = P.size
-    order = _linear_extension(P)
+    (guaranteed when Q has a top element, e.g. Q complete).
+
+    Each element draws uniformly from the candidates `_map_search` would
+    offer it: the meet of the up-sets of its lower covers' images.
+    """
+    order, lower = _search_plan(P)
     full = (1 << Q.size) - 1
-    img = [0] * n
-    for t, e in enumerate(order):
+    img = [0] * P.size
+    for e, below in zip(order, lower):
         c = full
-        for p in order[:t]:
-            if P.down[e] >> p & 1:
-                c &= Q.up[img[p]]
-        choices = []
-        m = c
-        while m:
-            choices.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        img[e] = rng.choice(choices)
+        for p in below:
+            c &= Q.up[img[p]]
+        img[e] = rng.choice([q for q in range(Q.size) if c >> q & 1])
     return MonotoneMap(P, Q, tuple(img))
 
 
@@ -353,7 +359,16 @@ def random_monotone_map(P: Poset, Q: Poset, rng) -> MonotoneMap:
 
 
 def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
-    """An order-isomorphism P -> Q (monotone with monotone inverse), or None."""
+    """An order-isomorphism P -> Q (monotone with monotone inverse), or None.
+
+    The search runs over injective monotone maps that send each element to
+    one with the same (down-count, up-count) invariant, and takes the first.
+    Every such map is an isomorphism: equal sorted invariants give P and Q
+    equally many comparable pairs x < y, a bijective monotone map sends the
+    pairs of P injectively into those of Q, hence onto them, so it reflects
+    the order too.  The first map found is the least image tuple along P's
+    linear extension.
+    """
     n = P.size
     if n != Q.size:
         return None
@@ -361,36 +376,9 @@ def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
     inv_q = [(Q.down[i].bit_count(), Q.up[i].bit_count()) for i in range(n)]
     if sorted(inv_p) != sorted(inv_q):
         return None
-    order = _linear_extension(P)
-    img = [-1] * n
-
-    def rec(t: int, used: int):
-        if t == n:
-            return True
-        e = order[t]
-        for q in range(n):
-            if used >> q & 1 or inv_p[e] != inv_q[q]:
-                continue
-            ok = True
-            for e2 in order[:t]:
-                q2 = img[e2]
-                if (P.up[e] >> e2 & 1) != (Q.up[q] >> q2 & 1):
-                    ok = False
-                    break
-                if (P.up[e2] >> e & 1) != (Q.up[q2] >> q & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[e] = q
-            if rec(t + 1, used | 1 << q):
-                return True
-            img[e] = -1
-        return False
-
-    if rec(0, 0):
-        return MonotoneMap(P, Q, tuple(img))
-    return None
+    allowed = [sum(1 << q for q in range(n) if inv_q[q] == v) for v in inv_p]
+    image = next(_map_search(P, Q, emit=True, allowed=allowed, injective=True), None)
+    return None if image is None else MonotoneMap(P, Q, image)
 
 
 # ---------------------------------------------------------------------------
@@ -398,36 +386,15 @@ def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
 
 
 def _retractions_onto(A: Poset, keep: list[int], B: Poset) -> Iterator[tuple[int, ...]]:
-    """Monotone maps A -> B fixing the kept elements pointwise (B = A|keep)."""
-    n = A.size
-    pos = {e: i for i, e in enumerate(keep)}
-    order = _linear_extension(A)
-    full = (1 << B.size) - 1
-    img = [0] * n
+    """Monotone maps A -> B fixing the kept elements pointwise (B = A|keep).
 
-    def rec(t: int):
-        if t == n:
-            yield tuple(img)
-            return
-        e = order[t]
-        c = full
-        for p in order[:t]:
-            if A.down[e] >> p & 1:
-                c &= B.up[img[p]]
-        if e in pos:
-            if not c >> pos[e] & 1:
-                return
-            img[e] = pos[e]
-            yield from rec(t + 1)
-            return
-        m = c
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            img[e] = q
-            yield from rec(t + 1)
-
-    yield from rec(0)
+    Each kept element is pinned to its own position in B, every other
+    element may go anywhere in B; the stream is `_map_search`'s order.
+    """
+    allowed = [(1 << B.size) - 1] * A.size
+    for i, e in enumerate(keep):
+        allowed[e] = 1 << i
+    return _map_search(A, B, emit=True, allowed=allowed)
 
 
 def enumerate_retracts(

@@ -243,28 +243,17 @@ def downset_lattice(C: Poset) -> tuple[Poset, tuple[int, ...]]:
     """Poset of down-sets of C ordered by inclusion, with the mask per element.
 
     This is the intermediate object of the two-step retract construction
-    (antitone 0/1 functions on C); exposed for the documentation audit.
+    (antitone 0/1 functions on C); exposed for the documentation audit.  A
+    down-set is the zero set of a monotone map C -> [1], so the masks are read
+    from the uncached hom-set stream (leaving the `monotone_maps` cache alone),
+    sorted, and ordered by inclusion as vertices of the cube [1]^|C|.
     """
-    masks = []
-    for D in range(1 << C.size):
-        ok = True
-        m = D
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if C.down[i] & ~D:
-                ok = False
-                break
-        if ok:
-            masks.append(D)
-    masks.sort()
-    pos = {D: i for i, D in enumerate(masks)}
-    up = [0] * len(masks)
-    for i, D in enumerate(masks):
-        for j, E in enumerate(masks):
-            if D & ~E == 0:
-                up[i] |= 1 << j
-    return Poset(len(masks), tuple(up)), tuple(masks)
+    masks = sorted(
+        sum(1 << e for e, v in enumerate(f.image) if v == 0)
+        for f in catalog.enumerate_monotone_maps(C, chain(1))
+    )
+    DL, _ = induced_subposet(interval_power(C.size), masks)
+    return DL, tuple(masks)
 
 
 def two_step_certificate_maps(C: Poset) -> tuple[MonotoneMap, MonotoneMap]:

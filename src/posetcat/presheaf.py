@@ -150,6 +150,8 @@ class PosetSite:
 @lru_cache(maxsize=None)
 def delta_site(d: int) -> PosetSite:
     """Truncated chain site with objects [0], [1], ..., [d]."""
+    if d < 0:
+        raise ValueError("dimension must be >= 0")
     if d > DELTA_SITE_BOUND:
         raise BoundExceeded(f"chain site capped at dimension {DELTA_SITE_BOUND}")
     return PosetSite([chain(k) for k in range(d + 1)], kind="delta")

@@ -11,6 +11,7 @@ from posetcat.poset import (
     Poset,
     antichain,
     chain,
+    induced_subposet,
     interval_power,
     is_complete,
     validate_poset,
@@ -191,6 +192,14 @@ class TestMonotoneMapCounts:
         assert catalog.count_monotone_maps(chain(1), Poset(0, ())) == 0
 
 
+def root_pinned(P, Q, q0):
+    """Allowed masks that pin the first element of P's extension to q0."""
+    allowed = [(1 << Q.size) - 1] * P.size
+    if P.size:
+        allowed[catalog._linear_extension(P)[0]] = 1 << q0
+    return allowed
+
+
 def recursive_search(P, Q, emit, root_filter=None):
     """The recursive search that the flat loop of _map_search replaced."""
     n = P.size
@@ -241,11 +250,16 @@ class TestSearchOrder:
         P, Q = SEARCH_PAIRS[name]
         images = list(catalog._map_search(P, Q, emit=True))
         assert images == list(recursive_search(P, Q, emit=True))
-        counts = list(catalog._map_search(P, Q, emit=False))
-        assert counts == list(recursive_search(P, Q, emit=False))
+        assert list(catalog._map_search(P, Q, emit=False)) == [
+            sum(recursive_search(P, Q, emit=False))
+        ]
         for q0 in range(Q.size):
-            assert list(catalog._map_search(P, Q, emit=True, root_filter=[q0])) == list(
+            allowed = root_pinned(P, Q, q0)
+            assert list(catalog._map_search(P, Q, emit=True, allowed=allowed)) == list(
                 recursive_search(P, Q, emit=True, root_filter=[q0])
+            )
+            assert list(catalog._map_search(P, Q, emit=False, allowed=allowed)) == list(
+                recursive_search(P, Q, emit=False, root_filter=[q0])
             )
 
     @pytest.mark.parametrize("name", sorted(SEARCH_PAIRS))
@@ -282,15 +296,83 @@ class TestEnumerationDeterminism:
         )
 
 
+def recursive_find_isomorphism(P, Q):
+    """The backtracking isomorphism search that _map_search replaced."""
+    n = P.size
+    if n != Q.size:
+        return None
+    inv_p = [(P.down[i].bit_count(), P.up[i].bit_count()) for i in range(n)]
+    inv_q = [(Q.down[i].bit_count(), Q.up[i].bit_count()) for i in range(n)]
+    if sorted(inv_p) != sorted(inv_q):
+        return None
+    order = catalog._linear_extension(P)
+    img = [-1] * n
+
+    def rec(t, used):
+        if t == n:
+            return True
+        e = order[t]
+        for q in range(n):
+            if used >> q & 1 or inv_p[e] != inv_q[q]:
+                continue
+            ok = True
+            for e2 in order[:t]:
+                q2 = img[e2]
+                if (P.up[e] >> e2 & 1) != (Q.up[q] >> q2 & 1):
+                    ok = False
+                    break
+                if (P.up[e2] >> e & 1) != (Q.up[q2] >> q & 1):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            img[e] = q
+            if rec(t + 1, used | 1 << q):
+                return True
+            img[e] = -1
+        return False
+
+    return tuple(img) if rec(0, 0) else None
+
+
+def assert_isomorphism(iso, P, Q):
+    assert iso is not None and sorted(iso.image) == list(range(Q.size))
+    inv = [0] * P.size
+    for i, v in enumerate(iso.image):
+        inv[v] = i
+    MonotoneMap(Q, P, tuple(inv))  # raises if not monotone
+
+
 class TestFindIsomorphism:
+    def test_equals_recursive_search_on_posets_to_five(self):
+        rng = random.Random(2024)
+        reps = [cp.poset for n in range(6) for cp in catalog.enumerate_posets(n)]
+        checked = 0
+        for P, Q in product(reps, reps):
+            perm_p, perm_q = list(range(P.size)), list(range(Q.size))
+            rng.shuffle(perm_p)
+            rng.shuffle(perm_q)
+            Q2 = relabel(Q, perm_q)
+            for A in (P, relabel(P, perm_p)):
+                iso = catalog.find_isomorphism(A, Q2)
+                expect = recursive_find_isomorphism(A, Q2)
+                assert (None if iso is None else iso.image) == expect
+                checked += expect is not None
+        assert checked == 2 * sum(len(catalog.enumerate_posets(n)) for n in range(6))
+
+    def test_wide_antichain_and_five_cube(self):
+        A = antichain(12)
+        assert_isomorphism(catalog.find_isomorphism(A, A), A, A)
+        cube5 = interval_power(5)
+        shuffled = relabel(cube5, random.Random(5).sample(range(32), 32))
+        assert_isomorphism(catalog.find_isomorphism(cube5, shuffled), cube5, shuffled)
+
     def test_power_one_is_arrow(self):
         iso = catalog.find_isomorphism(interval_power(1), chain(1))
         assert iso is not None and iso.image == (0, 1)
 
     def test_sorted_vertices_make_a_chain(self):
         sq = interval_power(2)
-        from posetcat.poset import induced_subposet
-
         sub, _ = induced_subposet(sq, [0, 2, 3])
         iso = catalog.find_isomorphism(chain(2), sub)
         assert iso is not None
@@ -311,7 +393,54 @@ class TestFindIsomorphism:
             MonotoneMap(Q, P, tuple(inv))  # raises if not monotone
 
 
+def recursive_retractions_onto(A, keep, B):
+    """The recursive retraction search that _map_search replaced."""
+    n = A.size
+    pos = {e: i for i, e in enumerate(keep)}
+    order = catalog._linear_extension(A)
+    full = (1 << B.size) - 1
+    img = [0] * n
+
+    def rec(t):
+        if t == n:
+            yield tuple(img)
+            return
+        e = order[t]
+        c = full
+        for p in order[:t]:
+            if A.down[e] >> p & 1:
+                c &= B.up[img[p]]
+        if e in pos:
+            if not c >> pos[e] & 1:
+                return
+            img[e] = pos[e]
+            yield from rec(t + 1)
+            return
+        m = c
+        while m:
+            q = (m & -m).bit_length() - 1
+            m &= m - 1
+            img[e] = q
+            yield from rec(t + 1)
+
+    yield from rec(0)
+
+
 class TestEnumerateRetracts:
+    def test_retractions_equal_recursive_search(self):
+        cases = 0
+        for n in range(1, 5):
+            for cp in catalog.enumerate_posets(n):
+                A = cp.poset
+                for mask in range(1, 1 << n):
+                    keep = [e for e in range(n) if mask >> e & 1]
+                    B, _ = induced_subposet(A, keep)
+                    assert list(catalog._retractions_onto(A, keep, B)) == list(
+                        recursive_retractions_onto(A, keep, B)
+                    )
+                    cases += 1
+        assert cases == 282
+
     def test_walking_arrow_retracts(self):
         rets = [r for r in catalog.enumerate_retracts(2) if r.outer == chain(1)]
         assert len(rets) == 3
@@ -351,7 +480,38 @@ class TestEnumerateRetracts:
             next(catalog.enumerate_retracts(6))
 
 
+def scanning_random_map(P, Q, rng):
+    """The sampler before it read lower covers: scans every earlier element."""
+    order = catalog._linear_extension(P)
+    full = (1 << Q.size) - 1
+    img = [0] * P.size
+    for t, e in enumerate(order):
+        c = full
+        for p in order[:t]:
+            if P.down[e] >> p & 1:
+                c &= Q.up[img[p]]
+        choices = []
+        while c:
+            choices.append((c & -c).bit_length() - 1)
+            c &= c - 1
+        img[e] = rng.choice(choices)
+    return tuple(img)
+
+
 class TestRandomMaps:
+    @pytest.mark.parametrize("name", ["square", "cube3", "six-to-lattice7"])
+    def test_equals_scanning_sampler(self, name):
+        P, Q = {
+            "square": (interval_power(2), interval_power(2)),
+            "cube3": (interval_power(3), interval_power(3)),
+            "six-to-lattice7": SEARCH_PAIRS["six-to-lattice7"],
+        }[name]
+        for seed in range(10):
+            rng1, rng2 = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                image = catalog.random_monotone_map(P, Q, rng1).image
+                assert image == scanning_random_map(P, Q, rng2)
+
     def test_seeded_reproducibility(self):
         P = interval_power(2)
         rng1, rng2 = random.Random(3), random.Random(3)

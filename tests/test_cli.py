@@ -116,6 +116,11 @@ class TestTriangulate:
         X = ps.presheaf_from_json(json.loads(out))
         assert X.cells == (2, 3, 4)
 
+    def test_negative_truncation_exits_2(self, capsys):
+        code, out, err = run(capsys, ["triangulate", "--cube-dim", "2", "--trunc", "-1"])
+        assert code == 2 and out == ""
+        assert "dimension must be >= 0" in err and "Traceback" not in err
+
 
 class TestKan:
     def test_matches_oracle(self, capsys, tmp_path):
@@ -253,6 +258,14 @@ class TestHorn:
             capsys, ["horn", "--dim", "2", "--faces", "0,1,2", "--format", "count"]
         )
         assert code == 2 and "error" in err
+
+    def test_negative_truncation_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["horn", "--dim", "2", "--faces", "0", "--trunc", "-1", "--format", "count"],
+        )
+        assert code == 2 and out == ""
+        assert "dimension must be >= 0" in err and "Traceback" not in err
 
 
 class TestEnumerate:

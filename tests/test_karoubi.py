@@ -233,7 +233,28 @@ class TestSortSplit:
             karoubi.verify_sort_split(6)
 
 
+def filtered_downsets(C):
+    """The subset filter downset_lattice used before: keep the down-closed masks."""
+    return tuple(
+        D for D in range(1 << C.size)
+        if all(C.down[i] & ~D == 0 for i in range(C.size) if D >> i & 1)
+    )
+
+
 class TestDownsetLattice:
+    def test_masks_equal_the_subset_filter(self):
+        info = catalog.monotone_maps.cache_info()
+        for n in range(6):
+            for cp in catalog.enumerate_posets(n):
+                DL, masks = karoubi.downset_lattice(cp.poset)
+                assert masks == filtered_downsets(cp.poset)
+                assert DL.size == len(masks)
+                for i, D in enumerate(masks):
+                    for j, E in enumerate(masks):
+                        assert bool(DL.up[i] >> j & 1) == (D & ~E == 0)
+        again = catalog.monotone_maps.cache_info()
+        assert (again.hits, again.misses) == (info.hits, info.misses)
+
     def test_chain_downsets(self):
         DL, masks = karoubi.downset_lattice(chain(2))
         assert masks == (0, 1, 3, 7)

@@ -38,6 +38,12 @@ class TestSites:
         site = ps.delta_site(3)
         assert [P.size for P in site.objects] == [1, 2, 3, 4]
 
+    def test_negative_delta_site_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            ps.delta_site(-1)
+        with pytest.raises(ValueError):
+            ps.face_union(2, [0], -1)
+
     def test_box_site_objects(self):
         site = ps.box_site(2)
         assert [P.size for P in site.objects] == [1, 2, 4]
