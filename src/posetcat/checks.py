@@ -290,7 +290,7 @@ def check_triangulation(max_simplex: int, max_cube: int = 4) -> dict:
 
 
 def check_kan_oracle(max_simplex: int, max_poset: int) -> dict:
-    """|i_! y[m] (M)| must equal |Poset(M, [m])|, with stable truncation."""
+    """|i_! y[m] (M)| must equal |Poset(M, [m])| at the default truncation."""
     lattices = [
         cp.poset for s in range(1, max_poset + 1) for cp in catalog.enumerate_lattices(s)
     ]

@@ -14,6 +14,14 @@ site is rejected.
 Everything downstream (colimits, left Kan extension along the inclusion of
 chains into complete posets, horns, pushouts) is finite and checked
 exhaustively at construction time.
+
+The left Kan extension i_!X(M) is computed over its normal form.  A monotone
+phi: M -> [k] factors uniquely as a surjection M ->> [j] followed by an
+injection [j] >-> [k], and by the Eilenberg-Zilber lemma every cell of X is
+uniquely a degeneracy of a nondegenerate one, so i_!X(M) is the disjoint
+union over j of Surj(M, [j]) x X_j^nd.  Its classes are found among the
+cells over surjective phi, joined along codegeneracies only; a cell over any
+other phi is in the class of (surj, X(inj) c).
 """
 
 from __future__ import annotations
@@ -165,6 +173,8 @@ def box_site(d: int) -> PosetSite:
     homs and an action table for each, and no benchmark workload measures a
     cube site yet; raise the cap together with one.
     """
+    if d < 0:
+        raise ValueError("dimension must be >= 0")
     if d > BOX_SITE_BOUND:
         raise BoundExceeded(f"cube site capped at dimension {BOX_SITE_BOUND}")
     return PosetSite([interval_power(k) for k in range(d + 1)], kind="box")
@@ -496,68 +506,83 @@ class KanResult:
 
     Components are connected components of the category of elements of the
     presheaf pulled back along the projection (M down i) -> chains, where the
-    comma objects are pairs ([k], map M -> [k]) up to the working truncation.
+    comma objects are pairs ([k], phi: M -> [k]) up to the working truncation.
+    Labels are stored only for cells (k, phi, c) with phi surjective, which
+    meet every component (the normal form, see _kan_once).  component()
+    answers any phi by its image factorization phi = inj . surj with
+    surj: M ->> [j] and inj: [j] >-> [k]: the cell (k, phi, c) lies in the
+    component of (j, surj, X(inj) c).
     """
 
-    def __init__(self, count: int, depth: int, labels: dict, phis: list):
+    def __init__(self, count: int, depth: int, X: Presheaf, images: list, phis: list,
+                 start: list, labels: list):
         self.count = count
         self.depth = depth
-        self._labels = labels
-        self._phis = phis
+        self._X = X
+        self._images = images  # images[k][phi_index] is the image of phi: M -> [k]
+        self._phis = phis  # phis[k] inverts images[k]
+        self._start = start  # start[k][phi_index] -> first cell id, surjective phi only
+        self._labels = labels  # cell id -> component label
 
     def component(self, k: int, phi_index: int, cell: int) -> int:
-        return self._labels[(k, phi_index, cell)]
+        if not 0 <= cell < self._X.cells[k]:
+            raise IndexError(f"no cell {cell} at level {k}")
+        phi = self._images[k][phi_index]
+        image = sorted(set(phi))
+        j = len(image) - 1
+        if j < k:  # phi = inj . surj, with inj the subchain image and surj the ranks in it
+            cell = self._X.action(j, k, self._X.site.hom_index(j, k, tuple(image)))[cell]
+            k, phi_index = j, self._phis[j][tuple(map(image.index, phi))]
+        return self._labels[self._start[k][phi_index] + cell]
 
     def phi_index(self, k: int, phi: MonotoneMap) -> int:
         return self._phis[k][phi.image]
 
 
-def _comma_phis(M: Poset, D: int) -> list[dict[tuple[int, ...], int]]:
-    return [
-        {f.image: idx for idx, f in enumerate(catalog.monotone_maps(M, chain(k)))}
-        for k in range(D + 1)
-    ]
-
-
 def _kan_once(X: Presheaf, M: Poset, D: int) -> KanResult:
+    """Components over the comma category, computed on surjective phi only.
+
+    A monotone phi: M -> [k] factors uniquely as a surjection M ->> [j]
+    followed by an injection [j] >-> [k] (its image is a subchain).  So every
+    cell (k, phi, c) is joined by the coface edges of that injection to a
+    cell over a surjection, and two cells over surjections are joined exactly
+    when codegeneracy edges join them: both sides reduce to the normal form
+    (surjection, nondegenerate cell) of the Eilenberg-Zilber lemma (Gabriel
+    & Zisman, Calculus of Fractions and Homotopy Theory, 1967, II.3), which
+    gives i_!X(M) = sum over j of Surj(M, [j]) x X_j^nd.  Cells are therefore
+    kept only over surjective phi, and unions are taken only along the
+    generators whose hom is surjective (the codegeneracies); a surjection
+    after a surjection is one, so every union stays inside the kept cells.
+    """
     site = X.site
-    d = len(site.objects) - 1
-    phis = _comma_phis(M, D)
-    phi_lists = [list(p.keys()) for p in phis]
-    # global ids for cells of the pulled-back presheaf (levels beyond d carry none)
-    gid: dict[tuple[int, int], int] = {}
+    images = [[f.image for f in catalog.monotone_maps(M, chain(k))] for k in range(D + 1)]
+    phis = [{phi: pi for pi, phi in enumerate(row)} for row in images]
+    # start[k][phi_index] is the first global id of the cells over a
+    # surjective phi (levels beyond the site carry no cells)
+    start: list[dict[int, int]] = []
     total = 0
-    starts: dict[tuple[int, int], int] = {}
-    for k in range(min(D, d) + 1):
-        ck = X.cells[k]
-        if ck == 0:
-            continue
-        for pi in range(len(phi_lists[k])):
-            starts[(k, pi)] = total
-            total += ck
+    for k in range(min(D, len(site.objects) - 1) + 1):
+        start.append({})
+        if X.cells[k]:
+            for pi, phi in enumerate(images[k]):
+                if len(set(phi)) == k + 1:
+                    start[k][pi] = total
+                    total += X.cells[k]
     uf = _UnionFind(total)
-    # every hom of the site is a word in the generators through its own
-    # objects (all at levels <= d <= D), so unions along them give the same
-    # partition as unions along every hom
+    union = uf.union
     for k, k2, h in site.generators:
-        if X.cells[k] == 0 or X.cells[k2] == 0:
+        uimg = site.homs[k][k2][h].image
+        if len(set(uimg)) != k2 + 1 or X.cells[k2] == 0:
             continue
         tab = X.actions[(k, k2, h)]
-        uimg = site.homs[k][k2][h].image
-        for pi, phi in enumerate(phi_lists[k]):
-            phi2 = tuple(uimg[v] for v in phi)
-            pi2 = phis[k2][phi2]
-            base = starts[(k, pi)]
-            base2 = starts[(k2, pi2)]
+        at, start2 = phis[k2], start[k2]
+        for pi, base in start[k].items():
+            base2 = start2[at[tuple(map(uimg.__getitem__, images[k][pi]))]]
             for c2, c in enumerate(tab):
-                uf.union(base + c, base2 + c2)
+                union(base + c, base2 + c2)
     label_of_root: dict[int, int] = {}
-    labels: dict[tuple[int, int, int], int] = {}
-    for (k, pi), base in starts.items():
-        for c in range(X.cells[k]):
-            r = uf.find(base + c)
-            labels[(k, pi, c)] = label_of_root.setdefault(r, len(label_of_root))
-    return KanResult(len(label_of_root), D, labels, phis)
+    labels = [label_of_root.setdefault(r, len(label_of_root)) for r in map(uf.find, range(total))]
+    return KanResult(len(label_of_root), D, X, images, phis, start, labels)
 
 
 def _require_chain_site(X: Presheaf) -> int:
@@ -571,10 +596,13 @@ def _require_chain_site(X: Presheaf) -> int:
 def left_kan(X: Presheaf, M: Poset, trunc: Optional[int] = None) -> KanResult:
     """Value of the extension of X along chains -> complete posets, at M.
 
-    Builds the comma category of pairs ([k], M -> [k]) with k up to the
-    working truncation D (default d+1, allowed d..d+2), pulls X back, and
-    takes connected components.  X has cells only at levels <= d, so every D
-    in the window gives the same components; D is reported as the depth.
+    The value is the set of connected components of X pulled back to the
+    comma category of pairs ([k], M -> [k]) with k up to the working
+    truncation D (default d+1, allowed d..d+2).  Only the cells over
+    surjective M ->> [k] are built, joined along codegeneracies (see
+    _kan_once); KanResult.component resolves any other cell by the image
+    factorization.  X has cells only at levels <= d, so every D in the
+    window gives the same components; D is reported as the depth.
     """
     d = _require_chain_site(X)
     if not is_complete(M):
@@ -598,16 +626,17 @@ def left_kan_map(
     """
     src = left_kan(F.source, M, trunc)
     tgt = target if target is not None else left_kan(F.target, M, trunc)
-    mapping: list[Optional[int]] = [None] * src.count
-    for (k, pi, c), lab in src._labels.items():
-        t = tgt._labels[(k, pi, F.components[k][c])]
-        if mapping[lab] is None:
-            mapping[lab] = t
-        elif mapping[lab] != t:
-            raise InvariantViolation("induced component map is not well defined")
-    if any(v is None for v in mapping):
-        raise InvariantViolation("component without representative cell")
-    return tuple(mapping), src, tgt
+    # F keeps phi, so the surjective cells of the source land on those of the target
+    pairs = set()
+    for k, row in enumerate(src._start):
+        for pi, base in row.items():
+            tgt_ids = map(tgt._start[k][pi].__add__, F.components[k])
+            pairs.update(zip(src._labels[base:base + F.source.cells[k]],
+                             map(tgt._labels.__getitem__, tgt_ids)))
+    mapping = dict(pairs)
+    if len(mapping) != len(pairs):
+        raise InvariantViolation("induced component map is not well defined")
+    return tuple(map(mapping.__getitem__, range(src.count))), src, tgt
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -317,7 +318,16 @@ class TestRangeChecks:
         assert "must be at least" in err and "Traceback" not in err
 
 
+# sha256 of the bytes a default `posetcat verify-all` writes to stdout
+VERIFY_ALL_SHA256 = "692f4f16eec2997b8db85f368ffc52b22da2bc73b1e98c1d0169f194fdd5150a"
+
+
 class TestVerifyAllFlags:
+    def test_default_report_bytes_are_pinned(self, capsys):
+        code, out, _ = run(capsys, ["verify-all"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
     def test_bad_dim_exits_2(self, capsys):
         code, _, err = run(capsys, ["verify-all", "--max-dim", "99"])
         assert code == 2 and "max-dim" in err

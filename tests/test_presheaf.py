@@ -48,6 +48,10 @@ class TestSites:
         site = ps.box_site(2)
         assert [P.size for P in site.objects] == [1, 2, 4]
 
+    def test_negative_box_site_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            ps.box_site(-1)
+
     def test_box_site_bound(self):
         with pytest.raises(BoundExceeded):
             ps.box_site(3)
@@ -620,7 +624,14 @@ class TestLeftKan:
             X = ps.representable(ps.delta_site(m), chain(m))
             for M in [chain(1), interval_power(2), diamond()]:
                 runs = [ps.left_kan(X, M, trunc=D) for D in (m, m + 1, m + 2)]
-                assert len({(r.count, tuple(sorted(r._labels.items()))) for r in runs}) == 1
+                cells = [
+                    (k, pi, c)
+                    for k in range(m + 1)
+                    for pi in range(len(catalog.monotone_maps(M, chain(k))))
+                    for c in range(X.cells[k])
+                ]
+                labels = {(r.count, tuple(r.component(*cell) for cell in cells)) for r in runs}
+                assert len(labels) == 1
 
     def test_non_chain_site_rejected(self):
         # the dim-1 cube site IS the dim-1 chain site; dim 2 is not
@@ -661,6 +672,211 @@ class TestLeftKanMap:
             for M in [chain(1), interval_power(2)]:
                 mapping, src, _ = ps.left_kan_map(F, M)
                 assert len(set(mapping)) == src.count
+
+
+def all_phi_kan(X, M, D):
+    """The all-phi engine the normal-form one replaced, kept as a reference.
+
+    One cell (k, phi, c) for every monotone phi: M -> [k] with k <= D and
+    every c in X_k, unions along every generator of the site.  Returns the
+    component count and the label of every cell.
+    """
+    site = X.site
+    d = len(site.objects) - 1
+    phis = [
+        {f.image: idx for idx, f in enumerate(catalog.monotone_maps(M, chain(k)))}
+        for k in range(D + 1)
+    ]
+    phi_lists = [list(p.keys()) for p in phis]
+    total = 0
+    starts = {}
+    for k in range(min(D, d) + 1):
+        ck = X.cells[k]
+        if ck == 0:
+            continue
+        for pi in range(len(phi_lists[k])):
+            starts[(k, pi)] = total
+            total += ck
+    parent = list(range(total))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k, k2, h in site.generators:
+        if X.cells[k] == 0 or X.cells[k2] == 0:
+            continue
+        tab = X.actions[(k, k2, h)]
+        uimg = site.homs[k][k2][h].image
+        for pi, phi in enumerate(phi_lists[k]):
+            phi2 = tuple(uimg[v] for v in phi)
+            pi2 = phis[k2][phi2]
+            base = starts[(k, pi)]
+            base2 = starts[(k2, pi2)]
+            for c2, c in enumerate(tab):
+                ra, rb = find(base + c), find(base2 + c2)
+                if ra != rb:
+                    parent[rb] = ra
+    label_of_root = {}
+    labels = {}
+    for (k, pi), base in starts.items():
+        for c in range(X.cells[k]):
+            labels[(k, pi, c)] = label_of_root.setdefault(find(base + c), len(label_of_root))
+    return len(label_of_root), labels
+
+
+def normal_form_count(X, M):
+    """|i_!X(M)| = sum over j of |Surj(M, [j])| * |X_j^nd|.
+
+    A cell of X_j is nondegenerate when no codegeneracy [j] ->> [j-1] has it
+    in the image of its action table.  Reads only the action tables and
+    catalog.monotone_maps.
+    """
+    site = X.site
+    total = 0
+    for j in range(len(site.objects)):
+        degenerate = set()
+        if j:
+            for h, s in enumerate(site.homs[j][j - 1]):
+                if set(s.image) == set(range(j)):
+                    degenerate.update(X.actions[(j, j - 1, h)])
+        surjections = sum(
+            1 for f in catalog.monotone_maps(M, chain(j)) if set(f.image) == set(range(j + 1))
+        )
+        total += surjections * (X.cells[j] - len(degenerate))
+    return total
+
+
+def horn_index_sets(n):
+    return [
+        {v for v in range(n + 1) if bits >> v & 1}
+        for bits in range(1, (1 << (n + 1)) - 1)
+    ]
+
+
+@lru_cache(maxsize=None)
+def kan_families():
+    """Presheaves on chain sites, each family with maps between its members.
+
+    The pushouts are the ones horn_attachment_square builds at n <= 3,
+    recorded on their way through ps.pushout together with their cocone maps.
+    """
+    reps = [ps.representable(ps.delta_site(m), chain(m)) for m in range(4)]
+    site3 = ps.delta_site(3)
+    rep_maps = [ps.representable_map(site3, site3.homs[i][j][h]) for i, j, h in site3.generators]
+    horns = [ps.horn(n, I) for n in range(1, 4) for I in horn_index_sets(n)]
+    tris = [ps.triangulate(n, d) for n in range(3) for d in range(1, 4)]
+    box = ps.box_site(2)
+    tri_maps = [
+        ps.representable_map(ps.delta_site(2), box.homs[i][j][h]) for i, j, h in box.generators
+    ]
+    made = []
+    original = ps.pushout
+
+    def recording(f, g):
+        made.append(original(f, g))
+        return made[-1]
+
+    ps.pushout = recording
+    try:
+        for n in range(1, 4):
+            for I in horn_index_sets(n):
+                for i in sorted(I):
+                    ps.horn_attachment_square(n, I, i)
+    finally:
+        ps.pushout = original
+    return {
+        "representables": (reps, rep_maps),
+        "horns": ([incl.source for incl in horns], horns),
+        "triangulations": (tris, tri_maps),
+        "pushouts": (
+            [P for P, _, _ in made],
+            [F for _, in_b, in_c in made for F in (in_b, in_c)],
+        ),
+    }
+
+
+def kan_lattices():
+    return [cp.poset for s in range(1, 6) for cp in catalog.enumerate_lattices(s)]
+
+
+@pytest.fixture(scope="module")
+def kan_runs():
+    """Results of kan_run, shared by content: many families repeat a presheaf."""
+    return {}
+
+
+def kan_run(runs, X, M):
+    """left_kan(X, M), the reference labels, and the reference label -> its
+    label, read through component() on every (k, phi, c), surjective phi or
+    not."""
+    key = (X.site, X.cells, tuple(sorted(X.actions.items())), M)
+    if key not in runs:
+        result = ps.left_kan(X, M)
+        count, labels = all_phi_kan(X, M, len(X.site.objects))
+        assert result.count == count
+        bijection = {}
+        for cell, label in labels.items():
+            assert bijection.setdefault(label, result.component(*cell)) == result.component(*cell)
+        assert sorted(bijection.values()) == list(range(count))
+        runs[key] = result, labels, bijection
+    return runs[key]
+
+
+KAN_FAMILIES = ["representables", "horns", "triangulations", "pushouts"]
+
+
+class TestKanNormalForm:
+    def test_family_sizes(self):
+        families = kan_families()
+        sizes = {name: tuple(map(len, families[name])) for name in KAN_FAMILIES}
+        assert sizes == {
+            "representables": (4, 15),
+            "horns": (22, 22),
+            "triangulations": (9, 16),
+            "pushouts": (39, 78),
+        }
+        assert len(kan_lattices()) == 10
+
+    @pytest.mark.parametrize("family", KAN_FAMILIES)
+    def test_count_equals_normal_form_oracle(self, family):
+        for X in kan_families()[family][0]:
+            for M in kan_lattices():
+                assert ps.left_kan(X, M).count == normal_form_count(X, M)
+
+    @pytest.mark.parametrize("family", KAN_FAMILIES)
+    def test_partition_equals_all_phi_reference(self, family, kan_runs):
+        for X in kan_families()[family][0]:
+            for M in kan_lattices():
+                kan_run(kan_runs, X, M)
+
+    @pytest.mark.parametrize("family", KAN_FAMILIES)
+    def test_maps_equal_all_phi_reference(self, family, kan_runs):
+        for F in kan_families()[family][1]:
+            for M in kan_lattices():
+                _, src_labels, src_bijection = kan_run(kan_runs, F.source, M)
+                _, tgt_labels, tgt_bijection = kan_run(kan_runs, F.target, M)
+                mapping, _, _ = ps.left_kan_map(F, M)
+                assert len(mapping) == len(src_bijection)
+                for (k, pi, c), label in src_labels.items():
+                    image = tgt_labels[(k, pi, F.components[k][c])]
+                    assert mapping[src_bijection[label]] == tgt_bijection[image]
+
+    def test_component_factors_non_surjective_phi(self):
+        # phi: [1] -> [2] with image {0, 2} is the coface missing 1 after the
+        # identity, so (2, phi, c) lies in the component of (1, id, X(d1) c)
+        X = ps.representable(ps.delta_site(2), chain(2))
+        result = ps.left_kan(X, chain(1))
+        phi = result.phi_index(2, MonotoneMap(chain(1), chain(2), (0, 2)))
+        identity = result.phi_index(1, MonotoneMap(chain(1), chain(1), (0, 1)))
+        coface = X.site.hom_index(1, 2, (0, 2))
+        for c in range(X.cells[2]):
+            face = X.action(1, 2, coface)[c]
+            assert result.component(2, phi, c) == result.component(1, identity, face)
+        with pytest.raises(IndexError):
+            result.component(2, phi, X.cells[2])
 
 
 class TestNatHomViaRetract:
