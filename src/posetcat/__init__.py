@@ -16,7 +16,6 @@ from .errors import (
     NotIdempotent,
     PosetCatError,
     SchemaError,
-    ShapeError,
     SiteMismatch,
 )
 from .poset import (
@@ -50,7 +49,7 @@ from .catalog import (
     enumerate_retracts,
     find_isomorphism,
 )
-from .cube import CubeMorphism, from_monotone_map, sort_endomorphism, to_monotone_map
+from .cube import sort_endomorphism
 from .karoubi import (
     AuditReport,
     Idempotent,

@@ -1,220 +1,67 @@
-"""Cube-category morphisms in monotone-DNF normal form.
+"""Named maps of the cube category, as monotone maps between cubes.
 
-A morphism [1]^m -> [1]^n is an n-tuple of monotone Boolean functions on m
-variables.  Each function is stored as the antichain of its minimal satisfying
-subsets (bitmasks over the m variables): the normal form of an element of the
-free bounded distributive lattice on m generators.  () is the constant false,
-(0,) the constant true.
+The cubes with connections are the full subcategory of posets on the
+[1]^n, so a cube map [1]^m -> [1]^n is a `MonotoneMap` between
+`interval_power`s.  Each constructor builds its map from a formula on
+vertices (little-endian bit-vectors, bit k = coordinate k); compose them with
+`poset.compose` and compare them with `poset.identity_map`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-
-from .errors import ShapeError
 from .poset import MonotoneMap, interval_power
 
 
-def _minimize(masks) -> tuple[int, ...]:
-    """Keep only minimal masks under subset inclusion; sorted ascending."""
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda x: (x.bit_count(), x)):
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
+def _cube_map(m: int, n: int, vertex) -> MonotoneMap:
+    """[1]^m -> [1]^n sending each vertex x to vertex(x)."""
+    return MonotoneMap(interval_power(m), interval_power(n), tuple(map(vertex, range(1 << m))))
 
 
-def _family_and(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return _minimize(x | y for x in a for y in b)
-
-
-def _family_eval(family: tuple[int, ...], x: int) -> bool:
-    return any(w & x == w for w in family)
-
-
-@dataclass(frozen=True)
-class CubeMorphism:
-    dom_dim: int
-    cod_dim: int
-    components: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.cod_dim:
-            raise ValueError("one component per codomain coordinate")
-        limit = 1 << self.dom_dim
-        for fam in self.components:
-            if list(fam) != sorted(set(fam)):
-                raise ValueError("family must be sorted and duplicate-free")
-            for w in fam:
-                if not 0 <= w < limit:
-                    raise ValueError("mask references variables out of range")
-            for a in fam:
-                for b in fam:
-                    if a != b and a & b == a:
-                        raise ValueError("family is not an antichain")
-
-    def evaluate(self, x: int) -> int:
-        """Value on a vertex of [1]^m, as a vertex of [1]^n."""
-        y = 0
-        for k, fam in enumerate(self.components):
-            if _family_eval(fam, x):
-                y |= 1 << k
-        return y
-
-    def __repr__(self):
-        return f"CubeMorphism({self.dom_dim}->{self.cod_dim}, {list(map(list, self.components))})"
-
-
-def identity(n: int) -> CubeMorphism:
-    return CubeMorphism(n, n, tuple((1 << k,) for k in range(n)))
-
-
-def compose(g: CubeMorphism, f: CubeMorphism) -> CubeMorphism:
-    """Composite g . f by DNF substitution followed by re-minimization."""
-    if f.cod_dim != g.dom_dim:
-        raise ShapeError("codomain dimension of f must equal domain dimension of g")
-    comps = []
-    for fam in g.components:
-        disjuncts: list[int] = []
-        for w in fam:
-            cur: tuple[int, ...] = (0,)
-            m = w
-            while m and cur:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                cur = _family_and(cur, f.components[j])
-            disjuncts.extend(cur)
-        comps.append(_minimize(disjuncts))
-    return CubeMorphism(f.dom_dim, g.cod_dim, tuple(comps))
-
-
-def _cube_dim(P) -> int:
-    n = P.size.bit_length() - 1
-    if P != interval_power(n):
-        raise ShapeError("poset is not a power of the 2-chain in standard encoding")
-    return n
-
-
-def from_monotone_map(f: MonotoneMap) -> CubeMorphism:
-    """Canonical form of a monotone map between interval powers.
-
-    Two maps are equal iff their canonical forms are identical; evaluation of
-    the result agrees with f on every vertex.
-    """
-    m = _cube_dim(f.dom)
-    n = _cube_dim(f.cod)
-    comps = []
-    for k in range(n):
-        sat = [bool(f.image[x] >> k & 1) for x in range(1 << m)]
-        fam = []
-        for x in range(1 << m):
-            if not sat[x]:
-                continue
-            minimal = True
-            b = x
-            while b:
-                i = (b & -b).bit_length() - 1
-                b &= b - 1
-                if sat[x & ~(1 << i)]:
-                    minimal = False
-                    break
-            if minimal:
-                fam.append(x)
-        comps.append(tuple(sorted(fam)))
-    return CubeMorphism(m, n, tuple(comps))
-
-
-def to_monotone_map(c: CubeMorphism) -> MonotoneMap:
-    dom = interval_power(c.dom_dim)
-    cod = interval_power(c.cod_dim)
-    return MonotoneMap(dom, cod, tuple(c.evaluate(x) for x in range(dom.size)))
-
-
-# ---------------------------------------------------------------------------
-# structural generators
-
-
-def face(n: int, i: int, eps: int) -> CubeMorphism:
+def face(n: int, i: int, eps: int) -> MonotoneMap:
     """[1]^(n-1) -> [1]^n inserting the constant eps at slot i."""
     if not 0 <= i < n:
         raise IndexError(f"face slot {i} out of range for dimension {n}")
-    comps = []
-    for k in range(n):
-        if k < i:
-            comps.append((1 << k,))
-        elif k == i:
-            comps.append((0,) if eps else ())
-        else:
-            comps.append((1 << (k - 1),))
-    return CubeMorphism(n - 1, n, tuple(comps))
+    low = (1 << i) - 1
+    bit = 1 << i if eps else 0
+    return _cube_map(n - 1, n, lambda x: x & low | bit | (x & ~low) << 1)
 
 
-def degeneracy(n: int, i: int) -> CubeMorphism:
+def degeneracy(n: int, i: int) -> MonotoneMap:
     """[1]^n -> [1]^(n-1) dropping slot i."""
     if not 0 <= i < n:
         raise IndexError(f"degeneracy slot {i} out of range for dimension {n}")
-    comps = tuple((1 << (k if k < i else k + 1),) for k in range(n - 1))
-    return CubeMorphism(n, n - 1, comps)
+    low = (1 << i) - 1
+    return _cube_map(n, n - 1, lambda x: x & low | x >> 1 & ~low)
 
 
-def connection(n: int, i: int, kind: str = "meet") -> CubeMorphism:
+def connection(n: int, i: int, kind: str = "meet") -> MonotoneMap:
     """[1]^(n+1) -> [1]^n merging slots i, i+1 by meet or join."""
     if not 0 <= i < n:
         raise IndexError(f"connection slot {i} out of range for dimension {n}")
-    comps = []
-    for k in range(n):
-        if k < i:
-            comps.append((1 << k,))
-        elif k == i:
-            if kind == "meet":
-                comps.append((1 << i | 1 << (i + 1),))
-            elif kind == "join":
-                comps.append((1 << i, 1 << (i + 1)))
-            else:
-                raise ValueError("connection kind must be 'meet' or 'join'")
-        else:
-            comps.append((1 << (k + 1),))
-    return CubeMorphism(n + 1, n, tuple(comps))
+    if kind not in ("meet", "join"):
+        raise ValueError("connection kind must be 'meet' or 'join'")
+    low = (1 << i) - 1
+    pair = 3 << i
+    hit = (lambda x: x & pair == pair) if kind == "meet" else (lambda x: x & pair != 0)
+    return _cube_map(n + 1, n, lambda x: x & low | hit(x) << i | x >> (i + 2) << (i + 1))
 
 
-def symmetry(perm: tuple[int, ...]) -> CubeMorphism:
+def symmetry(perm: tuple[int, ...]) -> MonotoneMap:
     """Coordinate permutation: output coordinate k reads input coordinate perm[k]."""
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise IndexError("not a permutation")
-    return CubeMorphism(n, n, tuple((1 << perm[k],) for k in range(n)))
+    return _cube_map(n, n, lambda x: sum((x >> p & 1) << k for k, p in enumerate(perm)))
 
 
-def diagonal(n: int) -> CubeMorphism:
+def diagonal(n: int) -> MonotoneMap:
     """[1] -> [1]^n repeating the single coordinate."""
-    return CubeMorphism(1, n, tuple((1,) for _ in range(n)))
+    return _cube_map(1, n, lambda x: x * ((1 << n) - 1))
 
 
-def sort_endomorphism(m: int) -> CubeMorphism:
+def sort_endomorphism(m: int) -> MonotoneMap:
     """Reorders each vertex's coordinates ascending.
 
-    Output coordinate k is 1 iff at least m-k input coordinates are 1, whose
-    minimal witnesses are exactly the (m-k)-subsets of the variables.
+    Output coordinate k is 1 iff at least m-k input coordinates are 1.
     """
-    comps = []
-    for k in range(m):
-        fam = tuple(
-            sorted(sum(1 << v for v in sub) for sub in combinations(range(m), m - k))
-        )
-        comps.append(fam)
-    return CubeMorphism(m, m, tuple(comps))
-
-
-def cube_to_json(c: CubeMorphism) -> dict:
-    return {
-        "dom": c.dom_dim,
-        "cod": c.cod_dim,
-        "components": [list(fam) for fam in c.components],
-    }
-
-
-def cube_from_json(data: dict) -> CubeMorphism:
-    return CubeMorphism(
-        data["dom"], data["cod"], tuple(tuple(fam) for fam in data["components"])
-    )
+    return _cube_map(m, m, lambda x: sum(1 << k for k in range(m) if x.bit_count() >= m - k))

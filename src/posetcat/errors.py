@@ -21,10 +21,6 @@ class BoundExceeded(PosetCatError):
     """Requested size or dimension is beyond the configured enumeration bound."""
 
 
-class ShapeError(PosetCatError):
-    """Poset is not of the required shape (e.g. not a power of the 2-chain)."""
-
-
 class NotIdempotent(PosetCatError):
     """Endomorphism does not satisfy f(f(x)) = f(x)."""
 

@@ -322,7 +322,7 @@ def verify_sort_split(m: int) -> tuple[bool, Optional[MonotoneMap]]:
     """
     if m > SORT_SPLIT_BOUND:
         raise BoundExceeded(f"sort-split verification capped at dimension {SORT_SPLIT_BOUND}")
-    f = cube.to_monotone_map(cube.sort_endomorphism(m))
+    f = cube.sort_endomorphism(m)
     splitting = split_idempotent(Idempotent(f))
     iso = catalog.find_isomorphism(splitting.mid, chain(m))
     if iso is None:

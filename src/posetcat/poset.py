@@ -248,10 +248,6 @@ def antichain(k: int) -> Poset:
     return Poset(k, tuple(1 << i for i in range(k)))
 
 
-def walking_arrow() -> Poset:
-    return chain(1)
-
-
 def terminal(P: Poset) -> Optional[int]:
     """The unique element above everything, if it exists."""
     full = (1 << P.size) - 1

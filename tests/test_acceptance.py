@@ -5,11 +5,13 @@ lines; every bound and tolerance is pinned here.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from itertools import product
 
+import posetcat
 from posetcat import catalog, checks, karoubi, presheaf
 from posetcat.poset import chain, interval_power
 
@@ -181,12 +183,16 @@ def test_criterion_10_enumeration_cross_checks():
 
 def test_criterion_11_verify_all_deterministic_and_fast():
     cmd = [sys.executable, "-m", "posetcat.cli", "verify-all"]
+    # the child imports the same package as this process, also when pytest
+    # put src on sys.path itself
+    src = os.path.dirname(os.path.dirname(posetcat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     start = time.monotonic()
-    first = subprocess.run(cmd, capture_output=True, timeout=300)
+    first = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
     first_elapsed = time.monotonic() - start
     assert first.returncode == 0, first.stderr.decode()
     assert first_elapsed < 300.0, f"took {first_elapsed:.1f}s"
-    second = subprocess.run(cmd, capture_output=True, timeout=300)
+    second = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
     assert second.returncode == 0
     assert first.stdout == second.stdout, "reports are not byte-identical"
     data = json.loads(first.stdout)

@@ -3,7 +3,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import posetcat
+from posetcat import checks, cube
+from posetcat.errors import InvariantViolation
+from posetcat.poset import MonotoneMap, interval_power
 
 # Breaks karoubi.verify_sort_split, then runs a small verify-all and prints
 # which checks failed.
@@ -32,3 +37,17 @@ def test_injected_fault_fails_its_check_under_python_O():
     assert out["optimize"] == 1
     assert list(out["failed"]) == ["sort-splits"]
     assert "sort split" in out["failed"]["sort-splits"]
+
+
+def test_sort_splits_reads_an_independent_sort(monkeypatch):
+    # A descending sort still splits through a chain, but not onto
+    # simplex_retract, so the check must fail once cube.sort_endomorphism
+    # stops agreeing with it.
+    def descending(m):
+        P = interval_power(m)
+        return MonotoneMap(P, P, tuple((1 << x.bit_count()) - 1 for x in range(P.size)))
+
+    checks.check_sort_splits()
+    monkeypatch.setattr(cube, "sort_endomorphism", descending)
+    with pytest.raises(InvariantViolation, match="sort split"):
+        checks.check_sort_splits()

@@ -1,64 +1,14 @@
-from itertools import product
-
 import pytest
 
 from posetcat import catalog, cube
-from posetcat.errors import ShapeError
-from posetcat.poset import MonotoneMap, chain, compose, interval_power
+from posetcat.errors import DomainMismatch
+from posetcat.poset import compose, identity_map, interval_power
 
 
 def all_cube_maps(m, n):
     return list(
         catalog.enumerate_monotone_maps(interval_power(m), interval_power(n))
     )
-
-
-class TestCanonicalForm:
-    def test_identity_components_are_projections(self):
-        assert cube.identity(2).components == ((1,), (2,))
-
-    def test_min_connection_single_clause(self):
-        f = MonotoneMap(interval_power(2), interval_power(1), (0, 0, 0, 1))
-        assert cube.from_monotone_map(f).components == ((3,),)
-
-    def test_constant_one(self):
-        for m in range(3):
-            f = MonotoneMap(interval_power(m), interval_power(1), (1,) * (1 << m))
-            assert cube.from_monotone_map(f).components == ((0,),)
-
-    def test_constant_zero(self):
-        f = MonotoneMap(interval_power(2), interval_power(1), (0, 0, 0, 0))
-        assert cube.from_monotone_map(f).components == ((),)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            cube.from_monotone_map(MonotoneMap(chain(2), chain(1), (0, 1, 1)))
-
-    def test_antichain_enforced(self):
-        with pytest.raises(ValueError):
-            cube.CubeMorphism(2, 1, ((1, 3),))
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("m,n", [(0, 0), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_bijective_on_small_homs(self, m, n):
-        maps = all_cube_maps(m, n)
-        forms = set()
-        for f in maps:
-            c = cube.from_monotone_map(f)
-            assert cube.to_monotone_map(c) == f
-            forms.add(c.components)
-        assert len(forms) == len(maps)
-
-    def test_dim3_endos_distinct(self):
-        maps = all_cube_maps(3, 3)
-        forms = {cube.from_monotone_map(f).components for f in maps}
-        assert len(forms) == len(maps) == 8000
-
-    def test_canonical_of_canonical(self):
-        for f in all_cube_maps(2, 2):
-            c = cube.from_monotone_map(f)
-            assert cube.from_monotone_map(cube.to_monotone_map(c)) == c
 
 
 class TestDedekindCounts:
@@ -80,81 +30,68 @@ class TestDedekindCounts:
 
 
 class TestComposition:
-    def test_substitution_matches_pointwise_22(self):
-        maps = all_cube_maps(2, 2)
-        for f, g in product(maps[::3], maps[::3]):
-            lhs = cube.compose(cube.from_monotone_map(g), cube.from_monotone_map(f))
-            assert lhs == cube.from_monotone_map(compose(g, f))
-
-    def test_substitution_matches_pointwise_mixed(self):
-        for f in all_cube_maps(1, 2):
-            for g in all_cube_maps(2, 1):
-                lhs = cube.compose(cube.from_monotone_map(g), cube.from_monotone_map(f))
-                assert lhs == cube.from_monotone_map(compose(g, f))
-
-    def test_substitution_matches_pointwise_into_dim3(self):
-        for f in all_cube_maps(1, 2):
-            for g in all_cube_maps(2, 3):
-                lhs = cube.compose(cube.from_monotone_map(g), cube.from_monotone_map(f))
-                assert lhs == cube.from_monotone_map(compose(g, f))
-        for f in all_cube_maps(1, 3):
-            for g in all_cube_maps(3, 1):
-                lhs = cube.compose(cube.from_monotone_map(g), cube.from_monotone_map(f))
-                assert lhs == cube.from_monotone_map(compose(g, f))
-
     def test_composition_with_dim3(self):
-        diag = cube.diagonal(3)
-        srt = cube.sort_endomorphism(3)
-        out = cube.compose(srt, diag)
-        assert cube.to_monotone_map(out).image == (0, 7)
+        out = compose(cube.sort_endomorphism(3), cube.diagonal(3))
+        assert out.image == (0, 7)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            cube.compose(cube.identity(2), cube.identity(1))
+        with pytest.raises(DomainMismatch):
+            compose(identity_map(interval_power(2)), identity_map(interval_power(1)))
 
 
 class TestGenerators:
     def test_face_point_at_one(self):
-        assert cube.face(1, 0, 1).components == ((0,),)
-        assert cube.face(1, 0, 0).components == ((),)
+        assert cube.face(1, 0, 1).image == (1,)
+        assert cube.face(1, 0, 0).image == (0,)
 
     def test_meet_connection_truth_table(self):
         conn = cube.connection(1, 0, "meet")
-        assert conn.components == ((3,),)
-        mm = cube.to_monotone_map(conn)
-        assert mm.image == (0, 0, 0, 1)
+        assert conn.dom == interval_power(2) and conn.cod == interval_power(1)
+        assert conn.image == (0, 0, 0, 1)
 
     def test_join_connection_truth_table(self):
-        conn = cube.connection(1, 0, "join")
-        assert cube.to_monotone_map(conn).image == (0, 1, 1, 1)
+        assert cube.connection(1, 0, "join").image == (0, 1, 1, 1)
 
     def test_degeneracy_then_face_fixes_other_slots(self):
         for n in range(1, 4):
             for i in range(n):
                 for eps in (0, 1):
-                    idem = cube.compose(cube.face(n, i, eps), cube.degeneracy(n, i))
-                    mm = cube.to_monotone_map(idem)
+                    idem = compose(cube.face(n, i, eps), cube.degeneracy(n, i))
                     for x in range(1 << n):
                         expect = (x & ~(1 << i)) | (eps << i)
-                        assert mm.image[x] == expect
+                        assert idem.image[x] == expect
                     # and the other composition order is the identity
-                    assert (
-                        cube.compose(cube.degeneracy(n, i), cube.face(n, i, eps))
-                        == cube.identity(n - 1)
+                    assert compose(cube.degeneracy(n, i), cube.face(n, i, eps)) == identity_map(
+                        interval_power(n - 1)
                     )
 
+    def test_connection_face_relations(self):
+        # a connection precomposed with a face on one of its two merged slots
+        for n in range(1, 4):
+            ident = identity_map(interval_power(n))
+            for i in range(n):
+                for j in (i, i + 1):
+                    meet, join = cube.connection(n, i, "meet"), cube.connection(n, i, "join")
+                    assert compose(meet, cube.face(n + 1, j, 1)) == ident
+                    assert compose(join, cube.face(n + 1, j, 0)) == ident
+                    for conn, eps in ((meet, 0), (join, 1)):
+                        assert compose(conn, cube.face(n + 1, j, eps)) == compose(
+                            cube.face(n, i, eps), cube.degeneracy(n, i)
+                        )
+
+    def test_connection_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            cube.connection(1, 0, "max")
+
     def test_symmetry_swaps_coordinates(self):
-        swap = cube.symmetry((1, 0))
-        mm = cube.to_monotone_map(swap)
-        assert mm.image == (0, 2, 1, 3)
+        assert cube.symmetry((1, 0)).image == (0, 2, 1, 3)
 
     def test_symmetry_rejects_non_permutation(self):
         with pytest.raises(IndexError):
             cube.symmetry((0, 0))
 
     def test_diagonal(self):
-        mm = cube.to_monotone_map(cube.diagonal(3))
-        assert mm.image == (0, 7)
+        assert cube.diagonal(3).image == (0, 7)
 
     def test_face_index_range(self):
         with pytest.raises(IndexError):
@@ -164,39 +101,17 @@ class TestGenerators:
 class TestSortEndomorphism:
     def test_dim2_values(self):
         s = cube.sort_endomorphism(2)
-        mm = cube.to_monotone_map(s)
-        assert mm.image[0b01] == 0b10  # (1,0) -> (0,1)
-        assert mm.image[0b00] == 0b00 and mm.image[0b11] == 0b11
-
-    def test_components_are_threshold_antichains(self):
-        s = cube.sort_endomorphism(3)
-        assert s.components[2] == (1, 2, 4)  # at least one coordinate
-        assert s.components[0] == (7,)  # all coordinates
+        assert s.image[0b01] == 0b10  # (1,0) -> (0,1)
+        assert s.image[0b00] == 0b00 and s.image[0b11] == 0b11
 
     @pytest.mark.parametrize("m", range(0, 5))
     def test_idempotent(self, m):
         s = cube.sort_endomorphism(m)
-        assert cube.compose(s, s) == s
+        assert compose(s, s) == s
 
     @pytest.mark.parametrize("m", range(0, 5))
     def test_sorts_every_vertex(self, m):
-        mm = cube.to_monotone_map(cube.sort_endomorphism(m))
+        s = cube.sort_endomorphism(m)
         for x in range(1 << m):
             k = bin(x).count("1")
-            assert mm.image[x] == ((1 << k) - 1) << (m - k)
-
-
-class TestJson:
-    def test_round_trip(self):
-        for c in [
-            cube.identity(2),
-            cube.sort_endomorphism(3),
-            cube.connection(2, 1, "join"),
-            cube.face(1, 0, 0),
-        ]:
-            assert cube.cube_from_json(cube.cube_to_json(c)) == c
-
-    def test_families_sorted(self):
-        data = cube.cube_to_json(cube.sort_endomorphism(3))
-        for fam in data["components"]:
-            assert fam == sorted(fam)
+            assert s.image[x] == ((1 << k) - 1) << (m - k)

@@ -36,14 +36,14 @@ class TestSplitIdempotent:
         assert sp.mid.size == 1
 
     def test_sort_on_square(self):
-        f = cube.to_monotone_map(cube.sort_endomorphism(2))
+        f = cube.sort_endomorphism(2)
         sp = karoubi.split_idempotent(karoubi.Idempotent(f))
         assert sp.section.image == (0, 2, 3)
         assert catalog.find_isomorphism(sp.mid, chain(2)) is not None
 
     def test_rejects_non_idempotent(self):
         sq = interval_power(2)
-        swap = cube.to_monotone_map(cube.symmetry((1, 0)))
+        swap = cube.symmetry((1, 0))
         with pytest.raises(NotIdempotent):
             karoubi.Idempotent(swap)
         with pytest.raises(NotIdempotent):
@@ -221,7 +221,7 @@ class TestSortSplit:
     def test_agrees_with_simplex_retract(self):
         # the returned iso transports the split retract onto simplex_retract
         for m in range(0, 5):
-            f = cube.to_monotone_map(cube.sort_endomorphism(m))
+            f = cube.sort_endomorphism(m)
             sp = karoubi.split_idempotent(karoubi.Idempotent(f))
             ok, iso = karoubi.verify_sort_split(m)
             simplex = karoubi.simplex_retract(m)
