@@ -1,6 +1,7 @@
 """Enumeration engines: posets up to isomorphism, monotone maps, retracts.
 
-Posets of size n are canonicalized one naturally labelled poset at a time;
+Posets of size n are built from the classes of size n - 1 by adding a new
+maximal element over each down-set, and canonicalized to one per class;
 lattices of size n are built from the posets of size n - 2 by adjoining a new
 bottom and top, so they never touch the n-element posets.
 
@@ -28,6 +29,7 @@ from .poset import (
     MonotoneMap,
     Poset,
     Retract,
+    chain,
     identity_map,
     induced_subposet,
     is_complete,
@@ -141,56 +143,41 @@ class CanonicalPoset:
         return cls(Poset(n, tuple(up)), key)
 
 
-def _natural_posets(n: int) -> Iterator[Poset]:
-    """All posets on 0..n-1 whose index order is a linear extension.
-
-    Element k is appended with a down-closed strict down-set among 0..k-1;
-    every isomorphism class appears (at least once) this way.
-    """
-    if n == 0:
-        yield Poset(0, ())
-        return
-
-    def rec(k: int, up: list[int], dn: list[int]):
-        if k == n:
-            yield Poset(n, tuple(up))
-            return
-        bit = 1 << k
-        for D in range(1 << k):
-            ok = True
-            m = D
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                if dn[i] & ~D:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            up2 = list(up)
-            up2.append(bit)
-            dnk = bit
-            m = D
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                up2[i] |= bit
-                dnk |= 1 << i
-            yield from rec(k + 1, up2, dn + [dnk])
-
-    yield from rec(0, [], [])
-
-
 @lru_cache(maxsize=None)
 def enumerate_posets(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPoset, ...]:
-    """One canonical representative per isomorphism class of n-element posets."""
+    """One canonical representative per isomorphism class of n-element posets.
+
+    Every nonempty finite poset has a maximal element, and its strict
+    down-set is a down-set of the other n - 1 elements.  So every class of
+    size n arises from a representative R of size n - 1 and a down-set D of
+    R by appending element n - 1 above D, and one R per class is enough,
+    since isomorphic R give the same extensions up to isomorphism.  The
+    down-sets are the zero sets of the monotone maps R -> [1].  Each
+    extension is canonicalized, deduplicated by key and sorted by key; the
+    canonical poset is the relabeled relation matrix its key encodes, so the
+    keys, representatives and order are those of canonicalizing every
+    naturally labeled n-poset (Brinkmann & McKay, "Posets on up to 16
+    points", Order 19, 2002).
+    """
     if n > bound:
         raise BoundExceeded(f"poset enumeration capped at size {bound}")
+    if n == 0:
+        return (CanonicalPoset.canonicalize(Poset(0, ())),)
+    # Recurse through the alias, which a patched module attribute leaves
+    # alone, and without `bound` where possible: it is part of the cache key.
+    smaller = _posets(n - 1) if n - 1 <= POSET_SIZE_BOUND else _posets(n - 1, bound)
+    top = 1 << (n - 1)
     seen: dict[bytes, CanonicalPoset] = {}
-    for P in _natural_posets(n):
-        cp = CanonicalPoset.canonicalize(P)
-        seen.setdefault(cp.key, cp)
+    for rep in smaller:
+        R = rep.poset
+        for image in _map_search(R, chain(1), emit=True):
+            up = tuple(row | top if v == 0 else row for row, v in zip(R.up, image))
+            cp = CanonicalPoset.canonicalize(Poset(n, up + (top,)))
+            seen.setdefault(cp.key, cp)
     return tuple(seen[k] for k in sorted(seen))
+
+
+_posets = enumerate_posets
 
 
 def _bounded(Q: Poset) -> Poset:

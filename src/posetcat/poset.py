@@ -304,8 +304,13 @@ def is_complete(P: Poset) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def lattice_structure(P: Poset) -> LatticeStructure:
-    """Meet/join tables plus bottom/top; raises NotComplete when absent."""
+    """Meet/join tables plus bottom/top; raises NotComplete when absent.
+
+    Cached like `monotone_maps`, since retract transport asks for the same
+    outer lattices many times; a poset that raises is not cached.
+    """
     if P.size == 0:
         raise NotComplete("empty poset has no terminal object")
     mt, jt = [], []

@@ -18,7 +18,7 @@ from posetcat.poset import (
 )
 
 # isomorphism-class counts, confirmed against brute-force relation filtering below
-POSET_CLASSES = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+POSET_CLASSES = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}  # OEIS A000112
 LATTICE_CLASSES = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}  # OEIS A006966
 
 
@@ -49,6 +49,39 @@ def brute_force_posets(n):
     return out
 
 
+def natural_posets(n):
+    """All posets on 0..n-1 whose index order is a linear extension.
+
+    Element k is appended with a down-closed strict down-set among 0..k-1;
+    every isomorphism class appears (at least once) this way.
+    """
+    if n == 0:
+        yield Poset(0, ())
+        return
+
+    def rec(k, up, dn):
+        if k == n:
+            yield Poset(n, tuple(up))
+            return
+        bit = 1 << k
+        for D in range(1 << k):
+            if any(D >> i & 1 and dn[i] & ~D for i in range(k)):
+                continue
+            up2 = [row | bit if D >> i & 1 else row for i, row in enumerate(up)]
+            yield from rec(k + 1, up2 + [bit], dn + [D | bit])
+
+    yield from rec(0, [], [])
+
+
+def reference_posets(n):
+    """Canonicalize every naturally labelled n-poset, dedupe and sort by key."""
+    seen = {}
+    for P in natural_posets(n):
+        cp = catalog.CanonicalPoset.canonicalize(P)
+        seen.setdefault(cp.key, cp)
+    return [seen[k] for k in sorted(seen)]
+
+
 def relabel(P, perm):
     up = [0] * P.size
     for i in range(P.size):
@@ -71,6 +104,13 @@ class TestEnumeratePosets:
         assert len(reps) == len(keys)
         # representative labeled count: every labeled poset hits a known key
         assert keys == {cp.key for cp in reps}
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_equals_canonicalizing_natural_labelings(self, n):
+        reference = reference_posets(n)
+        reps = catalog.enumerate_posets(n)
+        assert [cp.key for cp in reps] == [cp.key for cp in reference]
+        assert [cp.poset for cp in reps] == [cp.poset for cp in reference]
 
     def test_sorted_and_deduplicated(self):
         reps = catalog.enumerate_posets(4)

@@ -276,6 +276,12 @@ class TestEnumerate:
         )
         assert code == 0 and json.loads(out)["count"] == 5
 
+    def test_poset_count_size_seven(self, capsys):
+        code, out, _ = run(
+            capsys, ["enumerate", "--kind", "posets", "--size", "7", "--format", "count"]
+        )
+        assert code == 0 and json.loads(out)["count"] == 2045
+
     def test_lattice_items_round_trip(self, capsys):
         from posetcat.poset import poset_from_json, is_complete
 
@@ -494,7 +500,8 @@ class TestFuzz:
         presheaf=presheaf_documents(),
         stdin=poset_documents(),
     )
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
     def test_exit_code_contract(self, argv, dom, cod, presheaf, stdin):
         with tempfile.TemporaryDirectory() as tmp:
             files = {"missing": str(Path(tmp) / "missing.json")}

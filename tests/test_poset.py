@@ -243,8 +243,10 @@ class TestCompleteness:
         assert lat.meet_table[1][2] == 0 and lat.join_table[1][2] == 3
 
     def test_lattice_structure_rejects_incomplete(self):
-        with pytest.raises(NotComplete):
-            lattice_structure(vee())
+        # the cache keeps no exception, so a second call must raise again
+        for _ in range(2):
+            with pytest.raises(NotComplete):
+                lattice_structure(vee())
 
 
 class TestLowerBounds:
