@@ -215,12 +215,6 @@ def enumerate_lattices(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[Canonical
 # monotone-map enumeration
 
 
-def _search_plan(P: Poset) -> tuple[list[int], list[list[int]]]:
-    """A linear extension of P and, per position, the lower covers of its element."""
-    order = _linear_extension(P)
-    return order, [[i for i, c in enumerate(P.covers) if c >> e & 1] for e in order]
-
-
 def _map_search(P: Poset, Q: Poset, emit: bool, allowed=None, injective=False):
     """Search core; yields image tuples (emit=True) or one leaf count.
 
@@ -240,7 +234,8 @@ def _map_search(P: Poset, Q: Poset, emit: bool, allowed=None, injective=False):
     if n == 0:
         yield () if emit else 1
         return
-    order, lower = _search_plan(P)
+    order = _linear_extension(P)
+    lower = [[i for i, c in enumerate(P.covers) if c >> e & 1] for e in order]
     full = (1 << Q.size) - 1
     start = [full] * n if allowed is None else [allowed[e] for e in order]
     qup = Q.up
@@ -323,24 +318,6 @@ def monotone_maps(P: Poset, Q: Poset) -> tuple[MonotoneMap, ...]:
     return tuple(enumerate_monotone_maps(P, Q))
 
 
-def random_monotone_map(P: Poset, Q: Poset, rng) -> MonotoneMap:
-    """Seeded random monotone map; requires every candidate set nonempty
-    (guaranteed when Q has a top element, e.g. Q complete).
-
-    Each element draws uniformly from the candidates `_map_search` would
-    offer it: the meet of the up-sets of its lower covers' images.
-    """
-    order, lower = _search_plan(P)
-    full = (1 << Q.size) - 1
-    img = [0] * P.size
-    for e, below in zip(order, lower):
-        c = full
-        for p in below:
-            c &= Q.up[img[p]]
-        img[e] = rng.choice([q for q in range(Q.size) if c >> q & 1])
-    return MonotoneMap(P, Q, tuple(img))
-
-
 # ---------------------------------------------------------------------------
 # isomorphism search
 
@@ -372,16 +349,17 @@ def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
 # retract enumeration
 
 
-def _retractions_onto(A: Poset, keep: list[int], B: Poset) -> Iterator[tuple[int, ...]]:
+def _retractions_onto(A: Poset, keep: list[int], B: Poset, emit: bool = True):
     """Monotone maps A -> B fixing the kept elements pointwise (B = A|keep).
 
     Each kept element is pinned to its own position in B, every other
-    element may go anywhere in B; the stream is `_map_search`'s order.
+    element may go anywhere in B; the stream is `_map_search`'s order, or
+    with emit=False one count of them.
     """
     allowed = [(1 << B.size) - 1] * A.size
     for i, e in enumerate(keep):
         allowed[e] = 1 << i
-    return _map_search(A, B, emit=True, allowed=allowed)
+    return _map_search(A, B, emit, allowed)
 
 
 def enumerate_retracts(

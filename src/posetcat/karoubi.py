@@ -3,13 +3,21 @@
 The two audit directions: every idempotent endomorphism of a cube splits
 through a complete poset, and every complete finite poset embeds as a retract
 of the cube on its elements (down-set section, join retraction).
+
+The cube audit runs over fix sets, not endomorphisms.  An idempotent f is the
+retraction onto S = Fix f = im f, and it splits through S with the induced
+order, so the idempotents are the disjoint union over S of the monotone
+retractions onto S, and completeness of the middle depends on S alone.  A
+coordinate permutation is an automorphism of the cube: it carries S, its
+retractions and its middle to their images, so one fix set per orbit is
+audited and weighted by the orbit size.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Optional
 
 from . import catalog, cube
@@ -26,7 +34,7 @@ from .poset import (
     lattice_structure,
 )
 
-EXHAUSTIVE_DIM_BOUND = 3
+AUDIT_DIM_BOUND = 4
 SORT_SPLIT_BOUND = 5
 
 
@@ -125,13 +133,10 @@ class AuditReport:
     """Result of an idempotent-splitting audit over cube endomorphisms."""
 
     dim: int
-    mode: str
     endos: int
     idempotents: int
     split_classes: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
-    seed: Optional[int] = None
-    samples: Optional[int] = None
     wall_time: float = 0.0
 
     @property
@@ -142,78 +147,55 @@ class AuditReport:
 def audit_report_to_json(report: AuditReport, include_timing: bool = False) -> dict:
     data = {
         "dim": report.dim,
-        "mode": report.mode,
         "endos": report.endos,
         "idempotents": report.idempotents,
         "splits": {k.hex(): v for k, v in sorted(report.split_classes.items())},
         "violations": report.violations,
     }
-    if report.mode == "sampled":
-        data["seed"] = report.seed
-        data["samples"] = report.samples
     if include_timing:
         data["wall_time"] = report.wall_time
     return data
 
 
-def _check_split(f: MonotoneMap, report: AuditReport):
-    splitting = split_idempotent(Idempotent(f))
-    if not is_complete(splitting.mid):
-        report.violations.append(
-            {"image": list(f.image), "reason": "split middle is not complete"}
-        )
-        return
-    key = catalog.canonical_key(splitting.mid)
-    report.split_classes[key] = report.split_classes.get(key, 0) + 1
-
-
-def audit_cube_idempotents(
-    n: int,
-    mode: str = "exhaustive",
-    samples: int = 100000,
-    seed: int = 0,
-) -> AuditReport:
+def audit_cube_idempotents(n: int) -> AuditReport:
     """Split every idempotent endomorphism of [1]^n and test completeness.
 
-    Exhaustive mode enumerates the full endomorphism monoid (bounded at
-    dimension 3, where |End| = 20^3 = 8000); sampled mode draws seeded random
-    monotone endomorphisms and audits the distinct idempotents found.
+    Runs over the nonempty fix sets S of [1]^n, one per orbit of the n!
+    coordinate permutations (see the module docstring).  For each
+    representative it counts the monotone retractions onto S, r; if r > 0,
+    the r * |orbit| idempotents of the orbit split through S with the
+    induced order, which must be complete.  `endos` = D(n)^n, since a map
+    into a product is a tuple of maps [1]^n -> [1].
     """
+    if n > AUDIT_DIM_BOUND:
+        raise BoundExceeded(f"idempotent audit capped at dimension {AUDIT_DIM_BOUND}")
     start = time.monotonic()
     Q = interval_power(n)
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_DIM_BOUND:
-            raise BoundExceeded(
-                f"exhaustive audit capped at dimension {EXHAUSTIVE_DIM_BOUND}; use sampled mode"
+    report = AuditReport(
+        dim=n, endos=catalog.count_monotone_maps(Q, chain(1)) ** n, idempotents=0
+    )
+    moves = [cube.symmetry(p).image for p in permutations(range(n))]
+    seen = bytearray(1 << Q.size)
+    for S in range(1, 1 << Q.size):
+        if seen[S]:
+            continue
+        keep = [x for x in range(Q.size) if S >> x & 1]
+        orbit = {sum(1 << move[x] for x in keep) for move in moves}
+        for T in orbit:
+            seen[T] = 1
+        mid, _ = induced_subposet(Q, keep)
+        r = sum(catalog._retractions_onto(Q, keep, mid, emit=False))
+        if r == 0:
+            continue
+        weight = r * len(orbit)
+        report.idempotents += weight
+        if not is_complete(mid):
+            report.violations.append(
+                {"fix_set": keep, "reason": "split middle is not complete"}
             )
-        report = AuditReport(dim=n, mode=mode, endos=0, idempotents=0)
-        for f in catalog.enumerate_monotone_maps(Q, Q):
-            report.endos += 1
-            img = f.image
-            if any(img[img[x]] != img[x] for x in range(Q.size)):
-                continue
-            report.idempotents += 1
-            _check_split(f, report)
-    elif mode == "sampled":
-        if n > 4:
-            raise BoundExceeded("sampled audit capped at dimension 4")
-        rng = random.Random(seed)
-        report = AuditReport(
-            dim=n, mode=mode, endos=samples, idempotents=0, seed=seed, samples=samples
-        )
-        seen = set()
-        for _ in range(samples):
-            f = catalog.random_monotone_map(Q, Q, rng)
-            img = f.image
-            if any(img[img[x]] != img[x] for x in range(Q.size)):
-                continue
-            if img in seen:
-                continue
-            seen.add(img)
-            report.idempotents += 1
-            _check_split(f, report)
-    else:
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+            continue
+        key = catalog.canonical_key(mid)
+        report.split_classes[key] = report.split_classes.get(key, 0) + weight
     report.wall_time = time.monotonic() - start
     return report
 

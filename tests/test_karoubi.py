@@ -1,9 +1,10 @@
+import json
 from itertools import product
 
 import pytest
 
-from posetcat import catalog, cube, karoubi
-from posetcat.errors import BoundExceeded, NotComplete, NotIdempotent
+from posetcat import catalog, checks, cli, cube, karoubi
+from posetcat.errors import BoundExceeded, InvariantViolation, NotComplete, NotIdempotent
 from posetcat.poset import (
     MonotoneMap,
     chain,
@@ -70,7 +71,38 @@ class TestSplittingUniqueness:
         assert idempotents > 1000
 
 
+def filtered_audit(n):
+    """The audit by filtering all of End([1]^n): (endos, idempotents, split classes)."""
+    Q = interval_power(n)
+    endos = idempotents = 0
+    classes = {}
+    for f in catalog.enumerate_monotone_maps(Q, Q):
+        endos += 1
+        img = f.image
+        if any(img[img[x]] != img[x] for x in range(Q.size)):
+            continue
+        idempotents += 1
+        sp = karoubi.split_idempotent(karoubi.Idempotent(f))
+        key = catalog.canonical_key(sp.mid)
+        classes[key] = classes.get(key, 0) + 1
+    return endos, idempotents, classes
+
+
 class TestAudits:
+    @pytest.mark.parametrize("n", range(0, 4))
+    def test_equals_filtering_all_endomorphisms(self, n):
+        r = karoubi.audit_cube_idempotents(n)
+        assert (r.endos, r.idempotents, r.split_classes) == filtered_audit(n)
+        assert r.violations == []
+
+    def test_dim4_through_cli(self, capsys):
+        # about 20 s: most of it is the canonical key of the full cube [1]^4
+        code = cli.main(["audit-idempotents", "--dim", "4"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (data["endos"], data["idempotents"]) == (168 ** 4, 6_999_420)
+        assert len(data["splits"]) == 544 and data["violations"] == []
+
     def test_dim0(self):
         r = karoubi.audit_cube_idempotents(0)
         assert (r.endos, r.idempotents) == (1, 1) and not r.violations
@@ -107,17 +139,22 @@ class TestAudits:
 
     def test_exhaustive_bound(self):
         with pytest.raises(BoundExceeded):
-            karoubi.audit_cube_idempotents(4)
+            karoubi.audit_cube_idempotents(5)
 
-    def test_sampled_deterministic(self):
-        a = karoubi.audit_cube_idempotents(3, mode="sampled", samples=500, seed=9)
-        b = karoubi.audit_cube_idempotents(3, mode="sampled", samples=500, seed=9)
-        assert a.idempotents == b.idempotents
-        assert a.split_classes == b.split_classes and not a.violations
-
-    def test_sampled_dim4(self):
-        r = karoubi.audit_cube_idempotents(4, mode="sampled", samples=300, seed=1)
-        assert not r.violations and r.idempotents > 0
+    def test_incomplete_middles_fail_the_audit(self, monkeypatch, capsys):
+        # pretend no 3-element poset is complete: the chains 00 < 01 < 11 and
+        # 00 < 10 < 11 are retracts of the square, so all three entry points
+        # must report the failure
+        complete = karoubi.is_complete
+        monkeypatch.setattr(karoubi, "is_complete", lambda P: P.size != 3 and complete(P))
+        r = karoubi.audit_cube_idempotents(2)
+        assert r.violations and not r.passed
+        assert {v["reason"] for v in r.violations} == {"split middle is not complete"}
+        assert all(len(v["fix_set"]) == 3 for v in r.violations)
+        assert cli.main(["audit-idempotents", "--dim", "2"]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == r.violations
+        with pytest.raises(InvariantViolation):
+            checks.check_cube_idempotents(2)
 
     def test_report_json_shape(self):
         data = karoubi.audit_report_to_json(karoubi.audit_cube_idempotents(1))
