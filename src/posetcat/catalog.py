@@ -352,13 +352,24 @@ def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
 def _retractions_onto(A: Poset, keep: list[int], B: Poset, emit: bool = True):
     """Monotone maps A -> B fixing the kept elements pointwise (B = A|keep).
 
-    Each kept element is pinned to its own position in B, every other
-    element may go anywhere in B; the stream is `_map_search`'s order, or
-    with emit=False one count of them.
+    A retraction r fixes every kept k, so k <= v gives k <= r(v) and v <= k
+    gives r(v) <= k: each element v may only go to the intersection of
+    up_B(k) over kept k <= v and down_B(k) over kept k >= v.  For a kept v this is its
+    own position in B (k = v bounds it from both sides).  The masks drop
+    only candidates that no retraction takes, so the stream is still
+    `_map_search`'s order of all retractions, or with emit=False one count
+    of them.
     """
-    allowed = [(1 << B.size) - 1] * A.size
-    for i, e in enumerate(keep):
-        allowed[e] = 1 << i
+    full = (1 << B.size) - 1
+    allowed = []
+    for v in range(A.size):
+        m = full
+        for i, k in enumerate(keep):
+            if A.down[v] >> k & 1:
+                m &= B.up[i]
+            if A.up[v] >> k & 1:
+                m &= B.down[i]
+        allowed.append(m)
     return _map_search(A, B, emit, allowed)
 
 

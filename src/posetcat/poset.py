@@ -91,7 +91,7 @@ class Poset:
         return tuple(edges)
 
     def __repr__(self):
-        return f"Poset(size={self.size}, covers={cover_pairs(self)})"
+        return f"Poset(size={self.size}, covers={list(self.cover_edges)})"
 
 
 @dataclass(frozen=True)
@@ -388,10 +388,6 @@ def limit_via_retract(ret: Retract, targets: Iterable[int]) -> int:
     if not lb_mask >> result & 1 or lb_mask & ~B.down[result]:
         raise InvariantViolation("transported infimum is not terminal among lower bounds")
     return result
-
-
-def cover_pairs(P: Poset) -> list[tuple[int, int]]:
-    return list(P.cover_edges)
 
 
 def poset_to_json(P: Poset) -> dict:

@@ -6,11 +6,16 @@ set of generating homs found by greedy closure (on the chain site, exactly the
 cofaces and codegeneracies).  A presheaf stores a cell count per object and
 one action table per site morphism.  Functor laws, naturality of maps between
 presheaves, and the unions behind left Kan extension are checked or taken
-along generators only: every hom is a word in them, so nothing is lost.
-Action tables are built and checked by gathers that run in C (itemgetter
-and map over a cell index, see _picker), not one cell at a time, and a
-presheaf carries exactly one table per hom: a key that names no hom of the
-site is rejected.
+along generators only: every hom is a word in them, so nothing is lost (a
+functor is fixed by its values on generators, Mac Lane, Categories for the
+Working Mathematician, II.8).  The site computes once the index of every
+composite g.w of a generator g with a hom w into its domain, and an order
+that writes each hom other than the identities and generators as g.w with w
+earlier; Presheaf.validate checks X(g.w) = X(w)X(g) from the first, and
+representable builds every other table along the second.  Action tables
+are built and checked by gathers that run in C (itemgetter over a cell
+index, see _picker), not one cell at a time, and a presheaf carries exactly
+one table per hom: a key that names no hom of the site is rejected.
 Everything downstream (colimits, left Kan extension along the inclusion of
 chains into complete posets, horns, pushouts) is finite and checked
 exhaustively at construction time.
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import catalog
@@ -95,6 +100,51 @@ class PosetSite:
             self._index[i][i][tuple(range(self.objects[i].size))] for i in range(n)
         )
         self.generators = self._greedy_generators()
+        # composite[p][i][a] is the index in homs[i][k] of g.w, for the p-th
+        # generator g = homs[j][k][b] and w = homs[i][j][a]
+        self.composite = tuple(
+            tuple(
+                tuple(self._index[i][k][tuple(map(self.homs[j][k][b].image.__getitem__, w.image))]
+                      for w in self.homs[i][j])
+                for i in range(n)
+            )
+            for j, k, b in self.generators
+        )
+        self.words = self._word_order()
+
+    def _word_order(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """Every hom that is neither an identity nor a generator, once, as
+        (i, j, k, a, b, c): homs[i][k][c] = g.w for the generator g =
+        homs[j][k][b] and w = homs[i][j][a], where w is a generator or comes
+        earlier in the list.
+
+        Homs are reached breadth first from the generators through the
+        composite table; a hom that is never reached raises InvariantViolation.
+        """
+        n = len(self.objects)
+        reached = [[bytearray(len(self.homs[i][j])) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            reached[i][i][self.identity_index[i]] = 1
+        leaving: list[list[int]] = [[] for _ in range(n)]  # generator positions by domain
+        for p, (i, j, h) in enumerate(self.generators):
+            reached[i][j][h] = 1
+            leaving[i].append(p)
+        queue = list(self.generators)  # grows while it is read: breadth first
+        words = []
+        for i, j, a in queue:
+            for p in leaving[j]:
+                _, k, b = self.generators[p]
+                c = self.composite[p][i][a]
+                if not reached[i][k][c]:
+                    reached[i][k][c] = 1
+                    words.append((i, j, k, a, b, c))
+                    queue.append((i, k, c))
+        for i in range(n):
+            for j in range(n):
+                h = reached[i][j].find(0)
+                if h >= 0:
+                    raise InvariantViolation(f"hom ({i},{j},{h}) is no word in the generators")
+        return tuple(words)
 
     def _greedy_generators(self) -> tuple[tuple[int, int, int], ...]:
         """Homs (i, j, h) such that every hom is a word in them (or an identity).
@@ -200,24 +250,30 @@ class Presheaf:
 
         There must be exactly one table per hom of the site: a key that names
         no hom is rejected, since colimits and pushouts read every table.
-        Ranges are checked by min/max and composites by C-level gathers.
+        Ranges are checked by min/max.  The index of g.w comes from the site's
+        composite table, and X(w)X(g) is a C-level gather, so each (generator,
+        hom) pair costs one gather and one comparison.
         """
         site = self.site
         n = len(site.objects)
         if len(self.cells) != n:
             raise InvariantViolation("one cell count per site object required")
+        # tables[i][j][h] is the table of homs[i][j][h]
+        tables: list[list[list[tuple[int, ...]]]] = [[] for _ in range(n)]
         homs = 0
         for i in range(n):
             for j in range(n):
-                homs += len(site.homs[i][j])
+                row = []
                 for h in range(len(site.homs[i][j])):
                     tab = self.actions.get((i, j, h))
                     if tab is None or len(tab) != self.cells[j]:
                         raise InvariantViolation(f"missing or misshapen action table ({i},{j},{h})")
                     if tab and (min(tab) < 0 or max(tab) >= self.cells[i]):
                         raise InvariantViolation(f"action table ({i},{j},{h}) out of range")
-            ident = self.actions[(i, i, site.identity_index[i])]
-            if ident != tuple(range(self.cells[i])):
+                    row.append(tab)
+                homs += len(row)
+                tables[i].append(row)
+            if tables[i][i][site.identity_index[i]] != tuple(range(self.cells[i])):
                 raise InvariantViolation(f"identity law fails at object {i}")
         # every hom has its table, so a surplus can only be keys of no hom
         if len(self.actions) != homs:
@@ -226,17 +282,17 @@ class Presheaf:
             )
         # X(g.w) = X(w)X(g) for generators g and all homs w gives X(u.w) =
         # X(w)X(u) for every hom u, by induction on the length of u as a word.
-        for j, k, b in site.generators:
-            pick = _picker(self.actions[(j, k, b)])
-            gimg = site.homs[j][k][b].image
+        for (j, k, b), composite in zip(site.generators, site.composite):
+            pick = _picker(tables[j][k][b])
             for i in range(n):
-                index = site._index[i][k]
-                for a, w in enumerate(site.homs[i][j]):
-                    c = index[tuple(map(gimg.__getitem__, w.image))]
-                    if self.actions[(i, k, c)] != pick(self.actions[(i, j, a)]):
-                        raise InvariantViolation(
-                            f"composition law fails for ({i},{j},{k}) homs ({a},{b})"
-                        )
+                # X(g.w) against X(w)X(g): one gathered table alive at a time
+                stored = map(tables[i][k].__getitem__, composite[i])
+                differs = list(map(ne, map(pick, tables[i][j]), stored))
+                if True in differs:
+                    a = differs.index(True)
+                    raise InvariantViolation(
+                        f"composition law fails for ({i},{j},{k}) homs ({a},{b})"
+                    )
 
     def __eq__(self, other):
         return (
@@ -272,16 +328,16 @@ class PresheafMap:
             comp = self.components[i]
             if len(comp) != self.source.cells[i]:
                 raise InvariantViolation(f"component {i} has wrong length")
-            if any(not 0 <= v < self.target.cells[i] for v in comp):
+            if comp and (min(comp) < 0 or max(comp) >= self.target.cells[i]):
                 raise InvariantViolation(f"component {i} out of range")
-        # naturality squares paste along composites, so generators suffice
+        # naturality squares paste along composites, so generators suffice;
+        # both sides of each square are C-level gathers
         for i, j, h in site.generators:
             ax = self.source.actions[(i, j, h)]
             ay = self.target.actions[(i, j, h)]
             ci, cj = self.components[i], self.components[j]
-            for x in range(self.source.cells[j]):
-                if ay[cj[x]] != ci[ax[x]]:
-                    raise InvariantViolation(f"naturality fails at hom ({i},{j},{h})")
+            if _picker(cj)(ay) != _picker(ax)(ci):
+                raise InvariantViolation(f"naturality fails at hom ({i},{j},{h})")
 
     def __eq__(self, other):
         return (
@@ -308,19 +364,24 @@ def representable(site: PosetSite, P: Poset) -> Presheaf:
     """Cells at Q are the monotone maps Q -> P; action is precomposition.
 
     P need not be an object of the site (restricted representable).  The
-    table of f sends each cell g to the index of g.f: the image of g.f is
-    gathered from g's image by an itemgetter on f's image, and looked up in
-    the cell index, both in C.
+    tables of the identities and generators send each cell g to the index
+    of g.f: the image of g.f is gathered from g's image by an itemgetter on
+    f's image, and looked up in the cell index, both in C.  Every other hom
+    is g.w along the site's word order, with w built before it, and its
+    table is X(w)X(g), one gather of X(w) along X(g).
     """
     n = len(site.objects)
     images = [[g.image for g in catalog.monotone_maps(Q, P)] for Q in site.objects]
     index = [{img: c for c, img in enumerate(imgs)} for imgs in images]
     actions = {}
-    for i in range(n):
-        cell_of = index[i].__getitem__
-        for j in range(n):
-            for h, f in enumerate(site.homs[i][j]):
-                actions[(i, j, h)] = tuple(map(cell_of, map(_picker(f.image), images[j])))
+    for i, j, h in [(i, i, site.identity_index[i]) for i in range(n)] + list(site.generators):
+        pick = _picker(site.homs[i][j][h].image)
+        actions[(i, j, h)] = tuple(map(index[i].__getitem__, map(pick, images[j])))
+    # one gather per generator, reused by every word that ends in it
+    along = {g: _picker(actions[g]) for g in site.generators}
+    for i, j, k, a, b, c in site.words:
+        actions[(i, k, c)] = along[(j, k, b)](actions[(i, j, a)])
+    del along  # each gather holds a copy of its table: free them before validate runs
     return Presheaf(site, [len(imgs) for imgs in images], actions)
 
 

@@ -19,7 +19,6 @@ from posetcat.poset import (
     antichain,
     chain,
     compose,
-    cover_pairs,
     identity_map,
     initial,
     interval_power,
@@ -156,10 +155,10 @@ class TestCoverCheck:
         with pytest.raises(ValueError):
             MonotoneMap(chain(1), chain(1), (0,))
 
-    def test_cover_pairs_of_the_cube(self):
+    def test_cover_edges_of_the_cube(self):
         cube = interval_power(3)
         assert len(cube.cover_edges) == 12
-        assert cover_pairs(cube) == list(cube.cover_edges)
+        assert repr(cube) == f"Poset(size=8, covers={list(cube.cover_edges)})"
         for i, j in cube.cover_edges:
             assert (i ^ j).bit_count() == 1 and i < j
 

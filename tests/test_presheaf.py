@@ -19,7 +19,9 @@ from posetcat.errors import (
 from posetcat.poset import (
     JSON_POSET_BOUND,
     MonotoneMap,
+    antichain,
     chain,
+    compose,
     interval_power,
     validate_poset,
 )
@@ -278,7 +280,7 @@ def reference_subpresheaf(X, keep):
 
 EMPTY = validate_poset(set(), 0)
 GATHER_POSETS = [chain(0), chain(1), chain(2), interval_power(0), interval_power(1),
-                 interval_power(2)]
+                 interval_power(2), antichain(2)]
 # objects of size 0 and 1 give gathers over no position and over one
 EDGE_SITE_OBJECTS = (EMPTY, chain(0), chain(1), interval_power(2))
 GATHER_CASES = (
@@ -343,6 +345,88 @@ class TestGatherTables:
         positions = tuple(range(n - 1, -1, -1))
         t = (10, 11, 12)
         assert ps._picker(positions)(t) == tuple(t[x] for x in positions)
+
+
+COMPOSITE_SITES = (
+    [("delta", d) for d in range(6)] + [("box", d) for d in range(3)] + [("edge", None)]
+)
+# (generator, hom) pairs: the sum over generators g of the homs into dom g
+COMPOSITE_PAIRS = {("delta", 0): 0, ("delta", 1): 9, ("delta", 2): 80, ("delta", 3): 475,
+                   ("delta", 4): 2424, ("delta", 5): 11515,
+                   ("box", 0): 0, ("box", 1): 9, ("box", 2): 464}
+
+
+def site_homs(site):
+    return [(i, j, h) for i, row in enumerate(site.homs) for j, hs in enumerate(row)
+            for h in range(len(hs))]
+
+
+class TestCompositeTable:
+    @pytest.mark.parametrize("kind,d", COMPOSITE_SITES, ids=[f"{k}{d}" for k, d in COMPOSITE_SITES])
+    def test_entries_are_the_composites(self, kind, d):
+        site = gather_site(kind, d)
+        assert len(site.composite) == len(site.generators)
+        pairs = 0
+        for (j, k, b), row in zip(site.generators, site.composite):
+            g = site.homs[j][k][b]
+            assert len(row) == len(site.objects)
+            for i, entries in enumerate(row):
+                assert len(entries) == len(site.homs[i][j])
+                for w, c in zip(site.homs[i][j], entries):
+                    assert c == site.hom_index(i, k, compose(g, w).image)
+                pairs += len(entries)
+        if (kind, d) in COMPOSITE_PAIRS:
+            assert pairs == COMPOSITE_PAIRS[(kind, d)]
+
+    @pytest.mark.parametrize("kind,d", COMPOSITE_SITES, ids=[f"{k}{d}" for k, d in COMPOSITE_SITES])
+    def test_word_order_writes_each_other_hom_once(self, kind, d):
+        site = gather_site(kind, d)
+        identities = {(i, i, site.identity_index[i]) for i in range(len(site.objects))}
+        built = set(site.generators)  # tables a word may start from
+        position = {g: p for p, g in enumerate(site.generators)}
+        for i, j, k, a, b, c in site.words:
+            assert (i, j, a) in built
+            assert site.composite[position[(j, k, b)]][i][a] == c
+            assert (i, k, c) not in built | identities
+            built.add((i, k, c))
+        assert built | identities == set(site_homs(site))
+
+    def test_delta4_word_count(self):
+        site = ps.delta_site(4)
+        assert len(site_homs(site)) == 456 and len(site.generators) == 24
+        assert len(site.words) == 427
+
+    def test_unreached_hom_is_rejected(self, monkeypatch):
+        full = ps.PosetSite._greedy_generators
+        monkeypatch.setattr(ps.PosetSite, "_greedy_generators", lambda self: full(self)[:-1])
+        with pytest.raises(InvariantViolation, match="no word in the generators"):
+            ps.PosetSite([chain(0), chain(1), chain(2)])
+
+    def test_unreached_hom_is_rejected_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(ps.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", UNREACHED_UNDER_O],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["InvariantViolation", "1"]
+
+
+UNREACHED_UNDER_O = """
+import sys
+from posetcat import presheaf as ps
+from posetcat.errors import InvariantViolation
+from posetcat.poset import chain
+full = ps.PosetSite._greedy_generators
+ps.PosetSite._greedy_generators = lambda self: full(self)[:-1]
+try:
+    ps.PosetSite([chain(0), chain(1), chain(2)])
+    print("accepted")
+except InvariantViolation as exc:
+    print(type(exc).__name__)
+print(sys.flags.optimize)
+"""
 
 
 # Under python -O: each bad table must still raise InvariantViolation.
