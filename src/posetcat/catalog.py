@@ -5,15 +5,15 @@ maximal element over each down-set, and canonicalized to one per class;
 lattices of size n are built from the posets of size n - 2 by adjoining a new
 bottom and top, so they never touch the n-element posets.
 
-One monotone-map search engine, `_map_search`, is the performance-critical
-core: images are assigned along a fixed linear extension of the domain, with
-the candidate set for each element obtained by intersecting the up-sets of the
-images of its lower covers.  One flat loop walks the search tree over an
-explicit stack of pending candidate masks.  Counting shares that tree without
-materializing maps, and adds the popcount of each last-level mask instead of
-visiting its leaves.  Per-element masks of allowed images and an injectivity
-flag let the same loop find isomorphisms and retractions, and split the tree
-at its root over threads.
+One monotone-map search engine, `_map_search`, streams hom-sets: images are
+assigned along a fixed linear extension of the domain, with the candidate set
+for each element obtained by intersecting the up-sets of the images of its
+lower covers.  One flat loop walks the search tree over an explicit stack of
+pending candidate masks.  Per-element masks of allowed images and an
+injectivity flag let the same loop find isomorphisms and retractions, and
+split the tree at its root over threads.  Counting does not walk that tree:
+`_map_count` goes along the same extension one level at a time and merges
+the partial maps whose remaining candidate masks agree.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .poset import (
 
 POSET_SIZE_BOUND = 7
 RETRACT_SIZE_BOUND = 5
+# state entries `_map_count` may build over all levels of one count
+COUNT_STATE_BOUND = 1 << 20
 
 
 def _linear_extension(P: Poset) -> list[int]:
@@ -170,7 +172,7 @@ def enumerate_posets(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPo
     seen: dict[bytes, CanonicalPoset] = {}
     for rep in smaller:
         R = rep.poset
-        for image in _map_search(R, chain(1), emit=True):
+        for image in _map_search(R, chain(1)):
             up = tuple(row | top if v == 0 else row for row, v in zip(R.up, image))
             cp = CanonicalPoset.canonicalize(Poset(n, up + (top,)))
             seen.setdefault(cp.key, cp)
@@ -215,8 +217,8 @@ def enumerate_lattices(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[Canonical
 # monotone-map enumeration
 
 
-def _map_search(P: Poset, Q: Poset, emit: bool, allowed=None, injective=False):
-    """Search core; yields image tuples (emit=True) or one leaf count.
+def _map_search(P: Poset, Q: Poset, allowed=None, injective=False):
+    """Search core; yields the image tuple of every monotone map P -> Q.
 
     Images are assigned along a linear extension of P, so level t holds the
     t-th element of it.  The candidates at a level are the meet of the
@@ -226,13 +228,11 @@ def _map_search(P: Poset, Q: Poset, emit: bool, allowed=None, injective=False):
     and `injective` removes the images already taken on the branch.  One flat
     loop walks the tree with a stack of pending candidate masks, one per
     level, lowest candidate first, so maps come out in lexicographic order of
-    the image tuple read along the extension.  At the last level every
-    candidate is a leaf: emit mode yields them in turn, count mode adds the
-    popcount of the mask.
+    the image tuple read along the extension.
     """
     n = P.size
     if n == 0:
-        yield () if emit else 1
+        yield ()
         return
     order = _linear_extension(P)
     lower = [[i for i, c in enumerate(P.covers) if c >> e & 1] for e in order]
@@ -244,19 +244,15 @@ def _map_search(P: Poset, Q: Poset, emit: bool, allowed=None, injective=False):
     pending = [0] * n
     pending[0] = start[0]
     used = [0] * n  # images taken at the levels below t, when injective
-    leaves = 0
     t = 0
     while t >= 0:
         m = pending[t]
         if t == last:
-            if emit:
-                e = order[t]
-                while m:
-                    img[e] = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    yield tuple(img)
-            else:
-                leaves += m.bit_count()
+            e = order[t]
+            while m:
+                img[e] = (m & -m).bit_length() - 1
+                m &= m - 1
+                yield tuple(img)
             t -= 1
         elif m:
             low = m & -m
@@ -272,24 +268,83 @@ def _map_search(P: Poset, Q: Poset, emit: bool, allowed=None, injective=False):
             pending[t] = c
         else:
             t -= 1
-    if not emit:
-        yield leaves
 
 
-def _search(P: Poset, Q: Poset, emit: bool, workers: int):
+def _map_count(P: Poset, Q: Poset, allowed=None) -> int:
+    """Number of monotone maps P -> Q sending each e into `allowed[e]`.
+
+    Walks the linear extension of P one element at a time and keeps a dict
+    from state to the number of partial maps in that state.  A state holds
+    one mask for each unassigned element with an assigned lower cover: its
+    `allowed` mask (all of Q when None) met with the up-sets of those covers'
+    images.  That mask is all a later level reads, so partial maps in equal
+    states have equally many extensions and merging them is exact (a
+    transfer matrix along the extension: Stanley, Enumerative Combinatorics
+    I, 4.7); a state with an empty mask has none and is dropped.  An element
+    with no upper cover only multiplies by the popcount of its mask.
+
+    Every state a level produces, merged or not, costs one entry plus one
+    per mask it holds; once the entries over all levels would pass
+    COUNT_STATE_BOUND it raises BoundExceeded before building them, which
+    bounds time and memory on any input.
+    """
+    qup = Q.up
+    allow = [(1 << Q.size) - 1] * P.size if allowed is None else allowed
+    frontier: list[int] = []  # the elements whose masks a state holds, in order
+    states = {(): 1}
+    built = 0
+    for e in _linear_extension(P):
+        at = frontier.index(e) if e in frontier else -1
+        if at < 0 and not allow[e]:
+            return 0
+        ups = P.covers[e]
+        # next layout: masks e leaves alone, then those of its upper covers
+        # already held, then those of its other upper covers
+        keep = [i for i, u in enumerate(frontier) if u != e and not ups >> u & 1]
+        hit = [i for i, u in enumerate(frontier) if ups >> u & 1]
+        fresh = [u for u in range(P.size) if ups >> u & 1 and u not in frontier]
+        fresh_masks = [allow[u] for u in fresh]
+        frontier = [frontier[i] for i in keep + hit] + fresh
+        width = 1 + len(frontier)
+        new: dict[tuple, int] = {}
+        for state, cnt in states.items():
+            cand = allow[e] if at < 0 else state[at]
+            built += (cand.bit_count() if ups else 1) * width
+            if built > COUNT_STATE_BOUND:
+                raise BoundExceeded(
+                    f"map count needs more than {COUNT_STATE_BOUND} state entries"
+                )
+            base = tuple([state[i] for i in keep])
+            if ups:
+                touched = [state[i] for i in hit] + fresh_masks
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    m = qup[low.bit_length() - 1]
+                    part = tuple([x & m for x in touched])
+                    if 0 not in part:
+                        key = base + part
+                        new[key] = new.get(key, 0) + cnt
+            else:
+                new[base] = new.get(base, 0) + cnt * cand.bit_count()
+        states = new
+    return states.get((), 0)
+
+
+def _search(P: Poset, Q: Poset, workers: int):
     """`_map_search`, split at the root over a thread pool when workers > 1.
 
     Chunk q0 pins the first element of P's extension to q0, so the chunks
     merged in root order are the serial stream, for any worker count.
     """
     if workers <= 1 or Q.size <= 1 or P.size == 0:
-        return _map_search(P, Q, emit)
+        return _map_search(P, Q)
     first = _linear_extension(P)[0]
 
     def chunk(q0: int) -> list:
         allowed = [(1 << Q.size) - 1] * P.size
         allowed[first] = 1 << q0
-        return list(_map_search(P, Q, emit, allowed))
+        return list(_map_search(P, Q, allowed))
 
     with ThreadPoolExecutor(max_workers=min(workers, Q.size)) as pool:
         return [x for part in pool.map(chunk, range(Q.size)) for x in part]
@@ -303,13 +358,18 @@ def enumerate_monotone_maps(
     Order is lexicographic in the image tuple read along the fixed linear
     extension of P, the same for any worker count.
     """
-    for image in _search(P, Q, True, workers):
+    for image in _search(P, Q, workers):
         yield MonotoneMap(P, Q, image)
 
 
 def count_monotone_maps(P: Poset, Q: Poset, workers: int = 1) -> int:
-    """Number of monotone maps P -> Q; same search tree, nothing materialized."""
-    return sum(_search(P, Q, False, workers))
+    """Number of monotone maps P -> Q, by `_map_count`; nothing is materialized.
+
+    Counting runs level by level and does not split over threads, so
+    `workers` is accepted and ignored.  Raises BoundExceeded past
+    COUNT_STATE_BOUND state entries.
+    """
+    return _map_count(P, Q)
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +401,7 @@ def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
     if sorted(inv_p) != sorted(inv_q):
         return None
     allowed = [sum(1 << q for q in range(n) if inv_q[q] == v) for v in inv_p]
-    image = next(_map_search(P, Q, emit=True, allowed=allowed, injective=True), None)
+    image = next(_map_search(P, Q, allowed, injective=True), None)
     return None if image is None else MonotoneMap(P, Q, image)
 
 
@@ -349,16 +409,15 @@ def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
 # retract enumeration
 
 
-def _retractions_onto(A: Poset, keep: list[int], B: Poset, emit: bool = True):
-    """Monotone maps A -> B fixing the kept elements pointwise (B = A|keep).
+def _retraction_masks(A: Poset, keep: list[int], B: Poset) -> list[int]:
+    """Per-element masks over B = A|keep that every retraction A -> B obeys.
 
     A retraction r fixes every kept k, so k <= v gives k <= r(v) and v <= k
     gives r(v) <= k: each element v may only go to the intersection of
-    up_B(k) over kept k <= v and down_B(k) over kept k >= v.  For a kept v this is its
-    own position in B (k = v bounds it from both sides).  The masks drop
-    only candidates that no retraction takes, so the stream is still
-    `_map_search`'s order of all retractions, or with emit=False one count
-    of them.
+    up_B(k) over kept k <= v and down_B(k) over kept k >= v.  For a kept v
+    this is its own position in B (k = v bounds it from both sides).  The
+    masks drop only candidates that no retraction takes, so the monotone
+    maps within them are exactly the retractions.
     """
     full = (1 << B.size) - 1
     allowed = []
@@ -370,7 +429,12 @@ def _retractions_onto(A: Poset, keep: list[int], B: Poset, emit: bool = True):
             if A.up[v] >> k & 1:
                 m &= B.down[i]
         allowed.append(m)
-    return _map_search(A, B, emit, allowed)
+    return allowed
+
+
+def _retractions_onto(A: Poset, keep: list[int], B: Poset):
+    """Monotone retractions A -> B = A|keep, in `_map_search`'s order."""
+    return _map_search(A, B, _retraction_masks(A, keep, B))
 
 
 def enumerate_retracts(

@@ -3,7 +3,8 @@
 Subcommands: audit-idempotents, certify, enumerate, triangulate, kan, horn,
 verify-all.  Machine output is JSON on stdout; diagnostics go to stderr.
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error.  POSETCAT_THREADS caps enumeration workers.
+configuration error.  POSETCAT_THREADS caps the workers that stream a
+hom-set for `enumerate --kind maps`; counting runs in one thread.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import catalog, checks, karoubi, presheaf
-from .errors import PosetCatError
+from .errors import BoundExceeded, PosetCatError
 from .poset import JSON_POSET_BOUND, chain, poset_from_json, poset_to_json
 
 MAX_POSET_LIMIT = 5
@@ -23,6 +24,9 @@ MAX_SIMPLEX_LIMIT = 4
 # certify builds the cube [1]^n on an n-element lattice: 2^n vertices and
 # about 5x the time per extra element (1.9 s at 12 on a 2 vCPU Xeon VM).
 MAX_CERTIFY_SIZE = 12
+# `enumerate --kind maps` lists a hom-set only up to this many maps; it counts
+# them first, and the count itself is bounded by catalog.COUNT_STATE_BOUND.
+MAX_LISTED_MAPS = 1 << 16
 
 
 def _workers() -> int:
@@ -57,17 +61,22 @@ def _read_poset(path: str | None, max_size: int = JSON_POSET_BOUND):
 
 
 def _cmd_enumerate(args) -> int:
-    workers = _workers()
     if args.kind == "maps":
         if not args.dom or not args.cod:
             print("enumerate --kind maps requires --dom and --cod", file=sys.stderr)
             return 2
         dom = _read_poset(args.dom)
         cod = _read_poset(args.cod)
+        count = catalog.count_monotone_maps(dom, cod)
         if args.format == "count":
-            _emit({"count": catalog.count_monotone_maps(dom, cod, workers=workers)})
+            _emit({"count": count})
             return 0
-        maps = list(catalog.enumerate_monotone_maps(dom, cod, workers=workers))
+        if count > MAX_LISTED_MAPS:
+            raise BoundExceeded(
+                f"{count} maps exceed the listing bound {MAX_LISTED_MAPS}; "
+                "use --format count"
+            )
+        maps = list(catalog.enumerate_monotone_maps(dom, cod, workers=_workers()))
         _emit(
             {
                 "dom": poset_to_json(dom),

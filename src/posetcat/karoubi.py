@@ -184,7 +184,7 @@ def audit_cube_idempotents(n: int) -> AuditReport:
         for T in orbit:
             seen[T] = 1
         mid, _ = induced_subposet(Q, keep)
-        r = sum(catalog._retractions_onto(Q, keep, mid, emit=False))
+        r = catalog._map_count(Q, mid, catalog._retraction_masks(Q, keep, mid))
         if r == 0:
             continue
         weight = r * len(orbit)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -204,7 +207,8 @@ class TestMonotoneMapCounts:
     def test_threshold_counts(self, m):
         assert catalog.count_monotone_maps(chain(m), chain(1)) == m + 2
 
-    @pytest.mark.parametrize("n,expect", [(1, 3), (2, 6), (3, 20), (4, 168)])
+    # OEIS A000372: monotone Boolean functions of n variables
+    @pytest.mark.parametrize("n,expect", [(0, 2), (1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)])
     def test_free_distributive_lattice_counts(self, n, expect):
         assert catalog.count_monotone_maps(interval_power(n), chain(1)) == expect
 
@@ -212,6 +216,7 @@ class TestMonotoneMapCounts:
         for p, q in product(range(4), range(1, 4)):
             P, Q = antichain(p), chain(q - 1)
             assert catalog.count_monotone_maps(P, Q) == q ** p
+        assert catalog.count_monotone_maps(antichain(40), chain(1)) == 1 << 40
 
     def test_product_decomposition(self):
         for m, n in product(range(4), range(4)):
@@ -221,7 +226,7 @@ class TestMonotoneMapCounts:
             )
 
     def test_count_matches_enumeration_all_size_four(self):
-        reps = [cp.poset for s in range(1, 5) for cp in catalog.enumerate_posets(s)]
+        reps = [cp.poset for s in range(0, 5) for cp in catalog.enumerate_posets(s)]
         for P, Q in product(reps, reps):
             ms = list(catalog.enumerate_monotone_maps(P, Q))
             assert len(ms) == catalog.count_monotone_maps(P, Q)
@@ -288,17 +293,15 @@ class TestSearchOrder:
     @pytest.mark.parametrize("name", sorted(SEARCH_PAIRS))
     def test_images_and_root_counts_match_recursive_search(self, name):
         P, Q = SEARCH_PAIRS[name]
-        images = list(catalog._map_search(P, Q, emit=True))
+        images = list(catalog._map_search(P, Q))
         assert images == list(recursive_search(P, Q, emit=True))
-        assert list(catalog._map_search(P, Q, emit=False)) == [
-            sum(recursive_search(P, Q, emit=False))
-        ]
+        assert catalog._map_count(P, Q) == sum(recursive_search(P, Q, emit=False))
         for q0 in range(Q.size):
             allowed = root_pinned(P, Q, q0)
-            assert list(catalog._map_search(P, Q, emit=True, allowed=allowed)) == list(
+            assert list(catalog._map_search(P, Q, allowed=allowed)) == list(
                 recursive_search(P, Q, emit=True, root_filter=[q0])
             )
-            assert list(catalog._map_search(P, Q, emit=False, allowed=allowed)) == list(
+            assert [catalog._map_count(P, Q, allowed)] == list(
                 recursive_search(P, Q, emit=False, root_filter=[q0])
             )
 
@@ -475,9 +478,10 @@ class TestEnumerateRetracts:
                 for mask in range(1, 1 << n):
                     keep = [e for e in range(n) if mask >> e & 1]
                     B, _ = induced_subposet(A, keep)
-                    assert list(catalog._retractions_onto(A, keep, B)) == list(
-                        recursive_retractions_onto(A, keep, B)
-                    )
+                    expected = list(recursive_retractions_onto(A, keep, B))
+                    assert list(catalog._retractions_onto(A, keep, B)) == expected
+                    masks = catalog._retraction_masks(A, keep, B)
+                    assert catalog._map_count(A, B, masks) == len(expected)
                     cases += 1
         assert cases == 282
 
@@ -519,3 +523,46 @@ class TestEnumerateRetracts:
         with pytest.raises(BoundExceeded):
             next(catalog.enumerate_retracts(6))
 
+
+def disjoint_arrows(k):
+    """k disjoint copies of [1]: element i is covered by element k + i."""
+    lows = [1 << i | 1 << (k + i) for i in range(k)]
+    return Poset(2 * k, tuple(lows + [1 << (k + i) for i in range(k)]))
+
+
+# An antichain keeps one empty state per level, one entry each, so a bound of
+# 40 admits the 40-element antichain and 39 does not; also under python -O.
+STATE_BOUND_UNDER_O = """
+import sys
+from posetcat import catalog
+from posetcat.errors import BoundExceeded
+from posetcat.poset import antichain, chain
+catalog.COUNT_STATE_BOUND = 40
+print(catalog.count_monotone_maps(antichain(40), chain(1)))
+catalog.COUNT_STATE_BOUND = 39
+try:
+    catalog.count_monotone_maps(antichain(40), chain(1))
+except BoundExceeded as exc:
+    print(exc)
+print(sys.flags.optimize)
+"""
+
+
+class TestMapCount:
+    def test_state_bound_is_exact_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(catalog.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", STATE_BOUND_UNDER_O],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            str(1 << 40), "map count needs more than 39 state entries", "1"
+        ]
+
+    def test_default_state_bound_raises(self):
+        # after the five minimal elements: 16**5 states of five masks each
+        with pytest.raises(BoundExceeded):
+            catalog.count_monotone_maps(disjoint_arrows(5), chain(15))
+        assert catalog.count_monotone_maps(disjoint_arrows(2), chain(15)) == 136 ** 2

@@ -293,6 +293,45 @@ class TestEnumerate:
         )
         assert code == 0 and json.loads(out)["count"] == 3
 
+    def test_maps_count_of_wide_antichain(self, capsys, tmp_path):
+        wide = write_json(tmp_path, "wide.json", {"size": 40, "relation": []})
+        code, out, _ = run(
+            capsys,
+            ["enumerate", "--kind", "maps", "--dom", wide, "--cod", arrow_file(tmp_path),
+             "--format", "count"],
+        )
+        assert code == 0 and json.loads(out)["count"] == 1 << 40
+
+    def test_maps_listing_past_its_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        arrow = arrow_file(tmp_path)
+        argv = ["enumerate", "--kind", "maps", "--dom", arrow, "--cod", arrow]
+        monkeypatch.setattr(cli, "MAX_LISTED_MAPS", 3)
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(json.loads(out)["items"]) == 3
+        monkeypatch.setattr(cli, "MAX_LISTED_MAPS", 2)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        wide = write_json(tmp_path, "wide.json", {"size": 17, "relation": []})
+        monkeypatch.undo()
+        code, out, err = run(capsys, ["enumerate", "--kind", "maps", "--dom", wide, "--cod", arrow])
+        assert code == 2 and out == "" and f"exceed the listing bound {1 << 16}" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "count"])
+    def test_maps_past_the_count_state_bound_exit_2(self, capsys, tmp_path, fmt):
+        # five disjoint arrows into a 16-chain: 16**5 states of five masks
+        arrows = {"size": 10, "relation": [[i, 5 + i] for i in range(5)]}
+        dom = write_json(tmp_path, "arrows.json", arrows)
+        cod = write_json(
+            tmp_path, "chain.json", {"size": 16, "relation": [[i, i + 1] for i in range(15)]}
+        )
+        code, out, err = run(
+            capsys,
+            ["enumerate", "--kind", "maps", "--dom", dom, "--cod", cod, "--format", fmt],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "state entries" in err and "Traceback" not in err
+
     def test_maps_require_endpoints(self, capsys):
         code, _, err = run(capsys, ["enumerate", "--kind", "maps"])
         assert code == 2 and err
@@ -361,8 +400,9 @@ JUNK = st.recursive(
 
 @st.composite
 def poset_documents(draw):
-    # at most 6 elements: the hom search behind `enumerate --kind maps` has
-    # no work bound, and a large antichain makes it run without end
+    # at most 6 elements: `enumerate --kind maps` counts within
+    # catalog.COUNT_STATE_BOUND and lists at most cli.MAX_LISTED_MAPS maps,
+    # but a listing near that bound would still cost seconds per example
     from posetcat import catalog
     from posetcat.poset import poset_to_json
 

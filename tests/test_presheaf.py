@@ -97,10 +97,19 @@ class TestGenerators:
             codegeneracy = j == i - 1 and set(image) == set(range(j + 1))
             assert coface or codegeneracy, (i, j, image)
 
+    # Sites are built inside the test, so a fault in PosetSite fails these
+    # cases by name instead of the collection of the module; the ids are the
+    # sites' reprs.
     @pytest.mark.parametrize(
-        "site", [ps.delta_site(3), ps.box_site(2), mixed_site()], ids=repr
+        "make_site",
+        [
+            pytest.param(lambda: ps.delta_site(3), id="PosetSite(delta, sizes=[1, 2, 3, 4])"),
+            pytest.param(lambda: ps.box_site(2), id="PosetSite(box, sizes=[1, 2, 4])"),
+            pytest.param(mixed_site, id="PosetSite(custom, sizes=[1, 2, 3, 4])"),
+        ],
     )
-    def test_words_in_generators_reach_every_hom(self, site):
+    def test_words_in_generators_reach_every_hom(self, make_site):
+        site = make_site()
         assert words_reach_every_hom(site)
 
 
