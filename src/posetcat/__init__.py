@@ -27,13 +27,11 @@ from .poset import (
     chain,
     compose,
     identity_map,
-    initial,
     interval_power,
     is_complete,
     join,
     lattice_structure,
     limit_via_retract,
-    lower_bounds_poset,
     meet,
     product,
     terminal,
@@ -66,7 +64,6 @@ from .presheaf import (
     PresheafMap,
     PosetSite,
     box_site,
-    colim,
     contracting_homotopy,
     delta_site,
     horn,
@@ -77,7 +74,6 @@ from .presheaf import (
     nat_hom_via_retract,
     pushout,
     representable,
-    restrict,
     triangulate,
 )
 from .checks import VerificationReport, verify_all

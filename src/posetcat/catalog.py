@@ -10,15 +10,14 @@ assigned along a fixed linear extension of the domain, with the candidate set
 for each element obtained by intersecting the up-sets of the images of its
 lower covers.  One flat loop walks the search tree over an explicit stack of
 pending candidate masks.  Per-element masks of allowed images and an
-injectivity flag let the same loop find isomorphisms and retractions, and
-split the tree at its root over threads.  Counting does not walk that tree:
-`_map_count` goes along the same extension one level at a time and merges
-the partial maps whose remaining candidate masks agree.
+injectivity flag let the same loop find isomorphisms and retractions.
+Counting does not walk that tree: `_map_count` goes along the same extension
+one level at a time and merges the partial maps whose remaining candidate
+masks agree.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -331,43 +330,22 @@ def _map_count(P: Poset, Q: Poset, allowed=None) -> int:
     return states.get((), 0)
 
 
-def _search(P: Poset, Q: Poset, workers: int):
-    """`_map_search`, split at the root over a thread pool when workers > 1.
-
-    Chunk q0 pins the first element of P's extension to q0, so the chunks
-    merged in root order are the serial stream, for any worker count.
-    """
-    if workers <= 1 or Q.size <= 1 or P.size == 0:
-        return _map_search(P, Q)
-    first = _linear_extension(P)[0]
-
-    def chunk(q0: int) -> list:
-        allowed = [(1 << Q.size) - 1] * P.size
-        allowed[first] = 1 << q0
-        return list(_map_search(P, Q, allowed))
-
-    with ThreadPoolExecutor(max_workers=min(workers, Q.size)) as pool:
-        return [x for part in pool.map(chunk, range(Q.size)) for x in part]
-
-
-def enumerate_monotone_maps(
-    P: Poset, Q: Poset, workers: int = 1
-) -> Iterator[MonotoneMap]:
+def enumerate_monotone_maps(P: Poset, Q: Poset) -> Iterator[MonotoneMap]:
     """Every monotone map P -> Q exactly once, in a deterministic order.
 
     Order is lexicographic in the image tuple read along the fixed linear
-    extension of P, the same for any worker count.
+    extension of P.
     """
-    for image in _search(P, Q, workers):
+    for image in _map_search(P, Q):
         yield MonotoneMap(P, Q, image)
 
 
 def count_monotone_maps(P: Poset, Q: Poset, workers: int = 1) -> int:
     """Number of monotone maps P -> Q, by `_map_count`; nothing is materialized.
 
-    Counting runs level by level and does not split over threads, so
-    `workers` is accepted and ignored.  Raises BoundExceeded past
-    COUNT_STATE_BOUND state entries.
+    `workers` is ignored; it is kept only because bench/worker.py recounts
+    each pair with workers=2.  Raises BoundExceeded past COUNT_STATE_BOUND
+    state entries.
     """
     return _map_count(P, Q)
 

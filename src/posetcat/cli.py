@@ -3,15 +3,13 @@
 Subcommands: audit-idempotents, certify, enumerate, triangulate, kan, horn,
 verify-all.  Machine output is JSON on stdout; diagnostics go to stderr.
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error.  POSETCAT_THREADS caps the workers that stream a
-hom-set for `enumerate --kind maps`; counting runs in one thread.
+configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import catalog, checks, karoubi, presheaf
@@ -27,13 +25,6 @@ MAX_CERTIFY_SIZE = 12
 # `enumerate --kind maps` lists a hom-set only up to this many maps; it counts
 # them first, and the count itself is bounded by catalog.COUNT_STATE_BOUND.
 MAX_LISTED_MAPS = 1 << 16
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("POSETCAT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _int_at_least(low: int):
@@ -56,7 +47,11 @@ def _emit(data) -> None:
 
 
 def _read_poset(path: str | None, max_size: int = JSON_POSET_BOUND):
-    raw = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        raw = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            raw = fh.read()
     return poset_from_json(json.loads(raw), max_size)
 
 
@@ -76,7 +71,7 @@ def _cmd_enumerate(args) -> int:
                 f"{count} maps exceed the listing bound {MAX_LISTED_MAPS}; "
                 "use --format count"
             )
-        maps = list(catalog.enumerate_monotone_maps(dom, cod, workers=_workers()))
+        maps = list(catalog.enumerate_monotone_maps(dom, cod))
         _emit(
             {
                 "dom": poset_to_json(dom),
@@ -135,7 +130,8 @@ def _cmd_triangulate(args) -> int:
 def _cmd_kan(args) -> int:
     M = _read_poset(args.target)
     if args.presheaf:
-        X = presheaf.presheaf_from_json(json.loads(open(args.presheaf).read()))
+        with open(args.presheaf) as fh:
+            X = presheaf.presheaf_from_json(json.load(fh))
         result = presheaf.left_kan(X, M, args.trunc)
         _emit(
             {

@@ -54,11 +54,6 @@ def symmetry(perm: tuple[int, ...]) -> MonotoneMap:
     return _cube_map(n, n, lambda x: sum((x >> p & 1) << k for k, p in enumerate(perm)))
 
 
-def diagonal(n: int) -> MonotoneMap:
-    """[1] -> [1]^n repeating the single coordinate."""
-    return _cube_map(1, n, lambda x: x * ((1 << n) - 1))
-
-
 def sort_endomorphism(m: int) -> MonotoneMap:
     """Reorders each vertex's coordinates ascending.
 

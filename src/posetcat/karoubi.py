@@ -27,7 +27,6 @@ from .poset import (
     Poset,
     Retract,
     chain,
-    compose,
     induced_subposet,
     interval_power,
     is_complete,
@@ -99,33 +98,6 @@ def split_idempotent(f: Idempotent) -> Splitting:
     pos = {a: i for i, a in enumerate(fixed)}
     retraction = MonotoneMap(P, mid, tuple(pos[f.map.image[a]] for a in range(P.size)))
     return Splitting(f, mid, retraction, incl)
-
-
-def coequalizer_quotient(f: Idempotent) -> Poset:
-    """Quotient of the domain by a ~ f(a), with the induced order.
-
-    Independent of split_idempotent; used to check the splitting middle is
-    unique up to isomorphism.
-    """
-    P = f.map.dom
-    reps = [a for a in range(P.size) if f.map.image[a] == a]
-    pos = {a: i for i, a in enumerate(reps)}
-    cls = [pos[f.map.image[a]] for a in range(P.size)]
-    k = len(reps)
-    up = [1 << i for i in range(k)]
-    for a in range(P.size):
-        m = P.up[a]
-        while m:
-            b = (m & -m).bit_length() - 1
-            m &= m - 1
-            up[cls[a]] |= 1 << cls[b]
-    # transitive closure of the induced relation
-    for t in range(k):
-        bit = 1 << t
-        for i in range(k):
-            if up[i] & bit:
-                up[i] |= up[t]
-    return Poset(k, tuple(up))
 
 
 @dataclass
@@ -219,64 +191,6 @@ def retract_certificate(C: Poset) -> RetractCertificate:
         images.append(acc)
     retraction = MonotoneMap(cube_poset, C, tuple(images))
     return RetractCertificate(C, n, section, retraction)
-
-
-def downset_lattice(C: Poset) -> tuple[Poset, tuple[int, ...]]:
-    """Poset of down-sets of C ordered by inclusion, with the mask per element.
-
-    This is the intermediate object of the two-step retract construction
-    (antitone 0/1 functions on C); exposed for the documentation audit.  A
-    down-set is the zero set of a monotone map C -> [1], so the masks are read
-    from the uncached hom-set stream (leaving the `monotone_maps` cache alone),
-    sorted, and ordered by inclusion as vertices of the cube [1]^|C|.
-    """
-    masks = sorted(
-        sum(1 << e for e, v in enumerate(f.image) if v == 0)
-        for f in catalog.enumerate_monotone_maps(C, chain(1))
-    )
-    DL, _ = induced_subposet(interval_power(C.size), masks)
-    return DL, tuple(masks)
-
-
-def two_step_certificate_maps(C: Poset) -> tuple[MonotoneMap, MonotoneMap]:
-    """Section/retraction built through the down-set lattice, for comparison.
-
-    First step embeds C into its down-set lattice (principal down-sets, with
-    join as the retraction); second step includes down-sets among all subsets
-    of |C| (with down-closure as the retraction).  The composites must agree
-    with the collapsed formulas of retract_certificate.
-    """
-    if not is_complete(C):
-        raise NotComplete("only complete posets admit the certificate")
-    n = C.size
-    cube_poset = interval_power(n)
-    DL, masks = downset_lattice(C)
-    pos = {D: i for i, D in enumerate(masks)}
-    lat = lattice_structure(C)
-
-    def join_of(mask: int) -> int:
-        acc = lat.bottom
-        m = mask
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc = lat.join_table[acc][c]
-        return acc
-
-    def down_closure(x: int) -> int:
-        acc = 0
-        m = x
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc |= C.down[i]
-        return acc
-
-    y = MonotoneMap(C, DL, tuple(pos[C.down[c]] for c in range(n)))
-    r1 = MonotoneMap(DL, C, tuple(join_of(D) for D in masks))
-    s2 = MonotoneMap(DL, cube_poset, masks)
-    r2 = MonotoneMap(cube_poset, DL, tuple(pos[down_closure(x)] for x in range(1 << n)))
-    return compose(s2, y), compose(r1, r2)
 
 
 def simplex_retract(n: int) -> Retract:

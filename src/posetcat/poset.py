@@ -257,14 +257,6 @@ def terminal(P: Poset) -> Optional[int]:
     return None
 
 
-def initial(P: Poset) -> Optional[int]:
-    full = (1 << P.size) - 1
-    for x in range(P.size):
-        if P.up[x] == full:
-            return x
-    return None
-
-
 def meet(P: Poset, a: int, b: int) -> Optional[int]:
     """Greatest lower bound of {a, b}, or None."""
     lb = P.down[a] & P.down[b]
@@ -352,20 +344,6 @@ def induced_subposet(P: Poset, elements: Iterable[int]) -> tuple[Poset, Monotone
     return sub, MonotoneMap(sub, P, tuple(els))
 
 
-def lower_bounds_poset(P: Poset, targets: Iterable[int]) -> tuple[Poset, MonotoneMap]:
-    """Subposet of common lower bounds of the targets, with inclusion.
-
-    A cone over a diagram in a poset is determined by its apex, so this
-    subposet plays the role of the comma category of cones.
-    """
-    ts = list(targets)
-    mask = (1 << P.size) - 1
-    for t in ts:
-        mask &= P.down[t]
-    els = [x for x in range(P.size) if mask >> x & 1]
-    return induced_subposet(P, els)
-
-
 def limit_via_retract(ret: Retract, targets: Iterable[int]) -> int:
     """Infimum in the inner poset, computed by transport along the retract.
 
@@ -430,17 +408,3 @@ def poset_from_json(data: dict, max_size: Optional[int] = None) -> Poset:
             raise SchemaError(f"relation entry {k} is not a pair of elements of 0..{size - 1}")
     return validate_poset([tuple(p) for p in relation], size)
 
-
-def map_to_json(f: MonotoneMap) -> dict:
-    return {
-        "dom": poset_to_json(f.dom),
-        "cod": poset_to_json(f.cod),
-        "image": list(f.image),
-    }
-
-
-def map_from_json(data: dict) -> MonotoneMap:
-    return MonotoneMap(
-        poset_from_json(data["dom"]), poset_from_json(data["cod"]),
-        tuple(data["image"]),
-    )

@@ -16,9 +16,9 @@ representable builds every other table along the second.  Action tables
 are built and checked by gathers that run in C (itemgetter over a cell
 index, see _picker), not one cell at a time, and a presheaf carries exactly
 one table per hom: a key that names no hom of the site is rejected.
-Everything downstream (colimits, left Kan extension along the inclusion of
-chains into complete posets, horns, pushouts) is finite and checked
-exhaustively at construction time.
+Everything downstream (left Kan extension along the inclusion of chains
+into complete posets, horns, pushouts) is finite and checked exhaustively
+at construction time.
 
 The left Kan extension i_!X(M) is computed over its normal form.  A monotone
 phi: M -> [k] factors uniquely as a surjection M ->> [j] followed by an
@@ -31,9 +31,7 @@ other phi is in the class of (surj, X(inj) c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -65,6 +63,8 @@ DELTA_SITE_BOUND = 5
 BOX_SITE_BOUND = 2
 TRIANGULATE_BOUND = 4
 HORN_DIM_BOUND = 4
+# a custom site read from JSON materializes every hom-set; at most this many homs
+SITE_HOM_BOUND = 1 << 16
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -189,12 +189,6 @@ class PosetSite:
     def hom_index(self, i: int, j: int, image: tuple[int, ...]) -> int:
         return self._index[i][j][image]
 
-    def object_index(self, P: Poset) -> Optional[int]:
-        for i, Q in enumerate(self.objects):
-            if Q == P:
-                return i
-        return None
-
     def __eq__(self, other):
         return isinstance(other, PosetSite) and self.objects == other.objects
 
@@ -249,7 +243,7 @@ class Presheaf:
         generators g; raise InvariantViolation on the first failure.
 
         There must be exactly one table per hom of the site: a key that names
-        no hom is rejected, since colimits and pushouts read every table.
+        no hom is rejected, since pushouts iterate over every table.
         Ranges are checked by min/max.  The index of g.w comes from the site's
         composite table, and X(w)X(g) is a C-level gather, so each (generator,
         hom) pair costs one gather and one comparison.
@@ -357,7 +351,7 @@ def is_mono(F: PresheafMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# representables and restriction
+# representables
 
 
 def representable(site: PosetSite, P: Poset) -> Presheaf:
@@ -385,45 +379,11 @@ def representable(site: PosetSite, P: Poset) -> Presheaf:
     return Presheaf(site, [len(imgs) for imgs in images], actions)
 
 
-def representable_map(site: PosetSite, f: MonotoneMap) -> PresheafMap:
-    """Postcomposition with f as a map of representables y(dom f) -> y(cod f)."""
-    src = representable(site, f.dom)
-    tgt = representable(site, f.cod)
-    comps = []
-    for i, Q in enumerate(site.objects):
-        idx = {g.image: c for c, g in enumerate(catalog.monotone_maps(Q, f.cod))}
-        comps.append(
-            tuple(idx[tuple(f.image[v] for v in g.image)] for g in catalog.monotone_maps(Q, f.dom))
-        )
-    return PresheafMap(src, tgt, comps)
-
-
 def triangulate(n: int, d: int) -> Presheaf:
     """Simplicial triangulation of the n-cube: [m] -> Poset([m], [1]^n)."""
     if n > TRIANGULATE_BOUND or d > TRIANGULATE_BOUND:
         raise BoundExceeded(f"triangulation capped at dimension {TRIANGULATE_BOUND}")
     return representable(delta_site(d), interval_power(n))
-
-
-def restrict(X: Presheaf, subsite: PosetSite) -> Presheaf:
-    """Precomposition with a subsite inclusion: keep matching objects and homs."""
-    obj_map = []
-    for Q in subsite.objects:
-        idx = X.site.object_index(Q)
-        if idx is None:
-            raise SiteMismatch("subsite object missing from the presheaf's site")
-        obj_map.append(idx)
-    actions = {}
-    for i2 in range(len(subsite.objects)):
-        for j2 in range(len(subsite.objects)):
-            i, j = obj_map[i2], obj_map[j2]
-            for h2, f in enumerate(subsite.homs[i2][j2]):
-                try:
-                    h = X.site.hom_index(i, j, f.image)
-                except KeyError:
-                    raise SiteMismatch("subsite hom missing from the presheaf's site")
-                actions[(i2, j2, h2)] = X.actions[(i, j, h)]
-    return Presheaf(subsite, [X.cells[obj_map[i2]] for i2 in range(len(subsite.objects))], actions)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +450,7 @@ def horn(n: int, I: Iterable[int], d: Optional[int] = None) -> PresheafMap:
 
 
 # ---------------------------------------------------------------------------
-# colimits
-
-
-@dataclass(frozen=True)
-class ColimResult:
-    """Connected components of the category of elements."""
-
-    count: int
-    labels: tuple[tuple[int, ...], ...]
+# union-find, shared by left Kan extension and pushouts
 
 
 class _UnionFind:
@@ -523,41 +475,6 @@ class _UnionFind:
             b = p[b]
         if a != b:
             p[b] = a
-
-
-def colim(X: Presheaf) -> ColimResult:
-    """Quotient of the disjoint union of cells by the zig-zag action relation."""
-    offsets = []
-    total = 0
-    for c in X.cells:
-        offsets.append(total)
-        total += c
-    uf = _UnionFind(total)
-    for (i, j, _h), tab in X.actions.items():
-        oi, oj = offsets[i], offsets[j]
-        for c, target in enumerate(tab):
-            uf.union(oj + c, oi + target)
-    label_of_root: dict[int, int] = {}
-    labels = []
-    for i, c in enumerate(X.cells):
-        row = []
-        for x in range(c):
-            r = uf.find(offsets[i] + x)
-            row.append(label_of_root.setdefault(r, len(label_of_root)))
-        labels.append(tuple(row))
-    return ColimResult(len(label_of_root), tuple(labels))
-
-
-def coproduct(X: Presheaf, Y: Presheaf) -> Presheaf:
-    """Levelwise disjoint union (X cells first)."""
-    if X.site != Y.site:
-        raise SiteMismatch("coproduct requires a common site")
-    actions = {}
-    for key, tx in X.actions.items():
-        i = key[0]
-        ty = Y.actions[key]
-        actions[key] = tx + tuple(X.cells[i] + v for v in ty)
-    return Presheaf(X.site, [a + b for a, b in zip(X.cells, Y.cells)], actions)
 
 
 # ---------------------------------------------------------------------------
@@ -887,67 +804,6 @@ def contracting_homotopy(n: int) -> MonotoneMap:
 
 
 # ---------------------------------------------------------------------------
-# natural transformations by filtered search (Yoneda-scale)
-
-
-def natural_transformations(X: Presheaf, Y: Presheaf) -> list[PresheafMap]:
-    """All natural transformations X -> Y, by per-object backtracking.
-
-    Candidate component values are pruned by naturality against the objects
-    already assigned; intended for desk-scale sites and cell counts.
-    """
-    if X.site != Y.site:
-        raise SiteMismatch("natural transformations require a common site")
-    site = X.site
-    n = len(site.objects)
-    comps: list[Optional[tuple[int, ...]]] = [None] * n
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def assign(q: int):
-        if q == n:
-            results.append(tuple(comps))  # type: ignore[arg-type]
-            return
-        cand = [set(range(Y.cells[q])) for _ in range(X.cells[q])]
-        for p in range(q):
-            for h in range(len(site.homs[p][q])):
-                ax = X.actions[(p, q, h)]
-                ay = Y.actions[(p, q, h)]
-                for xq in range(X.cells[q]):
-                    want = comps[p][ax[xq]]
-                    cand[xq] = {y for y in cand[xq] if ay[y] == want}
-            for h in range(len(site.homs[q][p])):
-                ax = X.actions[(q, p, h)]
-                ay = Y.actions[(q, p, h)]
-                for xp in range(X.cells[p]):
-                    cand[ax[xp]] &= {ay[comps[p][xp]]}
-        if any(not c for c in cand):
-            return
-        endo = [
-            (X.actions[(q, q, h)], Y.actions[(q, q, h)])
-            for h in range(len(site.homs[q][q]))
-        ]
-        for choice in iproduct(*[sorted(c) for c in cand]):
-            if all(
-                choice[ax[x]] == ay[choice[x]]
-                for ax, ay in endo
-                for x in range(X.cells[q])
-            ):
-                comps[q] = choice
-                assign(q + 1)
-                comps[q] = None
-
-    assign(0)
-    return [PresheafMap(X, Y, c) for c in results]
-
-
-def are_isomorphic(X: Presheaf, Y: Presheaf) -> bool:
-    """Levelwise-bijective natural transformation exists."""
-    if X.site != Y.site or X.cells != Y.cells:
-        return False
-    return any(is_mono(t) for t in natural_transformations(X, Y))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -962,6 +818,9 @@ def site_from_json(data: dict) -> PosetSite:
 
     A delta or box site needs a non-negative integer "dim"; a custom site
     needs a list of poset "objects", each at most JSON_POSET_BOUND elements.
+    Before a custom site is built, each ordered pair of objects is counted
+    (an empty hom-set counts as one); BoundExceeded is raised at the first
+    pair that takes the total past SITE_HOM_BOUND.
     """
     if not isinstance(data, dict):
         raise SchemaError(f"site must be a JSON object, got {type(data).__name__}")
@@ -976,7 +835,14 @@ def site_from_json(data: dict) -> PosetSite:
     objects = data.get("objects")
     if not isinstance(objects, list):
         raise SchemaError("custom site objects must be a list of posets")
-    return PosetSite([poset_from_json(p, JSON_POSET_BOUND) for p in objects], kind="custom")
+    posets = [poset_from_json(p, JSON_POSET_BOUND) for p in objects]
+    total = 0
+    for P in posets:
+        for Q in posets:
+            total += max(1, catalog.count_monotone_maps(P, Q))
+            if total > SITE_HOM_BOUND:
+                raise BoundExceeded(f"custom site has more than {SITE_HOM_BOUND} homs")
+    return PosetSite(posets, kind="custom")
 
 
 def presheaf_to_json(X: Presheaf) -> dict:

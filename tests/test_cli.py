@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posetcat import cli
+from test_presheaf import coproduct
 
 
 def run(capsys, argv):
@@ -184,13 +185,21 @@ class TestKanPresheaf:
         assert "error" in err and "Traceback" not in err
 
 
+    def test_custom_site_past_the_hom_bound_exits_2(self, capsys, tmp_path):
+        # one 12-element antichain asks for 12**12 endomorphisms
+        site = {"kind": "custom", "objects": [{"size": 12, "relation": []}]}
+        path = write_json(tmp_path, "big.json", {"site": site, "cells": [0], "actions": {}})
+        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["0,1,9", "5,5,5"])
     def test_action_key_of_no_hom_exits_2(self, capsys, tmp_path, key):
         from posetcat import presheaf as ps
         from posetcat.poset import chain
 
         X = ps.representable(ps.delta_site(1), chain(0))
-        data = ps.presheaf_to_json(ps.coproduct(X, X))
+        data = ps.presheaf_to_json(coproduct(X, X))
         data["actions"][key] = [1, 1]
         path = write_json(tmp_path, "extra.json", data)
         code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
@@ -428,7 +437,7 @@ def presheaf_documents(draw):
     bases = [
         ps.representable(ps.delta_site(1), chain(1)),
         ps.representable(ps.delta_site(2), chain(1)),
-        ps.coproduct(y0, y0),
+        coproduct(y0, y0),
         ps.representable(ps.PosetSite([chain(0), chain(1)]), chain(1)),
     ]
     data = ps.presheaf_to_json(draw(st.sampled_from(bases)))

@@ -2,7 +2,7 @@ import pytest
 
 from posetcat import catalog, cube
 from posetcat.errors import DomainMismatch
-from posetcat.poset import compose, identity_map, interval_power
+from posetcat.poset import MonotoneMap, chain, compose, identity_map, interval_power
 
 
 def all_cube_maps(m, n):
@@ -31,7 +31,8 @@ class TestDedekindCounts:
 
 class TestComposition:
     def test_composition_with_dim3(self):
-        out = compose(cube.sort_endomorphism(3), cube.diagonal(3))
+        diagonal = MonotoneMap(chain(1), interval_power(3), (0, 7))
+        out = compose(cube.sort_endomorphism(3), diagonal)
         assert out.image == (0, 7)
 
     def test_shape_mismatch(self):
@@ -89,9 +90,6 @@ class TestGenerators:
     def test_symmetry_rejects_non_permutation(self):
         with pytest.raises(IndexError):
             cube.symmetry((0, 0))
-
-    def test_diagonal(self):
-        assert cube.diagonal(3).image == (0, 7)
 
     def test_face_index_range(self):
         with pytest.raises(IndexError):

@@ -7,10 +7,14 @@ from posetcat import catalog, checks, cli, cube, karoubi
 from posetcat.errors import BoundExceeded, InvariantViolation, NotComplete, NotIdempotent
 from posetcat.poset import (
     MonotoneMap,
+    Poset,
     chain,
     compose,
     identity_map,
+    induced_subposet,
     interval_power,
+    is_complete,
+    lattice_structure,
     validate_poset,
 )
 
@@ -51,6 +55,33 @@ class TestSplitIdempotent:
             karoubi.Idempotent(MonotoneMap(sq, chain(3), (0, 1, 2, 3)))
 
 
+def coequalizer_quotient(f: karoubi.Idempotent) -> Poset:
+    """Quotient of the domain by a ~ f(a), with the induced order.
+
+    Independent of split_idempotent; used to check the splitting middle is
+    unique up to isomorphism.
+    """
+    P = f.map.dom
+    reps = [a for a in range(P.size) if f.map.image[a] == a]
+    pos = {a: i for i, a in enumerate(reps)}
+    cls = [pos[f.map.image[a]] for a in range(P.size)]
+    k = len(reps)
+    up = [1 << i for i in range(k)]
+    for a in range(P.size):
+        m = P.up[a]
+        while m:
+            b = (m & -m).bit_length() - 1
+            m &= m - 1
+            up[cls[a]] |= 1 << cls[b]
+    # transitive closure of the induced relation
+    for t in range(k):
+        bit = 1 << t
+        for i in range(k):
+            if up[i] & bit:
+                up[i] |= up[t]
+    return Poset(k, tuple(up))
+
+
 class TestSplittingUniqueness:
     def test_middle_matches_coequalizer_quotient(self):
         # both splitting equations hold and the middle agrees, up to iso, with
@@ -66,7 +97,7 @@ class TestSplittingUniqueness:
                         continue
                     idempotents += 1
                     sp = karoubi.split_idempotent(karoubi.Idempotent(f))
-                    q = karoubi.coequalizer_quotient(karoubi.Idempotent(f))
+                    q = coequalizer_quotient(karoubi.Idempotent(f))
                     assert catalog.find_isomorphism(sp.mid, q) is not None
         assert idempotents > 1000
 
@@ -162,6 +193,64 @@ class TestAudits:
         assert data["violations"] == [] and "wall_time" not in data
 
 
+def downset_lattice(C: Poset) -> tuple[Poset, tuple[int, ...]]:
+    """Poset of down-sets of C ordered by inclusion, with the mask per element.
+
+    This is the intermediate object of the two-step retract construction
+    (antitone 0/1 functions on C).  A down-set is the zero set of a monotone
+    map C -> [1], so the masks are read from the uncached hom-set stream
+    (leaving the `monotone_maps` cache alone), sorted, and ordered by
+    inclusion as vertices of the cube [1]^|C|.
+    """
+    masks = sorted(
+        sum(1 << e for e, v in enumerate(f.image) if v == 0)
+        for f in catalog.enumerate_monotone_maps(C, chain(1))
+    )
+    DL, _ = induced_subposet(interval_power(C.size), masks)
+    return DL, tuple(masks)
+
+
+def two_step_certificate_maps(C: Poset) -> tuple[MonotoneMap, MonotoneMap]:
+    """Section/retraction built through the down-set lattice, for comparison.
+
+    First step embeds C into its down-set lattice (principal down-sets, with
+    join as the retraction); second step includes down-sets among all subsets
+    of |C| (with down-closure as the retraction).  The composites must agree
+    with the collapsed formulas of retract_certificate.
+    """
+    if not is_complete(C):
+        raise NotComplete("only complete posets admit the certificate")
+    n = C.size
+    cube_poset = interval_power(n)
+    DL, masks = downset_lattice(C)
+    pos = {D: i for i, D in enumerate(masks)}
+    lat = lattice_structure(C)
+
+    def join_of(mask: int) -> int:
+        acc = lat.bottom
+        m = mask
+        while m:
+            c = (m & -m).bit_length() - 1
+            m &= m - 1
+            acc = lat.join_table[acc][c]
+        return acc
+
+    def down_closure(x: int) -> int:
+        acc = 0
+        m = x
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            acc |= C.down[i]
+        return acc
+
+    y = MonotoneMap(C, DL, tuple(pos[C.down[c]] for c in range(n)))
+    r1 = MonotoneMap(DL, C, tuple(join_of(D) for D in masks))
+    s2 = MonotoneMap(DL, cube_poset, masks)
+    r2 = MonotoneMap(cube_poset, DL, tuple(pos[down_closure(x)] for x in range(1 << n)))
+    return compose(s2, y), compose(r1, r2)
+
+
 class TestRetractCertificate:
     def test_singleton(self):
         cert = karoubi.retract_certificate(chain(0))
@@ -208,7 +297,7 @@ class TestRetractCertificate:
     def test_two_step_composite_agrees(self):
         for size in range(1, 5):
             for cp in catalog.enumerate_lattices(size):
-                s2, r2 = karoubi.two_step_certificate_maps(cp.poset)
+                s2, r2 = two_step_certificate_maps(cp.poset)
                 cert = karoubi.retract_certificate(cp.poset)
                 assert s2.image == cert.section.image
                 assert r2.image == cert.retraction.image
@@ -283,7 +372,7 @@ class TestDownsetLattice:
         info = catalog.monotone_maps.cache_info()
         for n in range(6):
             for cp in catalog.enumerate_posets(n):
-                DL, masks = karoubi.downset_lattice(cp.poset)
+                DL, masks = downset_lattice(cp.poset)
                 assert masks == filtered_downsets(cp.poset)
                 assert DL.size == len(masks)
                 for i, D in enumerate(masks):
@@ -293,12 +382,12 @@ class TestDownsetLattice:
         assert (again.hits, again.misses) == (info.hits, info.misses)
 
     def test_chain_downsets(self):
-        DL, masks = karoubi.downset_lattice(chain(2))
+        DL, masks = downset_lattice(chain(2))
         assert masks == (0, 1, 3, 7)
         assert catalog.find_isomorphism(DL, chain(3)) is not None
 
     def test_antichain_downsets_form_cube(self):
         from posetcat.poset import antichain
 
-        DL, masks = karoubi.downset_lattice(antichain(2))
+        DL, masks = downset_lattice(antichain(2))
         assert DL == interval_power(2)

@@ -20,15 +20,11 @@ from posetcat.poset import (
     chain,
     compose,
     identity_map,
-    initial,
     interval_power,
     is_complete,
     join,
     lattice_structure,
     limit_via_retract,
-    lower_bounds_poset,
-    map_from_json,
-    map_to_json,
     meet,
     poset_from_json,
     poset_to_json,
@@ -185,7 +181,7 @@ class TestProducts:
 
     def test_square(self):
         sq = interval_power(2)
-        assert terminal(sq) == 3 and initial(sq) == 0
+        assert terminal(sq) == 3
         assert not sq.leq(1, 2) and not sq.leq(2, 1)
         # brute-force glb/lub of the incomparable pair
         assert meet(sq, 1, 2) == 0 and join(sq, 1, 2) == 3
@@ -248,21 +244,6 @@ class TestCompleteness:
                 lattice_structure(vee())
 
 
-class TestLowerBounds:
-    def test_square_incomparables(self):
-        sub, incl = lower_bounds_poset(interval_power(2), [1, 2])
-        assert sub.size == 1 and incl.image == (0,)
-
-    def test_top_gives_everything(self):
-        P = diamond()
-        sub, incl = lower_bounds_poset(P, [3])
-        assert sub.size == P.size
-
-    def test_antichain_empty(self):
-        sub, _ = lower_bounds_poset(antichain(2), [0, 1])
-        assert sub.size == 0
-
-
 class TestLimitViaRetract:
     def sort_retract(self):
         # the chain 0<1<2 sitting inside the square as {00, 01, 11}
@@ -315,10 +296,6 @@ class TestJson:
     def test_covering_relation_only(self):
         data = poset_to_json(chain(2))
         assert data == {"size": 3, "relation": [[0, 1], [1, 2]]}
-
-    def test_map_round_trip(self):
-        f = MonotoneMap(chain(1), interval_power(2), (0, 3))
-        assert map_from_json(map_to_json(f)) == f
 
     @pytest.mark.parametrize(
         "data",
