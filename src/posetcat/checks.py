@@ -296,7 +296,7 @@ def check_kan_oracle(max_simplex: int, max_poset: int) -> dict:
     ]
     checked = 0
     for m in range(min(3, max_simplex) + 1):
-        X = presheaf.representable(presheaf.delta_site(m), chain(m))
+        X = presheaf.simplex(m, m)
         for M in lattices:
             result = presheaf.left_kan(X, M)
             require(result.count == catalog.count_monotone_maps(M, chain(m)), (m, M))
@@ -321,8 +321,7 @@ def check_mono_preservation(max_simplex: int, max_poset: int) -> dict:
     ]
     horns_checked = 0
     for n in range(1, min(3, max_simplex) + 1):
-        site = presheaf.delta_site(n)
-        rep = presheaf.representable(site, chain(n))
+        rep = presheaf.simplex(n, n)
         horns = [(I, presheaf.horn(n, I, n)) for I in _horn_index_sets(n)]
         id_cell = catalog.monotone_maps(chain(n), chain(n)).index(
             MonotoneMap(chain(n), chain(n), tuple(range(n + 1)))

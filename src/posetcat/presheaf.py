@@ -18,7 +18,9 @@ index, see _picker), not one cell at a time, and a presheaf carries exactly
 one table per hom: a key that names no hom of the site is rejected.
 Everything downstream (left Kan extension along the inclusion of chains
 into complete posets, horns, pushouts) is finite and checked exhaustively
-at construction time.
+at construction time.  The standard simplex Delta[n] on the chain site
+truncated at d is built and checked once per (n, d) by simplex(n, d) and
+shared, like delta_site(d), by every horn and attachment square over it.
 
 The left Kan extension i_!X(M) is computed over its normal form.  A monotone
 phi: M -> [k] factors uniquely as a surjection M ->> [j] followed by an
@@ -386,6 +388,18 @@ def triangulate(n: int, d: int) -> Presheaf:
     return representable(delta_site(d), interval_power(n))
 
 
+@lru_cache(maxsize=None)
+def simplex(n: int, d: int) -> Presheaf:
+    """The standard simplex Delta[n] = y[n] on the chain site truncated at d.
+
+    Built and validated once per (n, d) and shared by every horn, attachment
+    square and check that needs it, like delta_site(d): callers must not
+    mutate it.  Only the simplices are cached, not representable itself, so
+    larger one-off presheaves such as triangulations are freed after use.
+    """
+    return representable(delta_site(d), chain(n))
+
+
 # ---------------------------------------------------------------------------
 # sub-presheaves and horns
 
@@ -408,13 +422,11 @@ def subpresheaf(X: Presheaf, keep: Sequence[Iterable[int]]) -> tuple[Presheaf, P
 
 
 def _face_union_keep(n: int, I: frozenset[int], site: PosetSite) -> list[list[int]]:
-    keep = []
-    for m, Q in enumerate(site.objects):
-        cells = catalog.monotone_maps(Q, chain(n))
-        keep.append(
-            [c for c, h in enumerate(cells) if any(i not in set(h.image) for i in I)]
-        )
-    return keep
+    """Per level, the cells of Delta[n] that miss some vertex in I."""
+    return [
+        [c for c, h in enumerate(catalog.monotone_maps(Q, chain(n))) if not I <= set(h.image)]
+        for Q in site.objects
+    ]
 
 
 def face_union(n: int, I: Iterable[int], d: Optional[int] = None) -> tuple[Presheaf, PresheafMap]:
@@ -429,8 +441,7 @@ def face_union(n: int, I: Iterable[int], d: Optional[int] = None) -> tuple[Presh
     Iset = frozenset(I)
     if any(not 0 <= i <= n for i in Iset):
         raise BadIndexSet("face indices must lie in 0..n")
-    rep = representable(site, chain(n))
-    return subpresheaf(rep, _face_union_keep(n, Iset, site))
+    return subpresheaf(simplex(n, d), _face_union_keep(n, Iset, site))
 
 
 def horn(n: int, I: Iterable[int], d: Optional[int] = None) -> PresheafMap:
@@ -680,9 +691,9 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
     """Check the face-attachment pushout: glueing the i-th face onto the horn
     with faces I-{i} along their overlap yields the horn with faces I.
 
-    Returns per-level cell counts; raises InvariantViolation if the canonical
-    comparison map from the pushout to the directly built horn fails to be a
-    levelwise bijection.
+    Returns per-level cell counts; raises InvariantViolation unless the
+    canonical comparison map from the pushout to the directly built horn is
+    an isomorphism of presheaves: a levelwise bijection that is natural.
     """
     Iset = frozenset(I)
     if not Iset or not Iset < set(range(n + 1)) or i not in Iset:
@@ -696,8 +707,8 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
     Iprime = Iset - {i}
     J = frozenset(j for j in range(n) if delta_i.image[j] in Iprime)
 
-    rep_n = representable(site, chain(n))
-    rep_n1 = representable(site, chain(n - 1))
+    rep_n = simplex(n, d)
+    rep_n1 = simplex(n - 1, d)
     keep_big = _face_union_keep(n, Iset, site)
     keep_prime = _face_union_keep(n, Iprime, site) if Iprime else [[] for _ in site.objects]
     keep_small = _face_union_keep(n - 1, J, site) if J else [[] for _ in site.objects]
@@ -746,6 +757,8 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
         if P.cells[lvl] != big.cells[lvl]:
             raise InvariantViolation(f"pushout differs from the horn at level {lvl}")
         counts[lvl] = P.cells[lvl]
+    # a levelwise bijection is an isomorphism once it is also natural
+    PresheafMap(P, big, compare)
     return counts
 
 
@@ -770,15 +783,18 @@ def nat_hom_via_retract(L: Poset, L2: Poset, trunc_dim: int) -> tuple[MonotoneMa
     cube2 = interval_power(cert2.cube_dim)
     s_elems = sorted(cert1.section.image)
     S, _incl = induced_subposet(cube1, s_elems)
+    # join extension: g(x) is the join of rho over the section elements below
+    # x, whose positions depend on x alone
+    below = [
+        [p for p, s_el in enumerate(s_elems) if s_el & ~x == 0] for x in range(cube1.size)
+    ]
     composites = set()
     for rho in catalog.enumerate_monotone_maps(S, cube2):
-        # join extension: g(x) is the join of rho over section elements below x
         g_image = []
-        for x in range(cube1.size):
+        for positions in below:
             acc = 0
-            for p, s_el in enumerate(s_elems):
-                if s_el & ~x == 0:
-                    acc |= rho.image[p]
+            for p in positions:
+                acc |= rho.image[p]
             g_image.append(acc)
         g = MonotoneMap(cube1, cube2, tuple(g_image))
         composites.add(

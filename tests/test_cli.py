@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -371,6 +373,19 @@ class TestVerifyAllFlags:
         code, out, _ = run(capsys, ["verify-all"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+    def test_default_report_bytes_are_pinned_under_python_O(self):
+        # a fresh interpreter through `python -m posetcat`, with asserts off
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "posetcat", "verify-all"],
+            capture_output=True,
+            timeout=300,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
 
     def test_bad_dim_exits_2(self, capsys):
         code, _, err = run(capsys, ["verify-all", "--max-dim", "99"])

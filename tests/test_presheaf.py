@@ -559,6 +559,29 @@ class TestTriangulate:
             ps.triangulate(5, 2)
 
 
+class TestSimplex:
+    @pytest.mark.parametrize("n, d", [(0, 0), (1, 3), (3, 2), (4, 4)])
+    def test_built_once_per_truncation(self, n, d):
+        assert ps.simplex(n, d) is ps.simplex(n, d)
+
+    @pytest.mark.parametrize("n, d", [(0, 2), (2, 2), (3, 1), (4, 4)])
+    def test_equals_the_uncached_representable(self, n, d):
+        X = ps.simplex(n, d)
+        Y = ps.representable(ps.delta_site(d), chain(n))
+        assert X is not Y
+        assert X.cells == Y.cells and X.actions == Y.actions
+
+    def test_horns_and_squares_leave_it_unchanged(self):
+        X = ps.simplex(4, 4)
+        cells, actions = X.cells, dict(X.actions)
+        for I in [{0}, {1, 3}, {0, 2, 4}, {0, 1, 2, 3}]:
+            assert ps.horn(4, I, 4).target is X
+            for i in sorted(I):
+                ps.horn_attachment_square(4, I, i)
+        assert X.cells == cells and X.actions == actions
+        assert X == ps.representable(ps.delta_site(4), chain(4))
+
+
 class TestHorn:
     def test_vertex_horn(self):
         incl = ps.horn(1, {0})
@@ -654,6 +677,28 @@ class TestHornAttachmentSquares:
     def test_requires_i_in_I(self):
         with pytest.raises(BadIndexSet):
             ps.horn_attachment_square(2, {0}, 1)
+
+    def test_unnatural_comparison_is_rejected(self, monkeypatch):
+        # swapping cells 0 and 1 of the pushout at the top level in both
+        # cocone maps keeps every comparison component a bijection, but the
+        # comparison is no longer natural
+        real_pushout = ps.pushout
+
+        def swapped_pushout(f, g):
+            P, in_b, in_c = real_pushout(f, g)
+            top = len(P.cells) - 1
+            swap = {0: 1, 1: 0}
+
+            def swapped(leg):
+                comps = list(leg.components)
+                comps[top] = tuple(swap.get(v, v) for v in comps[top])
+                return ps.PresheafMap(leg.source, P, comps, validate=False)
+
+            return P, swapped(in_b), swapped(in_c)
+
+        monkeypatch.setattr(ps, "pushout", swapped_pushout)
+        with pytest.raises(InvariantViolation, match="naturality fails"):
+            ps.horn_attachment_square(3, [1, 2], 1)
 
 
 class TestLeftKan:
