@@ -145,7 +145,7 @@ class CanonicalPoset:
 
 
 @lru_cache(maxsize=None)
-def enumerate_posets(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPoset, ...]:
+def enumerate_posets(n: int) -> tuple[CanonicalPoset, ...]:
     """One canonical representative per isomorphism class of n-element posets.
 
     Every nonempty finite poset has a maximal element, and its strict
@@ -160,13 +160,11 @@ def enumerate_posets(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPo
     naturally labeled n-poset (Brinkmann & McKay, "Posets on up to 16
     points", Order 19, 2002).
     """
-    if n > bound:
-        raise BoundExceeded(f"poset enumeration capped at size {bound}")
+    if n > POSET_SIZE_BOUND:
+        raise BoundExceeded(f"poset enumeration capped at size {POSET_SIZE_BOUND}")
     if n == 0:
         return (CanonicalPoset.canonicalize(Poset(0, ())),)
-    # Recurse through the alias, which a patched module attribute leaves
-    # alone, and without `bound` where possible: it is part of the cache key.
-    smaller = _posets(n - 1) if n - 1 <= POSET_SIZE_BOUND else _posets(n - 1, bound)
+    smaller = enumerate_posets(n - 1)
     top = 1 << (n - 1)
     seen: dict[bytes, CanonicalPoset] = {}
     for rep in smaller:
@@ -178,9 +176,6 @@ def enumerate_posets(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPo
     return tuple(seen[k] for k in sorted(seen))
 
 
-_posets = enumerate_posets
-
-
 def _bounded(Q: Poset) -> Poset:
     """Q with a new bottom (element 0) and a new top (element Q.size + 1) adjoined."""
     top = 1 << (Q.size + 1)
@@ -189,7 +184,7 @@ def _bounded(Q: Poset) -> Poset:
 
 
 @lru_cache(maxsize=None)
-def enumerate_lattices(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[CanonicalPoset, ...]:
+def enumerate_lattices(n: int) -> tuple[CanonicalPoset, ...]:
     """Representatives of complete (= bounded-lattice) posets of size n.
 
     A finite lattice L with n >= 2 elements has a bottom and a top, and
@@ -203,8 +198,8 @@ def enumerate_lattices(n: int, bound: int = POSET_SIZE_BOUND) -> tuple[Canonical
     Canonicalizing each survivor gives the same keys, representatives and
     order as filtering all n-element posets.
     """
-    if n > bound:
-        raise BoundExceeded(f"lattice enumeration capped at size {bound}")
+    if n > POSET_SIZE_BOUND:
+        raise BoundExceeded(f"lattice enumeration capped at size {POSET_SIZE_BOUND}")
     if n < 2:
         return tuple(cp for cp in enumerate_posets(n) if is_complete(cp.poset))
     found = (_bounded(cp.poset) for cp in enumerate_posets(n - 2))
@@ -415,17 +410,15 @@ def _retractions_onto(A: Poset, keep: list[int], B: Poset):
     return _map_search(A, B, _retraction_masks(A, keep, B))
 
 
-def enumerate_retracts(
-    max_size: int, bound: int = RETRACT_SIZE_BOUND
-) -> Iterator[Retract]:
+def enumerate_retracts(max_size: int) -> Iterator[Retract]:
     """All retract diagrams (A, B, r, s) with rs = id and |A| <= max_size.
 
     A runs over isomorphism-class representatives; B runs over all induced
     subposets of A (sections of poset retracts are order-embeddings, so every
     retract appears this way), r over all monotone retractions fixing B.
     """
-    if max_size > bound:
-        raise BoundExceeded(f"retract enumeration capped at outer size {bound}")
+    if max_size > RETRACT_SIZE_BOUND:
+        raise BoundExceeded(f"retract enumeration capped at outer size {RETRACT_SIZE_BOUND}")
     for n in range(max_size + 1):
         for cp in enumerate_posets(n):
             A = cp.poset

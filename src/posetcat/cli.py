@@ -142,7 +142,7 @@ def _cmd_kan(args) -> int:
         )
         return 0
     m = args.simplex
-    X = presheaf.representable(presheaf.delta_site(m), chain(m))
+    X = presheaf.simplex(m, m)
     result = presheaf.left_kan(X, M, args.trunc)
     oracle = catalog.count_monotone_maps(M, chain(m))
     _emit(

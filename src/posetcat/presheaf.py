@@ -3,19 +3,20 @@
 A site is a finite full subcategory of posets (e.g. the chains [0]..[d] or the
 cubes [1]^0..[1]^d) with every hom-set materialized in enumeration order and a
 set of generating homs found by greedy closure (on the chain site, exactly the
-cofaces and codegeneracies).  A presheaf stores a cell count per object and
-one action table per site morphism.  Functor laws, naturality of maps between
-presheaves, and the unions behind left Kan extension are checked or taken
-along generators only: every hom is a word in them, so nothing is lost (a
-functor is fixed by its values on generators, Mac Lane, Categories for the
-Working Mathematician, II.8).  The site computes once the index of every
-composite g.w of a generator g with a hom w into its domain, and an order
-that writes each hom other than the identities and generators as g.w with w
-earlier; Presheaf.validate checks X(g.w) = X(w)X(g) from the first, and
-representable builds every other table along the second.  Action tables
-are built and checked by gathers that run in C (itemgetter over a cell
-index, see _picker), not one cell at a time, and a presheaf carries exactly
-one table per hom: a key that names no hom of the site is rejected.
+cofaces and codegeneracies).  A presheaf is given by a cell count per object
+and its generator tables: a functor is fixed by its values on generators
+(Mac Lane, Categories for the Working Mathematician, II.8).  The closure
+that picks the generators also stores, once, the index of every composite
+g.w of a generator g with a hom w into its domain, and writes each hom other
+than the identities and generators as such a word g.w with w earlier.
+Presheaf completes the identity and word tables along those words, as
+X(g.w) = X(w)X(g), and then checks that law for every generator g and hom w;
+so a presheaf holds one table per hom, and a key that names no hom of the
+site is rejected.  Naturality of maps between presheaves, sub-presheaves,
+pushouts and the unions behind left Kan extension are likewise checked or
+taken along generators only.  Action tables are built and checked by gathers
+that run in C (itemgetter over a cell index, see _picker), not one cell at a
+time.
 Everything downstream (left Kan extension along the inclusion of chains
 into complete posets, horns, pushouts) is finite and checked exhaustively
 at construction time.  The standard simplex Delta[n] on the chain site
@@ -101,92 +102,68 @@ class PosetSite:
         self.identity_index = tuple(
             self._index[i][i][tuple(range(self.objects[i].size))] for i in range(n)
         )
-        self.generators = self._greedy_generators()
-        # composite[p][i][a] is the index in homs[i][k] of g.w, for the p-th
-        # generator g = homs[j][k][b] and w = homs[i][j][a]
-        self.composite = tuple(
-            tuple(
-                tuple(self._index[i][k][tuple(map(self.homs[j][k][b].image.__getitem__, w.image))]
-                      for w in self.homs[i][j])
-                for i in range(n)
-            )
-            for j, k, b in self.generators
+        # every hom as (i, j, h), in index order
+        self.hom_keys = tuple(
+            (i, j, h) for i in range(n) for j in range(n) for h in range(len(self.homs[i][j]))
         )
-        self.words = self._word_order()
+        self._close()
 
-    def _word_order(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        """Every hom that is neither an identity nor a generator, once, as
-        (i, j, k, a, b, c): homs[i][k][c] = g.w for the generator g =
-        homs[j][k][b] and w = homs[i][j][a], where w is a generator or comes
-        earlier in the list.
-
-        Homs are reached breadth first from the generators through the
-        composite table; a hom that is never reached raises InvariantViolation.
-        """
-        n = len(self.objects)
-        reached = [[bytearray(len(self.homs[i][j])) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            reached[i][i][self.identity_index[i]] = 1
-        leaving: list[list[int]] = [[] for _ in range(n)]  # generator positions by domain
-        for p, (i, j, h) in enumerate(self.generators):
-            reached[i][j][h] = 1
-            leaving[i].append(p)
-        queue = list(self.generators)  # grows while it is read: breadth first
-        words = []
-        for i, j, a in queue:
-            for p in leaving[j]:
-                _, k, b = self.generators[p]
-                c = self.composite[p][i][a]
-                if not reached[i][k][c]:
-                    reached[i][k][c] = 1
-                    words.append((i, j, k, a, b, c))
-                    queue.append((i, k, c))
-        for i in range(n):
-            for j in range(n):
-                h = reached[i][j].find(0)
-                if h >= 0:
-                    raise InvariantViolation(f"hom ({i},{j},{h}) is no word in the generators")
-        return tuple(words)
-
-    def _greedy_generators(self) -> tuple[tuple[int, int, int], ...]:
-        """Homs (i, j, h) such that every hom is a word in them (or an identity).
+    def _close(self):
+        """Pick the generators and write every other hom as a word in them.
 
         Candidates are visited by larger object, then non-endomorphisms first,
         then nearer objects first, then larger image first; a candidate becomes
         a generator only when the words in the earlier generators miss it.  On
         the chain site this keeps exactly the cofaces and codegeneracies.
+
+        Sets generators (i, j, h); composite, where composite[p][i][a] is the
+        index in homs[i][k] of g.w for the p-th generator g = homs[j][k][b]
+        and w = homs[i][j][a]; and words, every hom that is neither an
+        identity nor a generator, once, as (i, j, k, a, b, c): homs[i][k][c]
+        = g.w for the generator g = homs[j][k][b] and w = homs[i][j][a],
+        where w is a generator or comes earlier in the list.
         """
         n = len(self.objects)
-        reached = [[set() for _ in range(n)] for _ in range(n)]
+        homs, index = self.homs, self._index
+        reached = [[bytearray(len(homs[i][j])) for j in range(n)] for i in range(n)]
         for i in range(n):
-            reached[i][i].add(tuple(range(self.objects[i].size)))
-        leaving: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
+            reached[i][i][self.identity_index[i]] = 1
+        leaving: list[list[int]] = [[] for _ in range(n)]  # generator positions by domain
+        generators, composite, words = [], [], []
 
         def order(key):
             i, j, h = key
-            return (max(i, j), i == j, abs(i - j), -len(set(self.homs[i][j][h].image)), key)
+            return (max(i, j), i == j, abs(i - j), -len(set(homs[i][j][h].image)), key)
 
-        candidates = sorted(
-            ((i, j, h) for i in range(n) for j in range(n) for h in range(len(self.homs[i][j]))),
-            key=order,
-        )
-        generators = []
-        for i, j, h in candidates:
-            image = self.homs[i][j][h].image
-            if image in reached[i][j]:
+        for j, k, b in sorted(self.hom_keys, key=order):
+            if reached[j][k][b]:
                 continue
-            generators.append((i, j, h))
-            leaving[i].append((j, image))
-            # new words: g . w for the words w so far, closed under postcomposition
-            stack = [(a, j, tuple(image[x] for x in w)) for a in range(n) for w in reached[a][i]]
+            image = homs[j][k][b].image
+            leaving[j].append(len(generators))
+            generators.append((j, k, b))
+            composite.append(tuple(
+                tuple(index[i][k][tuple(map(image.__getitem__, w.image))] for w in homs[i][j])
+                for i in range(n)
+            ))
+            reached[j][k][b] = 1
+            # stack: homs still to be postcomposed with every generator out of
+            # their codomain; g itself, and the homs reached so far into its
+            # domain, which only g can take somewhere new
+            stack = [(j, k, b)] + [
+                (i, j, a) for i in range(n) for a, r in enumerate(reached[i][j]) if r
+            ]
             while stack:
-                a, b, word = stack.pop()
-                if word in reached[a][b]:
-                    continue
-                reached[a][b].add(word)
-                for c, g in leaving[b]:
-                    stack.append((a, c, tuple(g[x] for x in word)))
-        return tuple(generators)
+                i, j2, a = stack.pop()
+                for p in leaving[j2]:
+                    _, k2, b2 = generators[p]
+                    c = composite[p][i][a]
+                    if not reached[i][k2][c]:
+                        reached[i][k2][c] = 1
+                        words.append((i, j2, k2, a, b2, c))
+                        stack.append((i, k2, c))
+        self.generators = tuple(generators)
+        self.composite = tuple(composite)
+        self.words = tuple(words)
 
     def hom_index(self, i: int, j: int, image: tuple[int, ...]) -> int:
         return self._index[i][j][image]
@@ -241,41 +218,53 @@ class Presheaf:
         return self.actions[(i, j, h)]
 
     def validate(self):
-        """Check shapes, ranges, the identity law and X(g.w) = X(w)X(g) for
-        generators g; raise InvariantViolation on the first failure.
+        """Check the tables given, complete the others, then check the laws;
+        raise InvariantViolation on the first failure.
 
-        There must be exactly one table per hom of the site: a key that names
-        no hom is rejected, since pushouts iterate over every table.
-        Ranges are checked by min/max.  The index of g.w comes from the site's
-        composite table, and X(w)X(g) is a C-level gather, so each (generator,
-        hom) pair costs one gather and one comparison.
+        Each key must name a hom, and each table given must have the right
+        shape and range (by min/max) and be the identity at an identity.  A
+        missing identity table is the identity and a missing word table g.w
+        is the gather X(w)X(g), so the generator tables fix the rest.  Then
+        X(g.w) = X(w)X(g) is checked for every generator g and hom w, given
+        tables included: the index of g.w comes from the site's composite
+        table, and each pair costs one C-level gather and one comparison.
         """
         site = self.site
         n = len(site.objects)
         if len(self.cells) != n:
             raise InvariantViolation("one cell count per site object required")
-        # tables[i][j][h] is the table of homs[i][j][h]
-        tables: list[list[list[tuple[int, ...]]]] = [[] for _ in range(n)]
-        homs = 0
-        for i in range(n):
-            for j in range(n):
-                row = []
-                for h in range(len(site.homs[i][j])):
-                    tab = self.actions.get((i, j, h))
-                    if tab is None or len(tab) != self.cells[j]:
-                        raise InvariantViolation(f"missing or misshapen action table ({i},{j},{h})")
-                    if tab and (min(tab) < 0 or max(tab) >= self.cells[i]):
-                        raise InvariantViolation(f"action table ({i},{j},{h}) out of range")
-                    row.append(tab)
-                homs += len(row)
-                tables[i].append(row)
-            if tables[i][i][site.identity_index[i]] != tuple(range(self.cells[i])):
+        actions = self.actions
+        surplus = len(set(actions).difference(site.hom_keys))
+        if surplus:
+            raise InvariantViolation(f"{surplus} action table(s) for homs the site does not have")
+        for (i, j, h), tab in actions.items():
+            if len(tab) != self.cells[j]:
+                raise InvariantViolation(f"missing or misshapen action table ({i},{j},{h})")
+            if tab and (min(tab) < 0 or max(tab) >= self.cells[i]):
+                raise InvariantViolation(f"action table ({i},{j},{h}) out of range")
+        # tables[i][j][h] is the table of homs[i][j][h]; None if not given, until derived
+        tables = [[[actions.get((i, j, h)) for h in range(len(hs))] for j, hs in enumerate(row)]
+                  for i, row in enumerate(site.homs)]
+        for i, h in enumerate(site.identity_index):
+            identity = tuple(range(self.cells[i]))
+            if tables[i][i][h] not in (None, identity):
                 raise InvariantViolation(f"identity law fails at object {i}")
-        # every hom has its table, so a surplus can only be keys of no hom
-        if len(self.actions) != homs:
-            raise InvariantViolation(
-                f"{len(self.actions) - homs} action table(s) for homs the site does not have"
-            )
+            tables[i][i][h] = identity
+        # one gather per generator, reused by every word that ends in it;
+        # each holds a copy of its table, so they go once the words are done
+        along: dict[tuple[int, int, int], Callable] = {}
+        for i, j, k, a, b, c in site.words:
+            w, g = tables[i][j][a], tables[j][k][b]
+            if tables[i][k][c] is None and w is not None and g is not None:
+                if (j, k, b) not in along:
+                    along[(j, k, b)] = _picker(g)
+                tables[i][k][c] = along[(j, k, b)](w)
+        del along
+        flat = [tab for row in tables for tabs in row for tab in tabs]  # in hom_keys order
+        if None in flat:
+            key = site.hom_keys[flat.index(None)]
+            raise InvariantViolation("missing or misshapen action table (%d,%d,%d)" % key)
+        self.actions = dict(zip(site.hom_keys, flat))
         # X(g.w) = X(w)X(g) for generators g and all homs w gives X(u.w) =
         # X(w)X(u) for every hom u, by induction on the length of u as a word.
         for (j, k, b), composite in zip(site.generators, site.composite):
@@ -360,24 +349,17 @@ def representable(site: PosetSite, P: Poset) -> Presheaf:
     """Cells at Q are the monotone maps Q -> P; action is precomposition.
 
     P need not be an object of the site (restricted representable).  The
-    tables of the identities and generators send each cell g to the index
-    of g.f: the image of g.f is gathered from g's image by an itemgetter on
-    f's image, and looked up in the cell index, both in C.  Every other hom
-    is g.w along the site's word order, with w built before it, and its
-    table is X(w)X(g), one gather of X(w) along X(g).
+    table of each generator f sends each cell g to the index of g.f: the
+    image of g.f is gathered from g's image by an itemgetter on f's image,
+    and looked up in the cell index, both in C.  Presheaf completes the
+    identity and word tables from these.
     """
-    n = len(site.objects)
     images = [[g.image for g in catalog.monotone_maps(Q, P)] for Q in site.objects]
     index = [{img: c for c, img in enumerate(imgs)} for imgs in images]
     actions = {}
-    for i, j, h in [(i, i, site.identity_index[i]) for i in range(n)] + list(site.generators):
+    for i, j, h in site.generators:
         pick = _picker(site.homs[i][j][h].image)
         actions[(i, j, h)] = tuple(map(index[i].__getitem__, map(pick, images[j])))
-    # one gather per generator, reused by every word that ends in it
-    along = {g: _picker(actions[g]) for g in site.generators}
-    for i, j, k, a, b, c in site.words:
-        actions[(i, k, c)] = along[(j, k, b)](actions[(i, j, a)])
-    del along  # each gather holds a copy of its table: free them before validate runs
     return Presheaf(site, [len(imgs) for imgs in images], actions)
 
 
@@ -405,18 +387,21 @@ def simplex(n: int, d: int) -> Presheaf:
 
 
 def subpresheaf(X: Presheaf, keep: Sequence[Iterable[int]]) -> tuple[Presheaf, PresheafMap]:
-    """Sub-presheaf on the given cells (must be closed under the actions)."""
+    """Sub-presheaf on the given cells (must be closed under the actions).
+
+    Only the generator tables are restricted: a selection closed under the
+    generators is closed under every hom, since each is a word in them, and
+    Presheaf completes the other tables of the sub-presheaf.
+    """
     kept = [sorted(set(k)) for k in keep]
     pos = [{c: s for s, c in enumerate(ks)} for ks in kept]
-    picks = [_picker(ks) for ks in kept]
-    site = X.site
     actions = {}
-    for (i, j, h), tab in X.actions.items():
-        sub_tab = tuple(map(pos[i].get, picks[j](tab)))
+    for i, j, h in X.site.generators:
+        sub_tab = tuple(map(pos[i].get, _picker(kept[j])(X.actions[(i, j, h)])))
         if None in sub_tab:
             raise InvariantViolation("cell selection is not closed under the actions")
         actions[(i, j, h)] = sub_tab
-    sub = Presheaf(site, [len(ks) for ks in kept], actions)
+    sub = Presheaf(X.site, [len(ks) for ks in kept], actions)
     incl = PresheafMap(sub, X, [tuple(ks) for ks in kept])
     return sub, incl
 
@@ -635,7 +620,11 @@ def left_kan_map(
 
 
 def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, PresheafMap]:
-    """Levelwise pushout of sets along the shared source, with cocone maps."""
+    """Levelwise pushout of sets along the shared source, with cocone maps.
+
+    Cells are glued levelwise by union-find; the generator tables of the
+    quotient are read off those of B and C, and Presheaf completes the rest.
+    """
     if f.source != g.source:
         raise SiteMismatch("pushout legs must share their source presheaf")
     A, B, C = f.source, f.target, g.target
@@ -645,33 +634,26 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
     for i in range(n):
         nb, nc = B.cells[i], C.cells[i]
         uf = _UnionFind(nb + nc)
-        for a in range(A.cells[i]):
-            uf.union(f.components[i][a], nb + g.components[i][a])
-        label_of_root: dict[int, int] = {}
-        lb = [label_of_root.setdefault(uf.find(x), len(label_of_root)) for x in range(nb)]
-        lc = [
-            label_of_root.setdefault(uf.find(nb + x), len(label_of_root))
-            for x in range(nc)
-        ]
-        lab_b.append(lb)
-        lab_c.append(lc)
-        counts.append(len(label_of_root))
+        for x, y in zip(f.components[i], g.components[i]):
+            uf.union(x, nb + y)
+        # labels in order of first root: the B cells first, then the C cells
+        roots: dict[int, int] = {}
+        labels = [roots.setdefault(r, len(roots)) for r in map(uf.find, range(nb + nc))]
+        lab_b.append(labels[:nb])
+        lab_c.append(labels[nb:])
+        counts.append(len(roots))
+    # glue the generator tables only: a quotient that is well defined on
+    # the generators is well defined on their composites, and Presheaf
+    # completes the rest
     actions = {}
-    for (i, j, h), tb in B.actions.items():
-        tc = C.actions[(i, j, h)]
+    for i, j, h in site.generators:
         tab: list[Optional[int]] = [None] * counts[j]
-        for b, lab in enumerate(lab_b[j]):
-            val = lab_b[i][tb[b]]
-            if tab[lab] is None:
-                tab[lab] = val
-            elif tab[lab] != val:
-                raise InvariantViolation("pushout action not well defined on B cells")
-        for c, lab in enumerate(lab_c[j]):
-            val = lab_c[i][tc[c]]
-            if tab[lab] is None:
-                tab[lab] = val
-            elif tab[lab] != val:
-                raise InvariantViolation("pushout action not well defined on C cells")
+        for part, T, lab in (("B", B, lab_b), ("C", C, lab_c)):
+            for x, val in zip(lab[j], map(lab[i].__getitem__, T.actions[(i, j, h)])):
+                if tab[x] is None:
+                    tab[x] = val
+                elif tab[x] != val:
+                    raise InvariantViolation(f"pushout action not well defined on {part} cells")
         if None in tab:
             raise InvariantViolation("pushout cell without representative")
         actions[(i, j, h)] = tuple(tab)
@@ -862,12 +844,7 @@ def site_from_json(data: dict) -> PosetSite:
 
 
 def presheaf_to_json(X: Presheaf) -> dict:
-    actions = {}
-    n = len(X.site.objects)
-    for i in range(n):
-        for j in range(n):
-            for h in range(len(X.site.homs[i][j])):
-                actions[f"{i},{j},{h}"] = list(X.actions[(i, j, h)])
+    actions = {"%d,%d,%d" % key: list(X.actions[key]) for key in X.site.hom_keys}
     return {"site": site_to_json(X.site), "cells": list(X.cells), "actions": actions}
 
 
@@ -875,8 +852,9 @@ def presheaf_from_json(data: dict) -> Presheaf:
     """Inverse of presheaf_to_json; raises SchemaError on a malformed document.
 
     "cells" must be a list of non-negative integers and "actions" an object
-    whose keys are "i,j,h" and whose values are lists of integers; Presheaf
-    then checks shapes, ranges and the functor laws.
+    whose keys are "i,j,h" and whose values are lists of integers, exactly
+    one table per hom of the site: a missing table is rejected here, not
+    completed.  Presheaf then checks shapes, ranges and the functor laws.
     """
     if not isinstance(data, dict):
         raise SchemaError(f"presheaf must be a JSON object, got {type(data).__name__}")
@@ -893,4 +871,8 @@ def presheaf_from_json(data: dict) -> Presheaf:
         if not isinstance(tab, list) or not all(_is_int(v) for v in tab):
             raise SchemaError(f"action table {key!r} must be a list of integers")
         actions[tuple(int(v) for v in parts)] = tuple(tab)
-    return Presheaf(site_from_json(data.get("site")), cells, actions)
+    site = site_from_json(data.get("site"))
+    missing = [key for key in site.hom_keys if key not in actions]
+    if missing:
+        raise InvariantViolation("missing action table (%d,%d,%d)" % missing[0])
+    return Presheaf(site, cells, actions)

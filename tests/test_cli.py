@@ -208,6 +208,19 @@ class TestKanPresheaf:
         assert code == 2 and out == ""
         assert "homs the site does not have" in err and "Traceback" not in err
 
+    def test_missing_word_table_exits_2(self, capsys, tmp_path):
+        from posetcat import presheaf as ps
+        from posetcat.poset import chain
+
+        X = ps.representable(ps.delta_site(2), chain(1))
+        i, _, k, _, _, c = X.site.words[-1]
+        data = ps.presheaf_to_json(X)
+        del data["actions"][f"{i},{k},{c}"]
+        path = write_json(tmp_path, "short.json", data)
+        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+        assert code == 2 and out == ""
+        assert f"missing action table ({i},{k},{c})" in err and "Traceback" not in err
+
 
 class TestInputPosetBound:
     @pytest.mark.parametrize(
@@ -386,6 +399,24 @@ class TestVerifyAllFlags:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
+
+    def test_error_inside_a_check_fails_that_check(self, capsys, monkeypatch):
+        # a defect that builds a non-monotone map raises ValueError from
+        # MonotoneMap: the audit failed, the input was fine
+        from posetcat import checks
+
+        def broken():
+            raise ValueError("not monotone on 2 <= 3")
+
+        monkeypatch.setattr(checks, "check_contracting_homotopies", broken)
+        code, out, err = run(capsys, ["verify-all"])
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert len(report["checks"]) == 12
+        failed = [c for c in report["checks"] if c["status"] != "pass"]
+        assert [(c["name"], c["error"]) for c in failed] == [
+            ("contracting-homotopies", "not monotone on 2 <= 3")
+        ]
 
     def test_bad_dim_exits_2(self, capsys):
         code, _, err = run(capsys, ["verify-all", "--max-dim", "99"])

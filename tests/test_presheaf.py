@@ -221,6 +221,17 @@ class TestGeneratorValidation:
         with pytest.raises(InvariantViolation):
             bad.validate()
 
+    def test_degeneracy_must_split_the_faces_from_generator_tables(self):
+        # the same presheaf given by its generator tables alone: the
+        # completed endomorphism tables do not hide the broken law
+        site = ps.delta_site(1)
+        actions = {(1, 0, 0): (0, 0), (0, 1, 0): (0,), (0, 1, 1): (0,)}
+        assert set(actions) == set(site.generators)
+        bad = ps.Presheaf(site, [2, 1], actions, validate=False)
+        with pytest.raises(InvariantViolation, match="composition law fails"):
+            bad.validate()
+        assert not full_pair_functorial(bad)
+
     @pytest.mark.parametrize("edge_image", [(0, 2, 2), (0, 0, 2)])
     def test_edge_map_must_respect_each_vertex(self, edge_image):
         # y[1] -> y[1], identity on vertices, the edge 0->1 sent to a loop
@@ -363,6 +374,16 @@ class TestGatherTables:
             sub, _ = ps.subpresheaf(X, keep)
             assert (sub.cells, sub.actions) == expected
 
+    @pytest.mark.parametrize(
+        "kind,d,P", GATHER_CASES, ids=[f"{k}{d}-{P.size}" for k, d, P in GATHER_CASES]
+    )
+    def test_generator_tables_fix_the_presheaf(self, kind, d, P):
+        site = gather_site(kind, d)
+        X = ps.representable(site, P)
+        keys = {(i, i, h) for i, h in enumerate(site.identity_index)} | set(site.generators)
+        assert ps.Presheaf(site, X.cells, {key: X.actions[key] for key in keys}) == X
+        assert ps.Presheaf(site, X.cells, {g: X.actions[g] for g in site.generators}) == X
+
     def test_edge_site_uses_short_gathers(self):
         site = ps.PosetSite(EDGE_SITE_OBJECTS)
         lengths = {len(f.image) for row in site.homs for hs in row for f in hs}
@@ -431,11 +452,15 @@ class TestCompositeTable:
         assert len(site_homs(site)) == 456 and len(site.generators) == 24
         assert len(site.words) == 427
 
-    def test_unreached_hom_is_rejected(self, monkeypatch):
-        full = ps.PosetSite._greedy_generators
-        monkeypatch.setattr(ps.PosetSite, "_greedy_generators", lambda self: full(self)[:-1])
-        with pytest.raises(InvariantViolation, match="no word in the generators"):
-            ps.PosetSite([chain(0), chain(1), chain(2)])
+    def test_unreached_hom_is_rejected(self):
+        # without its last word the site has a hom whose table no generator
+        # table determines, so a presheaf given by generator tables lacks it
+        site = ps.PosetSite([chain(0), chain(1), chain(2)])
+        i, _, k, _, _, c = site.words[-1]
+        site.words = site.words[:-1]
+        missing = rf"missing or misshapen action table \({i},{k},{c}\)"
+        with pytest.raises(InvariantViolation, match=missing):
+            ps.representable(site, chain(1))
 
     def test_unreached_hom_is_rejected_under_python_O(self):
         src = os.path.dirname(os.path.dirname(ps.__file__))
@@ -453,10 +478,10 @@ import sys
 from posetcat import presheaf as ps
 from posetcat.errors import InvariantViolation
 from posetcat.poset import chain
-full = ps.PosetSite._greedy_generators
-ps.PosetSite._greedy_generators = lambda self: full(self)[:-1]
+site = ps.PosetSite([chain(0), chain(1), chain(2)])
+site.words = site.words[:-1]
 try:
-    ps.PosetSite([chain(0), chain(1), chain(2)])
+    ps.representable(site, chain(1))
     print("accepted")
 except InvariantViolation as exc:
     print(type(exc).__name__)
@@ -651,6 +676,18 @@ class TestPushout:
         g = ps.PresheafMap(empty, C, [(), ()])
         P, _, _ = ps.pushout(f, g)
         assert P.cells == tuple(b + c for b, c in zip(B.cells, C.cells))
+
+    def test_quotient_must_be_well_defined_on_generators(self):
+        # a leg that is not natural: the vertex of y[0] goes to vertex 0 of
+        # y[1], its degenerate edge to the degenerate edge at vertex 1; the
+        # other leg is the identity, so each face of the glued edge would be
+        # both vertex 1 and the glued vertex 0
+        site = ps.delta_site(1)
+        A, B = ps.representable(site, chain(0)), ps.representable(site, chain(1))
+        edges = [f.image for f in catalog.monotone_maps(chain(1), chain(1))]
+        f = ps.PresheafMap(A, B, [(0,), (edges.index((1, 1)),)], validate=False)
+        with pytest.raises(InvariantViolation, match="pushout action not well defined"):
+            ps.pushout(f, identity_psmap(A))
 
     def test_source_mismatch(self):
         A = ps.representable(ps.delta_site(1), chain(1))
@@ -1101,6 +1138,15 @@ class TestJson:
         assert ps.presheaf_from_json(data) == coproduct(X, X)
         data["actions"][key] = [1, 1]
         with pytest.raises(InvariantViolation, match="homs the site does not have"):
+            ps.presheaf_from_json(data)
+
+    def test_missing_word_table_rejected(self):
+        # Presheaf completes a missing word table; a JSON document does not
+        X = ps.representable(ps.delta_site(2), chain(1))
+        i, _, k, _, _, c = X.site.words[0]
+        data = ps.presheaf_to_json(X)
+        del data["actions"][f"{i},{k},{c}"]
+        with pytest.raises(InvariantViolation, match=rf"missing action table \({i},{k},{c}\)"):
             ps.presheaf_from_json(data)
 
     def test_cell_counts_must_match_the_site(self):
