@@ -6,17 +6,17 @@ set of generating homs found by greedy closure (on the chain site, exactly the
 cofaces and codegeneracies).  A presheaf is given by a cell count per object
 and its generator tables: a functor is fixed by its values on generators
 (Mac Lane, Categories for the Working Mathematician, II.8).  The closure
-that picks the generators also stores, once, the index of every composite
-g.w of a generator g with a hom w into its domain, and writes each hom other
-than the identities and generators as such a word g.w with w earlier.
-Presheaf completes the identity and word tables along those words, as
-X(g.w) = X(w)X(g), and then checks that law for every generator g and hom w;
-so a presheaf holds one table per hom, and a key that names no hom of the
-site is rejected.  Naturality of maps between presheaves, sub-presheaves,
-pushouts and the unions behind left Kan extension are likewise checked or
-taken along generators only.  Action tables are built and checked by gathers
-that run in C (itemgetter over a cell index, see _picker), not one cell at a
-time.
+that picks the generators records each pair of a generator g and a
+non-identity hom w into its domain once, as a step (g, w, g.w).  Presheaf
+runs the steps in order, one gather each: X(w)X(g) becomes the table of g.w
+if that hom has none yet and is compared with it otherwise.  So the
+generator tables fix the others, the law X(g.w) = X(w)X(g) is checked for
+every generator g and hom w, a presheaf holds one table per hom, and a key
+that names no hom of the site is rejected.  Naturality of maps between
+presheaves, sub-presheaves, pushouts and the unions behind left Kan
+extension are likewise checked or taken along generators only.  Action
+tables are built and checked by gathers that run in C (itemgetter over a
+cell index, see _picker), not one cell at a time.
 Everything downstream (left Kan extension along the inclusion of chains
 into complete posets, horns, pushouts) is finite and checked exhaustively
 at construction time.  The standard simplex Delta[n] on the chain site
@@ -35,7 +35,7 @@ other phi is in the class of (surj, X(inj) c).
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import catalog
@@ -109,61 +109,69 @@ class PosetSite:
         self._close()
 
     def _close(self):
-        """Pick the generators and write every other hom as a word in them.
+        """Pick the generators and record, as steps, how they compose.
 
         Candidates are visited by larger object, then non-endomorphisms first,
         then nearer objects first, then larger image first; a candidate becomes
-        a generator only when the words in the earlier generators miss it.  On
-        the chain site this keeps exactly the cofaces and codegeneracies.
+        a generator only when the composites of the earlier generators miss
+        it.  On the chain site this keeps exactly the cofaces and
+        codegeneracies.
 
-        Sets generators (i, j, h); composite, where composite[p][i][a] is the
-        index in homs[i][k] of g.w for the p-th generator g = homs[j][k][b]
-        and w = homs[i][j][a]; and words, every hom that is neither an
-        identity nor a generator, once, as (i, j, k, a, b, c): homs[i][k][c]
-        = g.w for the generator g = homs[j][k][b] and w = homs[i][j][a],
-        where w is a generator or comes earlier in the list.
+        Each pair of a generator g and a non-identity hom w into dom g is
+        visited once: a new generator meets the homs reached before it, and
+        each hom reached from then on, the generator first, meets every
+        generator out of its codomain.  Sets generators, as (i, j, h), and
+        steps, a flat tuple p0, w0, c0, p1, w1, c1, ... with one triple per
+        visit: hom_keys[c] is g.w for the p-th generator g and w =
+        hom_keys[w], where w is a generator or the c of an earlier step.
+        Flat, because a tuple per step would cost 64 bytes more each; the
+        positions are the int objects of one dict, so they are shared.
+        Every hom other than the identities and generators is the c of a step.
         """
         n = len(self.objects)
-        homs, index = self.homs, self._index
-        reached = [[bytearray(len(homs[i][j])) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            reached[i][i][self.identity_index[i]] = 1
-        leaving: list[list[int]] = [[] for _ in range(n)]  # generator positions by domain
-        generators, composite, words = [], [], []
+        homs, index, keys = self.homs, self._index, self.hom_keys
+        position = {key: x for x, key in enumerate(keys)}
+        reached = bytearray(len(keys))
+        for i, h in enumerate(self.identity_index):
+            reached[position[(i, i, h)]] = 1
+        into: list[list[int]] = [[] for _ in range(n)]  # reached non-identity homs by codomain
+        leaving: list[list[int]] = [[] for _ in range(n)]  # generator numbers p by domain
+        generators: list[tuple[int, int, int]] = []
+        steps: list[int] = []
+        fresh: list[int] = []  # homs reached but not yet met by the generators
+
+        def step(p: int, w: int):
+            _, k, b = generators[p]
+            i, j, a = keys[w]
+            image = homs[j][k][b].image
+            c = position[(i, k, index[i][k][tuple(map(image.__getitem__, homs[i][j][a].image))])]
+            steps.extend((p, w, c))
+            if not reached[c]:
+                reached[c] = 1
+                fresh.append(c)
 
         def order(key):
             i, j, h = key
             return (max(i, j), i == j, abs(i - j), -len(set(homs[i][j][h].image)), key)
 
-        for j, k, b in sorted(self.hom_keys, key=order):
-            if reached[j][k][b]:
+        for key in sorted(keys, key=order):
+            g, j = position[key], key[0]
+            if reached[g]:
                 continue
-            image = homs[j][k][b].image
+            reached[g] = 1
             leaving[j].append(len(generators))
-            generators.append((j, k, b))
-            composite.append(tuple(
-                tuple(index[i][k][tuple(map(image.__getitem__, w.image))] for w in homs[i][j])
-                for i in range(n)
-            ))
-            reached[j][k][b] = 1
-            # stack: homs still to be postcomposed with every generator out of
-            # their codomain; g itself, and the homs reached so far into its
-            # domain, which only g can take somewhere new
-            stack = [(j, k, b)] + [
-                (i, j, a) for i in range(n) for a, r in enumerate(reached[i][j]) if r
-            ]
-            while stack:
-                i, j2, a = stack.pop()
-                for p in leaving[j2]:
-                    _, k2, b2 = generators[p]
-                    c = composite[p][i][a]
-                    if not reached[i][k2][c]:
-                        reached[i][k2][c] = 1
-                        words.append((i, j2, k2, a, b2, c))
-                        stack.append((i, k2, c))
+            generators.append(key)
+            fresh.append(g)
+            for w in into[j]:
+                step(len(generators) - 1, w)
+            while fresh:
+                w = fresh.pop()
+                cod = keys[w][1]
+                into[cod].append(w)
+                for p in leaving[cod]:
+                    step(p, w)
         self.generators = tuple(generators)
-        self.composite = tuple(composite)
-        self.words = tuple(words)
+        self.steps = tuple(steps)
 
     def hom_index(self, i: int, j: int, image: tuple[int, ...]) -> int:
         return self._index[i][j][image]
@@ -218,20 +226,21 @@ class Presheaf:
         return self.actions[(i, j, h)]
 
     def validate(self):
-        """Check the tables given, complete the others, then check the laws;
-        raise InvariantViolation on the first failure.
+        """Check the tables given, complete the others along the site's steps
+        and check the laws; raise InvariantViolation on the first failure.
 
         Each key must name a hom, and each table given must have the right
-        shape and range (by min/max) and be the identity at an identity.  A
-        missing identity table is the identity and a missing word table g.w
-        is the gather X(w)X(g), so the generator tables fix the rest.  Then
-        X(g.w) = X(w)X(g) is checked for every generator g and hom w, given
-        tables included: the index of g.w comes from the site's composite
-        table, and each pair costs one C-level gather and one comparison.
+        shape and range (by min/max) and be the identity at an identity.
+        Every generator table must be given.  Then each step (p, w, c) of
+        the site costs one C-level gather, X(w)X(g) for the p-th generator
+        g: it becomes the table of c = g.w if that hom has none yet, and is
+        compared with it otherwise.  The steps cover every pair of a
+        generator g and a non-identity hom w into its domain, and at w an
+        identity the law holds trivially, so X(g.w) = X(w)X(g) holds for
+        every generator g and hom w.
         """
         site = self.site
-        n = len(site.objects)
-        if len(self.cells) != n:
+        if len(self.cells) != len(site.objects):
             raise InvariantViolation("one cell count per site object required")
         actions = self.actions
         surplus = len(set(actions).difference(site.hom_keys))
@@ -242,42 +251,32 @@ class Presheaf:
                 raise InvariantViolation(f"missing or misshapen action table ({i},{j},{h})")
             if tab and (min(tab) < 0 or max(tab) >= self.cells[i]):
                 raise InvariantViolation(f"action table ({i},{j},{h}) out of range")
-        # tables[i][j][h] is the table of homs[i][j][h]; None if not given, until derived
-        tables = [[[actions.get((i, j, h)) for h in range(len(hs))] for j, hs in enumerate(row)]
-                  for i, row in enumerate(site.homs)]
+        given = dict(actions)
         for i, h in enumerate(site.identity_index):
             identity = tuple(range(self.cells[i]))
-            if tables[i][i][h] not in (None, identity):
+            if given.setdefault((i, i, h), identity) != identity:
                 raise InvariantViolation(f"identity law fails at object {i}")
-            tables[i][i][h] = identity
-        # one gather per generator, reused by every word that ends in it;
-        # each holds a copy of its table, so they go once the words are done
-        along: dict[tuple[int, int, int], Callable] = {}
-        for i, j, k, a, b, c in site.words:
-            w, g = tables[i][j][a], tables[j][k][b]
-            if tables[i][k][c] is None and w is not None and g is not None:
-                if (j, k, b) not in along:
-                    along[(j, k, b)] = _picker(g)
-                tables[i][k][c] = along[(j, k, b)](w)
-        del along
-        flat = [tab for row in tables for tabs in row for tab in tabs]  # in hom_keys order
-        if None in flat:
-            key = site.hom_keys[flat.index(None)]
-            raise InvariantViolation("missing or misshapen action table (%d,%d,%d)" % key)
-        self.actions = dict(zip(site.hom_keys, flat))
+        # tables[x] is the table of hom_keys[x]; None if not given, until derived
+        tables = list(map(given.get, site.hom_keys))
+        for key in site.generators:
+            if key not in actions:
+                raise InvariantViolation("missing or misshapen action table (%d,%d,%d)" % key)
+        pick = [_picker(actions[key]) for key in site.generators]
         # X(g.w) = X(w)X(g) for generators g and all homs w gives X(u.w) =
         # X(w)X(u) for every hom u, by induction on the length of u as a word.
-        for (j, k, b), composite in zip(site.generators, site.composite):
-            pick = _picker(tables[j][k][b])
-            for i in range(n):
-                # X(g.w) against X(w)X(g): one gathered table alive at a time
-                stored = map(tables[i][k].__getitem__, composite[i])
-                differs = list(map(ne, map(pick, tables[i][j]), stored))
-                if True in differs:
-                    a = differs.index(True)
-                    raise InvariantViolation(
-                        f"composition law fails for ({i},{j},{k}) homs ({a},{b})"
-                    )
+        steps = iter(site.steps)
+        for p, w, c in zip(steps, steps, steps):
+            tab = pick[p](tables[w])
+            if tables[c] is None:
+                tables[c] = tab
+            elif tables[c] != tab:
+                i, j, a = site.hom_keys[w]
+                _, k, b = site.generators[p]
+                raise InvariantViolation(f"composition law fails for ({i},{j},{k}) homs ({a},{b})")
+        if None in tables:
+            key = site.hom_keys[tables.index(None)]
+            raise InvariantViolation("missing or misshapen action table (%d,%d,%d)" % key)
+        self.actions = dict(zip(site.hom_keys, tables))
 
     def __eq__(self, other):
         return (
@@ -352,7 +351,7 @@ def representable(site: PosetSite, P: Poset) -> Presheaf:
     table of each generator f sends each cell g to the index of g.f: the
     image of g.f is gathered from g's image by an itemgetter on f's image,
     and looked up in the cell index, both in C.  Presheaf completes the
-    identity and word tables from these.
+    other tables from these.
     """
     images = [[g.image for g in catalog.monotone_maps(Q, P)] for Q in site.objects]
     index = [{img: c for c, img in enumerate(imgs)} for imgs in images]
@@ -689,14 +688,12 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
     Iprime = Iset - {i}
     J = frozenset(j for j in range(n) if delta_i.image[j] in Iprime)
 
-    rep_n = simplex(n, d)
     rep_n1 = simplex(n - 1, d)
-    keep_big = _face_union_keep(n, Iset, site)
-    keep_prime = _face_union_keep(n, Iprime, site) if Iprime else [[] for _ in site.objects]
-    keep_small = _face_union_keep(n - 1, J, site) if J else [[] for _ in site.objects]
-    big, _ = subpresheaf(rep_n, keep_big)
-    prime, _ = subpresheaf(rep_n, keep_prime)
-    small, small_incl = subpresheaf(rep_n1, keep_small)
+    big, big_incl = face_union(n, Iset, d)
+    prime, prime_incl = face_union(n, Iprime, d)
+    small, small_incl = face_union(n - 1, J, d)
+    # the kept cells of each, as cells of the ambient simplex
+    keep_big, keep_prime, keep_small = (c.components for c in (big_incl, prime_incl, small_incl))
 
     # positions of kept cells inside the ambient representables
     pos_big = [{c: s for s, c in enumerate(ks)} for ks in keep_big]
@@ -866,11 +863,13 @@ def presheaf_from_json(data: dict) -> Presheaf:
     actions = {}
     for key, tab in raw.items():
         parts = key.split(",")
-        if len(parts) != 3 or not all(v.isdecimal() for v in parts):
+        hom = tuple(map(int, parts)) if all(v.isdecimal() for v in parts) else ()
+        # one spelling per hom, so that "01,0,0" cannot stand in for "1,0,0"
+        if len(hom) != 3 or "%d,%d,%d" % hom != key:
             raise SchemaError(f"action key {key!r} is not of the form \"i,j,h\"")
         if not isinstance(tab, list) or not all(_is_int(v) for v in tab):
             raise SchemaError(f"action table {key!r} must be a list of integers")
-        actions[tuple(int(v) for v in parts)] = tuple(tab)
+        actions[hom] = tuple(tab)
     site = site_from_json(data.get("site"))
     missing = [key for key in site.hom_keys if key not in actions]
     if missing:

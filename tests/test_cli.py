@@ -208,12 +208,27 @@ class TestKanPresheaf:
         assert code == 2 and out == ""
         assert "homs the site does not have" in err and "Traceback" not in err
 
+    def test_second_spelling_of_a_key_exits_2(self, capsys, tmp_path):
+        from posetcat import presheaf as ps
+        from posetcat.poset import chain
+
+        data = ps.presheaf_to_json(ps.representable(ps.delta_site(1), chain(1)))
+        data["actions"]["01,0,0"] = data["actions"]["1,0,0"]
+        data["actions"]["1,0,0"] = [1, 1, 1]
+        path = write_json(tmp_path, "alias.json", data)
+        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+        assert code == 2 and out == ""
+        assert "'01,0,0'" in err and "Traceback" not in err
+
     def test_missing_word_table_exits_2(self, capsys, tmp_path):
         from posetcat import presheaf as ps
         from posetcat.poset import chain
 
         X = ps.representable(ps.delta_site(2), chain(1))
-        i, _, k, _, _, c = X.site.words[-1]
+        site = X.site
+        given = set(site.generators) | {(i, i, h) for i, h in enumerate(site.identity_index)}
+        reached = [site.hom_keys[c] for c in site.steps[2::3]]
+        i, k, c = [key for key in reached if key not in given][-1]
         data = ps.presheaf_to_json(X)
         del data["actions"][f"{i},{k},{c}"]
         path = write_json(tmp_path, "short.json", data)

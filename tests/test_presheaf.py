@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -230,7 +231,7 @@ class TestGeneratorValidation:
         bad = ps.Presheaf(site, [2, 1], actions, validate=False)
         with pytest.raises(InvariantViolation, match="composition law fails"):
             bad.validate()
-        assert not full_pair_functorial(bad)
+        assert not full_pair_functorial(reference_completion(site, [2, 1], actions))
 
     @pytest.mark.parametrize("edge_image", [(0, 2, 2), (0, 0, 2)])
     def test_edge_map_must_respect_each_vertex(self, edge_image):
@@ -406,10 +407,10 @@ class TestGatherTables:
 COMPOSITE_SITES = (
     [("delta", d) for d in range(6)] + [("box", d) for d in range(3)] + [("edge", None)]
 )
-# (generator, hom) pairs: the sum over generators g of the homs into dom g
-COMPOSITE_PAIRS = {("delta", 0): 0, ("delta", 1): 9, ("delta", 2): 80, ("delta", 3): 475,
-                   ("delta", 4): 2424, ("delta", 5): 11515,
-                   ("box", 0): 0, ("box", 1): 9, ("box", 2): 464}
+# steps: the sum over generators g of the non-identity homs into dom g
+STEP_COUNTS = {("delta", 0): 0, ("delta", 1): 6, ("delta", 2): 72, ("delta", 3): 460,
+               ("delta", 4): 2400, ("delta", 5): 11480,
+               ("box", 0): 0, ("box", 1): 6, ("box", 2): 448}
 
 
 def site_homs(site):
@@ -417,60 +418,160 @@ def site_homs(site):
             for h in range(len(hs))]
 
 
+def site_steps(site):
+    """The site's steps as (p, w, c) triples, in order."""
+    steps = iter(site.steps)
+    return list(zip(steps, steps, steps))
+
+
+def identity_keys(site):
+    return {(i, i, h) for i, h in enumerate(site.identity_index)}
+
+
+def derived_homs(site):
+    """The homs that are neither identities nor generators, in the order the
+    steps first reach them."""
+    given = identity_keys(site) | set(site.generators)
+    reached = [site.hom_keys[c] for _, _, c in site_steps(site)]
+    return [key for key in dict.fromkeys(reached) if key not in given]
+
+
+def drop_hom(site):
+    """Leave the last hom the steps reach unreached: drop every step into or
+    out of it.  Every other hom keeps the step that first reaches it, since
+    that step comes earlier.  Returns its key."""
+    x = site.hom_keys.index(derived_homs(site)[-1])
+    kept = [t for t in site_steps(site) if x not in t[1:]]
+    site.steps = tuple(v for t in kept for v in t)
+    return site.hom_keys[x]
+
+
 class TestCompositeTable:
+    """The site's steps: each is a generator g, a hom w into dom g and the
+    position of their composite g.w, so together they are the table of
+    composites that Presheaf.validate derives and checks along."""
+
     @pytest.mark.parametrize("kind,d", COMPOSITE_SITES, ids=[f"{k}{d}" for k, d in COMPOSITE_SITES])
     def test_entries_are_the_composites(self, kind, d):
         site = gather_site(kind, d)
-        assert len(site.composite) == len(site.generators)
-        pairs = 0
-        for (j, k, b), row in zip(site.generators, site.composite):
-            g = site.homs[j][k][b]
-            assert len(row) == len(site.objects)
-            for i, entries in enumerate(row):
-                assert len(entries) == len(site.homs[i][j])
-                for w, c in zip(site.homs[i][j], entries):
-                    assert c == site.hom_index(i, k, compose(g, w).image)
-                pairs += len(entries)
-        if (kind, d) in COMPOSITE_PAIRS:
-            assert pairs == COMPOSITE_PAIRS[(kind, d)]
+        for p, w, c in site_steps(site):
+            j, k, b = site.generators[p]
+            i, j2, a = site.hom_keys[w]
+            assert j2 == j
+            g, f = site.homs[j][k][b], site.homs[i][j][a]
+            assert site.hom_keys[c] == (i, k, site.hom_index(i, k, compose(g, f).image))
+        # each pair of a generator and a non-identity hom into its domain, once
+        pairs = [(p, w) for p, w, _ in site_steps(site)]
+        identities = identity_keys(site)
+        expected = {
+            (p, x) for p, (j, _, _) in enumerate(site.generators)
+            for x, key in enumerate(site.hom_keys) if key[1] == j and key not in identities
+        }
+        assert len(pairs) == len(set(pairs)) and set(pairs) == expected
+        if (kind, d) in STEP_COUNTS:
+            assert len(pairs) == STEP_COUNTS[(kind, d)]
 
     @pytest.mark.parametrize("kind,d", COMPOSITE_SITES, ids=[f"{k}{d}" for k, d in COMPOSITE_SITES])
     def test_word_order_writes_each_other_hom_once(self, kind, d):
+        # each step starts from a generator or from a hom an earlier step
+        # reached, and the steps reach every other hom
         site = gather_site(kind, d)
-        identities = {(i, i, site.identity_index[i]) for i in range(len(site.objects))}
-        built = set(site.generators)  # tables a word may start from
-        position = {g: p for p, g in enumerate(site.generators)}
-        for i, j, k, a, b, c in site.words:
-            assert (i, j, a) in built
-            assert site.composite[position[(j, k, b)]][i][a] == c
-            assert (i, k, c) not in built | identities
-            built.add((i, k, c))
-        assert built | identities == set(site_homs(site))
+        built = {site.hom_keys.index(g) for g in site.generators}
+        for _, w, c in site_steps(site):
+            assert w in built
+            built.add(c)
+        reached = {site.hom_keys[x] for x in built}
+        assert reached | identity_keys(site) == set(site_homs(site))
 
     def test_delta4_word_count(self):
         site = ps.delta_site(4)
         assert len(site_homs(site)) == 456 and len(site.generators) == 24
-        assert len(site.words) == 427
+        assert len(site_steps(site)) == 2400
+        assert len(derived_homs(site)) == 456 - 5 - 24 == 427
 
     def test_unreached_hom_is_rejected(self):
-        # without its last word the site has a hom whose table no generator
-        # table determines, so a presheaf given by generator tables lacks it
+        # a hom no step reaches gets no table from the generator tables, so
+        # a presheaf given by them lacks it
         site = ps.PosetSite([chain(0), chain(1), chain(2)])
-        i, _, k, _, _, c = site.words[-1]
-        site.words = site.words[:-1]
+        i, k, c = drop_hom(site)
         missing = rf"missing or misshapen action table \({i},{k},{c}\)"
         with pytest.raises(InvariantViolation, match=missing):
             ps.representable(site, chain(1))
 
     def test_unreached_hom_is_rejected_under_python_O(self):
         src = os.path.dirname(os.path.dirname(ps.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        tests = os.path.dirname(__file__)
+        path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-O", "-c", UNREACHED_UNDER_O],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["InvariantViolation", "1"]
+
+    def test_corruptions_get_the_reference_verdict(self):
+        # one-entry corruptions of generator-only and of full-table inputs:
+        # Presheaf's verdict and completed tables equal those of derivation
+        # by compose followed by the all-pairs check
+        rng = random.Random(20261018)
+        tried = rejected = 0
+        for X in sample_presheaves()[:6]:
+            generator_only = {g: X.actions[g] for g in X.site.generators}
+            for given in (generator_only, X.actions):
+                keys = [k for k in sorted(given) if given[k] and X.cells[k[0]] >= 2]
+                for _ in range(100):
+                    key = rng.choice(keys)
+                    tab = given[key]
+                    actions = dict(given)
+                    actions[key] = replace_entry(
+                        tab, rng.randrange(len(tab)), rng.randrange(X.cells[key[0]] - 1)
+                    )
+                    reference = reference_completion(X.site, X.cells, actions)
+                    try:
+                        Y = ps.Presheaf(X.site, X.cells, actions)
+                    except InvariantViolation:
+                        assert not full_pair_functorial(reference), (X, key)
+                        rejected += 1
+                    else:
+                        assert full_pair_functorial(reference), (X, key)
+                        assert Y.actions == reference.actions
+                    tried += 1
+        assert tried == 1200 and 0 < rejected < tried
+
+
+@lru_cache(maxsize=None)
+def compose_words(site):
+    """Each hom other than the identities and generators, once, as (g, w, u)
+    with u = g.w by compose, where w is a generator or an earlier u; found
+    breadth first from the generators."""
+    known = identity_keys(site) | set(site.generators)
+    words, frontier = [], list(site.generators)
+    while frontier:
+        new = []
+        for i, j, a in frontier:
+            for j2, k, b in site.generators:
+                if j2 != j:
+                    continue
+                image = compose(site.homs[j][k][b], site.homs[i][j][a]).image
+                u = (i, k, site.hom_index(i, k, image))
+                if u not in known:
+                    known.add(u)
+                    words.append(((j, k, b), (i, j, a), u))
+                    new.append(u)
+        frontier = new
+    return tuple(words)
+
+
+def reference_completion(site, cells, actions):
+    """Unvalidated presheaf with the missing identity tables and the missing
+    tables X(g.w) = X(w)X(g) along compose_words filled in."""
+    tables = dict(actions)
+    for i, h in enumerate(site.identity_index):
+        tables.setdefault((i, i, h), tuple(range(cells[i])))
+    for g, w, u in compose_words(site):
+        if u not in tables:
+            tables[u] = tuple(tables[w][x] for x in tables[g])
+    return ps.Presheaf(site, cells, tables, validate=False)
 
 
 UNREACHED_UNDER_O = """
@@ -478,8 +579,9 @@ import sys
 from posetcat import presheaf as ps
 from posetcat.errors import InvariantViolation
 from posetcat.poset import chain
+from test_presheaf import drop_hom
 site = ps.PosetSite([chain(0), chain(1), chain(2)])
-site.words = site.words[:-1]
+drop_hom(site)
 try:
     ps.representable(site, chain(1))
     print("accepted")
@@ -1140,10 +1242,21 @@ class TestJson:
         with pytest.raises(InvariantViolation, match="homs the site does not have"):
             ps.presheaf_from_json(data)
 
+    @pytest.mark.parametrize("alias", ["01,0,0", "1,0,00", "\uff11,0,0", "\u0661,0,0"])
+    def test_second_spelling_of_a_key_rejected(self, alias):
+        # the right table of hom (1,0,0) under another spelling of its key
+        # does not stand in for a wrong one under "1,0,0"
+        X = ps.representable(ps.delta_site(1), chain(1))
+        data = ps.presheaf_to_json(X)
+        data["actions"][alias] = data["actions"]["1,0,0"]
+        data["actions"]["1,0,0"] = [1, 1, 1]
+        with pytest.raises(SchemaError, match="is not of the form"):
+            ps.presheaf_from_json(data)
+
     def test_missing_word_table_rejected(self):
         # Presheaf completes a missing word table; a JSON document does not
         X = ps.representable(ps.delta_site(2), chain(1))
-        i, _, k, _, _, c = X.site.words[0]
+        i, k, c = derived_homs(X.site)[0]
         data = ps.presheaf_to_json(X)
         del data["actions"][f"{i},{k},{c}"]
         with pytest.raises(InvariantViolation, match=rf"missing action table \({i},{k},{c}\)"):
