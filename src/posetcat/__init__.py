@@ -51,8 +51,6 @@ from .cube import sort_endomorphism
 from .karoubi import (
     AuditReport,
     Idempotent,
-    RetractCertificate,
-    Splitting,
     audit_cube_idempotents,
     retract_certificate,
     simplex_retract,

@@ -405,11 +405,6 @@ def _retraction_masks(A: Poset, keep: list[int], B: Poset) -> list[int]:
     return allowed
 
 
-def _retractions_onto(A: Poset, keep: list[int], B: Poset):
-    """Monotone retractions A -> B = A|keep, in `_map_search`'s order."""
-    return _map_search(A, B, _retraction_masks(A, keep, B))
-
-
 def enumerate_retracts(max_size: int) -> Iterator[Retract]:
     """All retract diagrams (A, B, r, s) with rs = id and |A| <= max_size.
 
@@ -428,5 +423,5 @@ def enumerate_retracts(max_size: int) -> Iterator[Retract]:
             for mask in range(1, 1 << n):
                 keep = [e for e in range(n) if mask >> e & 1]
                 B, incl = induced_subposet(A, keep)
-                for image in _retractions_onto(A, keep, B):
+                for image in _map_search(A, B, _retraction_masks(A, keep, B)):
                     yield Retract(A, B, incl, MonotoneMap(A, B, image))

@@ -107,7 +107,7 @@ def _cmd_certify(args) -> int:
     _emit(
         {
             "lattice": poset_to_json(C),
-            "cube_dim": cert.cube_dim,
+            "cube_dim": C.size,
             "section": list(cert.section.image),
             "retraction": list(cert.retraction.image),
         }

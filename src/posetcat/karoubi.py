@@ -2,7 +2,8 @@
 
 The two audit directions: every idempotent endomorphism of a cube splits
 through a complete poset, and every complete finite poset embeds as a retract
-of the cube on its elements (down-set section, join retraction).
+of the cube on its elements (down-set section, join retraction).  Both
+directions, and the simplex retract, are `poset.Retract` diagrams.
 
 The cube audit runs over fix sets, not endomorphisms.  An idempotent f is the
 retraction onto S = Fix f = im f, and it splits through S with the induced
@@ -27,6 +28,7 @@ from .poset import (
     Poset,
     Retract,
     chain,
+    compose,
     induced_subposet,
     interval_power,
     is_complete,
@@ -52,52 +54,16 @@ class Idempotent:
             raise NotIdempotent("f . f differs from f")
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """Factorization of an idempotent through its middle poset."""
-
-    idem: Idempotent
-    mid: Poset
-    retraction: MonotoneMap
-    section: MonotoneMap
-
-    def __post_init__(self):
-        r, s, f = self.retraction, self.section, self.idem.map
-        for b in range(self.mid.size):
-            if r.image[s.image[b]] != b:
-                raise NotIdempotent("retraction . section is not the identity")
-        for a in range(f.dom.size):
-            if s.image[r.image[a]] != f.image[a]:
-                raise NotIdempotent("section . retraction differs from the idempotent")
-
-
-@dataclass(frozen=True)
-class RetractCertificate:
-    """Witness that a complete poset is a retract of the cube on its elements.
-
-    section(c) is the indicator vertex of the down-set of c; retraction(x) is
-    the join of the elements indicated by x (bottom for the empty set).
-    """
-
-    lattice: Poset
-    cube_dim: int
-    section: MonotoneMap
-    retraction: MonotoneMap
-
-    def __post_init__(self):
-        for c in range(self.lattice.size):
-            if self.retraction.image[self.section.image[c]] != c:
-                raise NotComplete("certificate retraction . section is not the identity")
-
-
-def split_idempotent(f: Idempotent) -> Splitting:
-    """Split through the induced subposet on the fixed points (= the image)."""
+def split_idempotent(f: Idempotent) -> Retract:
+    """Retract of the domain onto its fixed points (= the image); s . r = f."""
     P = f.map.dom
     fixed = [a for a in range(P.size) if f.map.image[a] == a]
     mid, incl = induced_subposet(P, fixed)
     pos = {a: i for i, a in enumerate(fixed)}
     retraction = MonotoneMap(P, mid, tuple(pos[f.map.image[a]] for a in range(P.size)))
-    return Splitting(f, mid, retraction, incl)
+    if compose(incl, retraction) != f.map:
+        raise NotIdempotent("section . retraction differs from the idempotent")
+    return Retract(P, mid, incl, retraction)
 
 
 @dataclass
@@ -172,8 +138,9 @@ def audit_cube_idempotents(n: int) -> AuditReport:
     return report
 
 
-def retract_certificate(C: Poset) -> RetractCertificate:
-    """Down-set section and join retraction exhibiting C as a retract of [1]^|C|."""
+def retract_certificate(C: Poset) -> Retract:
+    """C as a retract of [1]^|C|: section(c) is the indicator vertex of the
+    down-set of c, retraction(x) the join of the elements x indicates."""
     if not is_complete(C):
         raise NotComplete("only complete posets admit the certificate")
     n = C.size
@@ -190,7 +157,7 @@ def retract_certificate(C: Poset) -> RetractCertificate:
             acc = lat.join_table[acc][c]
         images.append(acc)
     retraction = MonotoneMap(cube_poset, C, tuple(images))
-    return RetractCertificate(C, n, section, retraction)
+    return Retract(cube_poset, C, section, retraction)
 
 
 def simplex_retract(n: int) -> Retract:
@@ -220,7 +187,7 @@ def verify_sort_split(m: int) -> tuple[bool, Optional[MonotoneMap]]:
         raise BoundExceeded(f"sort-split verification capped at dimension {SORT_SPLIT_BOUND}")
     f = cube.sort_endomorphism(m)
     splitting = split_idempotent(Idempotent(f))
-    iso = catalog.find_isomorphism(splitting.mid, chain(m))
+    iso = catalog.find_isomorphism(splitting.inner, chain(m))
     if iso is None:
         return False, None
     simplex = simplex_retract(m)

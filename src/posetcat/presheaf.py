@@ -530,13 +530,14 @@ def _kan_once(X: Presheaf, M: Poset, D: int) -> KanResult:
     after a surjection is one, so every union stays inside the kept cells.
     """
     site = X.site
-    images = [[f.image for f in catalog.monotone_maps(M, chain(k))] for k in range(D + 1)]
+    # levels above the site, up to D, carry no cells, so no phi is built there
+    levels = range(len(site.objects))
+    images = [[f.image for f in catalog.monotone_maps(M, chain(k))] for k in levels]
     phis = [{phi: pi for pi, phi in enumerate(row)} for row in images]
-    # start[k][phi_index] is the first global id of the cells over a
-    # surjective phi (levels beyond the site carry no cells)
+    # start[k][phi_index] is the first global id of the cells over a surjective phi
     start: list[dict[int, int]] = []
     total = 0
-    for k in range(min(D, len(site.objects) - 1) + 1):
+    for k in levels:
         start.append({})
         if X.cells[k]:
             for pi, phi in enumerate(images[k]):
@@ -754,12 +755,11 @@ def nat_hom_via_retract(L: Poset, L2: Poset, trunc_dim: int) -> tuple[MonotoneMa
     extension g is materialized for each.  The result is asserted equal to the
     directly enumerated hom-set.
     """
+    if L.size > trunc_dim or L2.size > trunc_dim:
+        raise BoundExceeded("certificate cube dimension exceeds the truncation")
     cert1 = retract_certificate(L)
     cert2 = retract_certificate(L2)
-    if cert1.cube_dim > trunc_dim or cert2.cube_dim > trunc_dim:
-        raise BoundExceeded("certificate cube dimension exceeds the truncation")
-    cube1 = interval_power(cert1.cube_dim)
-    cube2 = interval_power(cert2.cube_dim)
+    cube1, cube2 = cert1.outer, cert2.outer
     s_elems = sorted(cert1.section.image)
     S, _incl = induced_subposet(cube1, s_elems)
     # join extension: g(x) is the join of rho over the section elements below
@@ -863,7 +863,10 @@ def presheaf_from_json(data: dict) -> Presheaf:
     actions = {}
     for key, tab in raw.items():
         parts = key.split(",")
-        hom = tuple(map(int, parts)) if all(v.isdecimal() for v in parts) else ()
+        try:
+            hom = tuple(map(int, parts)) if all(v.isdecimal() for v in parts) else ()
+        except ValueError:  # a part longer than int() accepts
+            hom = ()
         # one spelling per hom, so that "01,0,0" cannot stand in for "1,0,0"
         if len(hom) != 3 or "%d,%d,%d" % hom != key:
             raise SchemaError(f"action key {key!r} is not of the form \"i,j,h\"")

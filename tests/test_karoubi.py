@@ -15,6 +15,8 @@ from posetcat.poset import (
     interval_power,
     is_complete,
     lattice_structure,
+    limit_via_retract,
+    meet,
     validate_poset,
 )
 
@@ -31,20 +33,20 @@ class TestSplitIdempotent:
     def test_identity_splits_to_itself(self):
         P = diamond()
         sp = karoubi.split_idempotent(karoubi.Idempotent(identity_map(P)))
-        assert sp.mid == P
+        assert sp.inner == P
         assert sp.retraction.is_identity and sp.section.is_identity
 
     def test_constant_at_top(self):
         sq = interval_power(2)
         f = MonotoneMap(sq, sq, (3, 3, 3, 3))
         sp = karoubi.split_idempotent(karoubi.Idempotent(f))
-        assert sp.mid.size == 1
+        assert sp.inner.size == 1
 
     def test_sort_on_square(self):
         f = cube.sort_endomorphism(2)
         sp = karoubi.split_idempotent(karoubi.Idempotent(f))
         assert sp.section.image == (0, 2, 3)
-        assert catalog.find_isomorphism(sp.mid, chain(2)) is not None
+        assert catalog.find_isomorphism(sp.inner, chain(2)) is not None
 
     def test_rejects_non_idempotent(self):
         sq = interval_power(2)
@@ -98,7 +100,7 @@ class TestSplittingUniqueness:
                     idempotents += 1
                     sp = karoubi.split_idempotent(karoubi.Idempotent(f))
                     q = coequalizer_quotient(karoubi.Idempotent(f))
-                    assert catalog.find_isomorphism(sp.mid, q) is not None
+                    assert catalog.find_isomorphism(sp.inner, q) is not None
         assert idempotents > 1000
 
 
@@ -114,7 +116,7 @@ def filtered_audit(n):
             continue
         idempotents += 1
         sp = karoubi.split_idempotent(karoubi.Idempotent(f))
-        key = catalog.canonical_key(sp.mid)
+        key = catalog.canonical_key(sp.inner)
         classes[key] = classes.get(key, 0) + 1
     return endos, idempotents, classes
 
@@ -254,7 +256,7 @@ def two_step_certificate_maps(C: Poset) -> tuple[MonotoneMap, MonotoneMap]:
 class TestRetractCertificate:
     def test_singleton(self):
         cert = karoubi.retract_certificate(chain(0))
-        assert cert.cube_dim == 1
+        assert cert.outer == interval_power(1)
         assert cert.section.image == (1,)
         assert cert.retraction.image == (0, 0)
 
@@ -266,7 +268,7 @@ class TestRetractCertificate:
 
     def test_diamond_in_dim4(self):
         cert = karoubi.retract_certificate(diamond())
-        assert cert.cube_dim == 4
+        assert cert.outer == interval_power(4)
         for c in range(4):
             assert cert.retraction.image[cert.section.image[c]] == c
 
@@ -293,6 +295,20 @@ class TestRetractCertificate:
     def test_rejects_incomplete(self):
         with pytest.raises(NotComplete):
             karoubi.retract_certificate(validate_poset({(0, 2), (1, 2)}, 3))
+
+    def test_meets_transfer_along_the_certificate(self):
+        # the certificate is a Retract of a complete cube, so meets in the
+        # lattice are the retraction of meets of section images
+        pairs = 0
+        for size in range(1, 7):
+            for cp in catalog.enumerate_lattices(size):
+                L = cp.poset
+                cert = karoubi.retract_certificate(L)
+                for a in range(size):
+                    for b in range(size):
+                        assert limit_via_retract(cert, [a, b]) == meet(L, a, b)
+                        pairs += 1
+        assert pairs == 711
 
     def test_two_step_composite_agrees(self):
         for size in range(1, 5):

@@ -1206,6 +1206,8 @@ class TestJson:
             {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0, 0,0": [0]}},
             {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0,0,-1": [0]}},
             {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"0,0,0": [None]}},
+            # a part longer than int() parses
+            {"site": {"kind": "delta", "dim": 1}, "cells": [1, 1], "actions": {"1" * 5000 + ",0,0": [0]}},
         ],
     )
     def test_malformed_input_rejected(self, data):
