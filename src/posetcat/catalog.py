@@ -3,7 +3,9 @@
 Posets of size n are built from the classes of size n - 1 by adding a new
 maximal element over each down-set, and canonicalized to one per class;
 lattices of size n are built from the posets of size n - 2 by adjoining a new
-bottom and top, so they never touch the n-element posets.
+bottom and top, so they never touch the n-element posets.  The canonical form
+is the least relabeled relation matrix over the orderings that sort a
+refined invariant, found by one search that fills positions back to front.
 
 One monotone-map search engine, `_map_search`, streams hom-sets: images are
 assigned along a fixed linear extension of the domain, with the candidate set
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator, Optional
 
 from .errors import BoundExceeded
@@ -67,60 +68,62 @@ def _refined_invariants(P: Poset) -> list[tuple]:
     return inv
 
 
-def _canonical_order(P: Poset) -> tuple[bytes, tuple[int, ...]]:
-    """Minimal relabeled relation matrix over invariant-respecting relabelings.
+def _canonical_rows(P: Poset) -> tuple[int, ...]:
+    """P's up-set rows relabeled by its least invariant-respecting ordering.
 
-    The first invariant component is the down-set size, so every ordering that
-    sorts invariants ascending is automatically a linear extension; elements
-    sharing a full invariant tuple are pairwise incomparable and we try all
-    interleavings within such blocks.
+    The orderings tried sort the elements by `_refined_invariants`, whose
+    first component is the down-set size, so each is a linear extension and
+    elements sharing an invariant are pairwise incomparable.  The code
+    sum(row[a] << (a * n)) compares rows from a = n - 1 down, so the search
+    fills positions back to front: row a is bit a plus bit pos(f) for each f
+    above the element placed at a, all placed already, so the row is final
+    once placed.  While the rows above tie with the best's, a branch is
+    dropped only when its row is strictly greater; a tie is explored, since
+    a lower row can still break it.
     """
     n = P.size
-    if n == 0:
-        return bytes([0]), ()
     inv = _refined_invariants(P)
     by_inv = sorted(range(n), key=lambda i: inv[i])
-    blocks: list[list[int]] = [[by_inv[0]]]
-    for i in by_inv[1:]:
-        if inv[i] == inv[blocks[-1][-1]]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    up = P.up
-    nbytes = (n * n + 7) // 8
-    best_code: Optional[int] = None
-    best_order: tuple[int, ...] = ()
+    block = [sum(1 << j for j in range(n) if inv[j] == inv[i]) for i in by_inv]
+    above = [row & ~(1 << i) for i, row in enumerate(P.up)]
+    rows = [0] * n
+    pos = [0] * n
+    best: list[int] = []
 
-    def rec(b: int, prefix: list[int]):
-        nonlocal best_code, best_order
-        if b == len(blocks):
-            code = 0
-            shift = 0
-            for i in prefix:
-                row = up[i]
-                for bpos, j in enumerate(prefix):
-                    if row >> j & 1:
-                        code |= 1 << (shift + bpos)
-                shift += n
-            if best_code is None or code < best_code:
-                best_code = code
-                best_order = tuple(prefix)
+    def search(p: int, free: int, tied: bool) -> None:
+        if p < 0:
+            best[:] = rows
             return
-        block = blocks[b]
-        if len(block) == 1:
-            rec(b + 1, prefix + block)
-            return
-        for perm in permutations(block):
-            rec(b + 1, prefix + list(perm))
+        cand = free & block[p]
+        while cand:
+            x = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            row = 1 << p
+            m = above[x]
+            while m:
+                f = (m & -m).bit_length() - 1
+                m &= m - 1
+                row |= 1 << pos[f]
+            if tied and row > best[p]:
+                continue
+            rows[p], pos[x] = row, p
+            search(p - 1, free & ~(1 << x), tied and row == best[p])
+            # a best found below shares every row above p
+            tied = rows[p + 1 :] == best[p + 1 :]
 
-    rec(0, [])
-    assert best_code is not None
-    return bytes([n]) + best_code.to_bytes(nbytes, "big"), best_order
+    search(n - 1, (1 << n) - 1, False)
+    return tuple(best)
+
+
+def _key(rows: tuple[int, ...]) -> bytes:
+    n = len(rows)
+    code = sum(row << (a * n) for a, row in enumerate(rows))
+    return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big")
 
 
 def canonical_key(P: Poset) -> bytes:
     """Byte string equal for two posets iff they are isomorphic."""
-    return _canonical_order(P)[0]
+    return _key(_canonical_rows(P))
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,8 @@ class CanonicalPoset:
 
     @classmethod
     def canonicalize(cls, P: Poset) -> "CanonicalPoset":
-        key, order = _canonical_order(P)
-        n = P.size
-        up = []
-        for a in range(n):
-            row = 0
-            for b in range(n):
-                if P.up[order[a]] >> order[b] & 1:
-                    row |= 1 << b
-            up.append(row)
-        return cls(Poset(n, tuple(up)), key)
+        rows = _canonical_rows(P)
+        return cls(Poset(P.size, rows), _key(rows))
 
 
 @lru_cache(maxsize=None)

@@ -27,16 +27,18 @@ MAX_CERTIFY_SIZE = 12
 MAX_LISTED_MAPS = 1 << 16
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than `low` (else exit 2 with usage)."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an int at least `low`, and at most `high` if given (else exit 2)."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
+        if high is None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
         return value
 
     return parse
@@ -180,15 +182,6 @@ def _cmd_horn(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    if not 1 <= args.max_poset <= MAX_POSET_LIMIT:
-        print(f"--max-poset must be in 1..{MAX_POSET_LIMIT}", file=sys.stderr)
-        return 2
-    if not 0 <= args.max_dim <= MAX_DIM_LIMIT:
-        print(f"--max-dim must be in 0..{MAX_DIM_LIMIT}", file=sys.stderr)
-        return 2
-    if not 1 <= args.max_simplex <= MAX_SIMPLEX_LIMIT:
-        print(f"--max-simplex must be in 1..{MAX_SIMPLEX_LIMIT}", file=sys.stderr)
-        return 2
     report = checks.verify_all(
         max_poset=args.max_poset,
         max_dim=args.max_dim,
@@ -217,14 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="posets/lattices up to iso, or monotone maps")
     p.add_argument("--kind", choices=["posets", "lattices", "maps"], required=True)
-    p.add_argument("--size", type=_int_at_least(0), default=0)
+    p.add_argument("--size", type=_int_in(0), default=0)
     p.add_argument("--dom", help="domain poset JSON file (maps)")
     p.add_argument("--cod", help="codomain poset JSON file (maps)")
     p.add_argument("--format", choices=["json", "count"], default="json")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("audit-idempotents", help="split every idempotent cube endomorphism")
-    p.add_argument("--dim", type=_int_at_least(0), required=True)
+    p.add_argument("--dim", type=_int_in(0), required=True)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_audit_idempotents)
 
@@ -256,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_horn)
 
     p = sub.add_parser("verify-all", help="run the full audit suite")
-    p.add_argument("--max-poset", type=int, default=5)
-    p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--max-simplex", type=int, default=3)
+    p.add_argument("--max-poset", type=_int_in(1, MAX_POSET_LIMIT), default=5)
+    p.add_argument("--max-dim", type=_int_in(0, MAX_DIM_LIMIT), default=2)
+    p.add_argument("--max-simplex", type=_int_in(1, MAX_SIMPLEX_LIMIT), default=3)
     p.add_argument("--deep", action="store_true", help="include the exhaustive dim-3 audit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "human"], default="json")

@@ -191,13 +191,8 @@ def verify_sort_split(m: int) -> tuple[bool, Optional[MonotoneMap]]:
     if iso is None:
         return False, None
     simplex = simplex_retract(m)
-    inv = [0] * (m + 1)
-    for i, k in enumerate(iso.image):
-        inv[k] = i
-    for x in range(1 << m):
-        if iso.image[splitting.retraction.image[x]] != simplex.retraction.image[x]:
-            return False, iso
-    for k in range(m + 1):
-        if splitting.section.image[inv[k]] != simplex.section.image[k]:
-            return False, iso
-    return True, iso
+    ok = (
+        compose(iso, splitting.retraction) == simplex.retraction
+        and compose(simplex.section, iso) == splitting.section
+    )
+    return ok, iso

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +92,44 @@ def relabel(P, perm):
             if P.up[perm[i]] >> perm[j] & 1:
                 up[i] |= 1 << j
     return Poset(P.size, tuple(up))
+
+
+def reference_canonical_order(P):
+    """The permutation search the back-to-front search replaced.
+
+    Scores the full code sum(row[a] << (a * n)) of every ordering that sorts
+    the invariants ascending and permutes each invariant block, and returns
+    (key, order) for the least one.
+    """
+    n = P.size
+    if n == 0:
+        return bytes([0]), ()
+    inv = catalog._refined_invariants(P)
+    by_inv = sorted(range(n), key=lambda i: inv[i])
+    blocks = [[by_inv[0]]]
+    for i in by_inv[1:]:
+        if inv[i] == inv[blocks[-1][-1]]:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    best = []
+
+    def rec(b, prefix):
+        if b == len(blocks):
+            code = 0
+            for a, i in enumerate(prefix):
+                for c, j in enumerate(prefix):
+                    if P.up[i] >> j & 1:
+                        code |= 1 << (a * n + c)
+            if not best or code < best[0][0]:
+                best[:] = [(code, tuple(prefix))]
+            return
+        for perm in permutations(blocks[b]):
+            rec(b + 1, prefix + list(perm))
+
+    rec(0, [])
+    code, order = best[0]
+    return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big"), order
 
 
 class TestEnumeratePosets:
@@ -197,6 +235,41 @@ class TestCanonicalKey:
         for cp in catalog.enumerate_posets(4):
             again = catalog.CanonicalPoset.canonicalize(cp.poset)
             assert again.key == cp.key and again.poset == cp.poset
+
+    @staticmethod
+    def assert_matches_reference(P):
+        key, order = reference_canonical_order(P)
+        cp = catalog.CanonicalPoset.canonicalize(P)
+        assert catalog.canonical_key(P) == key and cp.key == key
+        assert cp.poset == relabel(P, order)
+
+    def test_equals_permutation_search_on_small_posets(self):
+        rng = random.Random(18)
+        for n in range(7):
+            for cp in catalog.enumerate_posets(n):
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    self.assert_matches_reference(relabel(cp.poset, perm))
+
+    def test_equals_permutation_search_on_cube_subposets(self):
+        # up to 12 of the 16 vertices of [1]^4: blocks stay small enough for
+        # the reference, and the symmetric ones keep many ties alive
+        rng = random.Random(4)
+        cube = interval_power(4)
+        for _ in range(300):
+            vertices = rng.sample(range(16), rng.randint(0, 12))
+            P = induced_subposet(cube, vertices)[0]
+            perm = list(range(P.size))
+            rng.shuffle(perm)
+            self.assert_matches_reference(relabel(P, perm))
+
+    def test_full_cube_key_is_pinned(self):
+        # the key of [1]^4, as the permutation search computed it over
+        # 4! * 6! * 4! = 414,720 orderings
+        assert catalog.canonical_key(interval_power(4)).hex() == (
+            "108000c000a000900088009c00aa00b100c880d040e020bf10dcc8eaa4f162ffff"
+        )
 
 
 class TestMonotoneMapCounts:

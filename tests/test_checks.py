@@ -51,3 +51,18 @@ def test_sort_splits_reads_an_independent_sort(monkeypatch):
     monkeypatch.setattr(cube, "sort_endomorphism", descending)
     with pytest.raises(InvariantViolation, match="sort split"):
         checks.check_sort_splits()
+
+
+def test_sort_splits_compares_the_retraction(monkeypatch):
+    # (0, 0, 2, 3) fixes sort's vertices 0, 2 and 3 of [1]^2, so it splits
+    # through the same chain, but it sends vertex 1 down to 0 where sort
+    # sends it up to 2
+    real = cube.sort_endomorphism
+
+    def lowered(m):
+        P = interval_power(m)
+        return MonotoneMap(P, P, (0, 0, 2, 3)) if m == 2 else real(m)
+
+    monkeypatch.setattr(cube, "sort_endomorphism", lowered)
+    with pytest.raises(InvariantViolation, match="sort split"):
+        checks.check_sort_splits()

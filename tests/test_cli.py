@@ -434,12 +434,19 @@ class TestVerifyAllFlags:
         ]
 
     def test_bad_dim_exits_2(self, capsys):
-        code, _, err = run(capsys, ["verify-all", "--max-dim", "99"])
-        assert code == 2 and "max-dim" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-all", "--max-dim", "99"])
+        assert exc.value.code == 2 and "--max-dim: must be in 0..3" in capsys.readouterr().err
 
     def test_bad_poset_bound_exits_2(self, capsys):
-        code, _, err = run(capsys, ["verify-all", "--max-poset", "9"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-all", "--max-poset", "9"])
+        assert exc.value.code == 2 and "--max-poset" in capsys.readouterr().err
+
+    def test_bad_simplex_bound_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-all", "--max-simplex", "5"])
+        assert exc.value.code == 2 and "--max-simplex: must be in 1..4" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -542,7 +549,7 @@ COMMANDS = {
         option("--cod", FILES),
         option("--format", ["json", "count", "csv"]),
     ],
-    # the dimension-4 audit costs about 20 s, so --dim skips 4
+    # the dimension-4 audit costs over 1 s per example, so --dim skips 4
     "audit-idempotents": [
         given_option("--dim", [-1, 0, 1, 2, 3, 5, "x"]),
         switch("--timings"),

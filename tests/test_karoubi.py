@@ -129,7 +129,7 @@ class TestAudits:
         assert r.violations == []
 
     def test_dim4_through_cli(self, capsys):
-        # about 20 s: most of it is the canonical key of the full cube [1]^4
+        # about 1-2 s: 3,983 retraction counts and 902 canonical keys
         code = cli.main(["audit-idempotents", "--dim", "4"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
