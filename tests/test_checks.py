@@ -47,10 +47,10 @@ def test_sort_splits_reads_an_independent_sort(monkeypatch):
         P = interval_power(m)
         return MonotoneMap(P, P, tuple((1 << x.bit_count()) - 1 for x in range(P.size)))
 
-    checks.check_sort_splits()
+    checks.check_sort_splits(5)
     monkeypatch.setattr(cube, "sort_endomorphism", descending)
     with pytest.raises(InvariantViolation, match="sort split"):
-        checks.check_sort_splits()
+        checks.check_sort_splits(5)
 
 
 def test_sort_splits_compares_the_retraction(monkeypatch):
@@ -65,4 +65,4 @@ def test_sort_splits_compares_the_retraction(monkeypatch):
 
     monkeypatch.setattr(cube, "sort_endomorphism", lowered)
     with pytest.raises(InvariantViolation, match="sort split"):
-        checks.check_sort_splits()
+        checks.check_sort_splits(5)

@@ -127,13 +127,25 @@ class TestKan:
         assert data["match"] is True
 
     def test_explicit_truncation(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys,
-            ["kan", "--simplex", "2", "--target", arrow_file(tmp_path), "--trunc", "3"],
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["components"] == 6 and data["truncation"] == 3
+        # the Kan extension takes no truncation: X has no cells above the site's
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kan", "--simplex", "2", "--target", arrow_file(tmp_path), "--trunc", "3"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--trunc" in err and "Traceback" not in err
+
+    def test_cell_bound_exits_2(self, capsys, tmp_path):
+        # Delta[3] at a 60-element chain: about 1.5 million comma cells
+        argv = ["kan", "--simplex", "3", "--target", chain_file(tmp_path, 60)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"more than {cli.MAX_KAN_CELLS}" in err and "Traceback" not in err
+
+
+def chain_file(tmp_path, n):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"size": n, "relation": [[i, i + 1] for i in range(n - 1)]}))
+    return str(path)
 
 
 def write_json(tmp_path, name, data):
@@ -194,6 +206,22 @@ class TestKanPresheaf:
         code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("dim, cells, size", [(3, None, 60), (5, 0, 40)])
+    def test_cell_bound_exits_2(self, capsys, tmp_path, dim, cells, size):
+        # Delta[3] at a 60-element chain: about 1.5 million comma cells; the
+        # empty presheaf on [0]..[5] has none, but a 40-element chain still
+        # has 1.2 million phis into [5] for the extension to build
+        from posetcat import presheaf as ps
+
+        X = ps.simplex(dim, dim)
+        if cells is not None:
+            X = ps.Presheaf(X.site, [cells] * (dim + 1), {key: () for key in X.site.generators})
+        path = write_json(tmp_path, "X.json", ps.presheaf_to_json(X))
+        argv = ["kan", "--presheaf", path, "--target", chain_file(tmp_path, size)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"more than {cli.MAX_KAN_CELLS}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["0,1,9", "5,5,5"])
     def test_action_key_of_no_hom_exits_2(self, capsys, tmp_path, key):
@@ -396,6 +424,23 @@ class TestRangeChecks:
 VERIFY_ALL_SHA256 = "692f4f16eec2997b8db85f368ffc52b22da2bc73b1e98c1d0169f194fdd5150a"
 
 
+# the function behind each verify-all check
+CHECK_FUNCTIONS = {
+    "poset-laws": "check_poset_laws",
+    "retract-transfer": "check_retract_transfer",
+    "cube-idempotents": "check_cube_idempotents",
+    "lattice-certificates": "check_lattice_certificates",
+    "simplex-retracts": "check_simplex_retracts",
+    "sort-splits": "check_sort_splits",
+    "triangulation-counts": "check_triangulation",
+    "kan-oracle": "check_kan_oracle",
+    "mono-preservation": "check_mono_preservation",
+    "horn-pushouts": "check_horn_pushouts",
+    "contracting-homotopies": "check_contracting_homotopies",
+    "nat-hom": "check_nat_hom",
+}
+
+
 class TestVerifyAllFlags:
     def test_default_report_bytes_are_pinned(self, capsys):
         code, out, _ = run(capsys, ["verify-all"])
@@ -420,7 +465,7 @@ class TestVerifyAllFlags:
         # MonotoneMap: the audit failed, the input was fine
         from posetcat import checks
 
-        def broken():
+        def broken(**params):
             raise ValueError("not monotone on 2 <= 3")
 
         monkeypatch.setattr(checks, "check_contracting_homotopies", broken)
@@ -432,6 +477,24 @@ class TestVerifyAllFlags:
         assert [(c["name"], c["error"]) for c in failed] == [
             ("contracting-homotopies", "not monotone on 2 <= 3")
         ]
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--max-poset", "2", "--max-dim", "1", "--max-simplex", "2"]]
+    )
+    def test_each_check_runs_with_the_params_it_prints(self, capsys, monkeypatch, argv):
+        from posetcat import checks
+
+        received = {}
+        for name, fn in CHECK_FUNCTIONS.items():
+            def spy(*args, _name=name, _run=getattr(checks, fn), **kwargs):
+                received[_name] = (args, kwargs)
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(checks, fn, spy)
+        code, out, _ = run(capsys, ["verify-all", *argv])
+        assert code == 0
+        printed = {c["name"]: c["params"] for c in json.loads(out)["checks"]}
+        assert received == {name: ((), params) for name, params in printed.items()}
 
     def test_bad_dim_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -564,7 +627,6 @@ COMMANDS = {
         option("--simplex", [-1, 0, 1, 2, 3, 4, 5, 6]),
         option("--presheaf", FILES),
         given_option("--target", FILES + ["-"]),
-        option("--trunc", [-1, 0, 1, 2, 3, 4, 5, 7]),
     ],
     "horn": [
         given_option("--dim", [-1, 0, 1, 2, 3, 4, 5]),

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
@@ -118,7 +119,11 @@ def accepted(P, Q, image):
     return True
 
 
-POSETS_TO_FIVE = [cp.poset for n in range(6) for cp in enumerate_posets(n)]
+@lru_cache(maxsize=None)
+def posets_to_five():
+    """Every poset up to five elements, built at test time so that an
+    enumeration defect fails the tests that use it, not the collection."""
+    return tuple(cp.poset for n in range(6) for cp in enumerate_posets(n))
 
 
 class TestCoverCheck:
@@ -127,8 +132,8 @@ class TestCoverCheck:
     @given(st.data())
     @settings(max_examples=400)
     def test_accepts_exactly_the_monotone_tuples(self, data):
-        P = data.draw(st.sampled_from(POSETS_TO_FIVE))
-        Q = data.draw(st.sampled_from(POSETS_TO_FIVE))
+        P = data.draw(st.sampled_from(posets_to_five()))
+        Q = data.draw(st.sampled_from(posets_to_five()))
         values = st.integers(-1, Q.size)
         homs = monotone_maps(P, Q)
         if P.size and homs and data.draw(st.booleans()):
@@ -141,7 +146,7 @@ class TestCoverCheck:
         assert accepted(P, Q, image) == monotone_on_all_pairs(P, Q, image)
 
     def test_exhaustive_to_three_elements(self):
-        posets = [P for P in POSETS_TO_FIVE if P.size <= 3]
+        posets = [P for P in posets_to_five() if P.size <= 3]
         for P in posets:
             for Q in posets:
                 for image in iproduct(range(-1, Q.size + 1), repeat=P.size):

@@ -12,6 +12,7 @@ from posetcat import catalog, presheaf as ps
 from posetcat.errors import (
     BadIndexSet,
     BoundExceeded,
+    DomainMismatch,
     InvariantViolation,
     NotComplete,
     SchemaError,
@@ -866,27 +867,6 @@ class TestLeftKan:
         with pytest.raises(NotComplete):
             ps.left_kan(X, validate_poset({(0, 2), (1, 2)}, 3))
 
-    def test_truncation_window(self):
-        X = ps.representable(ps.delta_site(1), chain(1))
-        ps.left_kan(X, chain(1), trunc=1)
-        ps.left_kan(X, chain(1), trunc=3)
-        with pytest.raises(BoundExceeded):
-            ps.left_kan(X, chain(1), trunc=4)
-
-    def test_every_truncation_gives_the_same_labels(self):
-        for m in range(0, 3):
-            X = ps.representable(ps.delta_site(m), chain(m))
-            for M in [chain(1), interval_power(2), diamond()]:
-                runs = [ps.left_kan(X, M, trunc=D) for D in (m, m + 1, m + 2)]
-                cells = [
-                    (k, pi, c)
-                    for k in range(m + 1)
-                    for pi in range(len(catalog.monotone_maps(M, chain(k))))
-                    for c in range(X.cells[k])
-                ]
-                labels = {(r.count, tuple(r.component(*cell) for cell in cells)) for r in runs}
-                assert len(labels) == 1
-
     def test_non_chain_site_rejected(self):
         # the dim-1 cube site IS the dim-1 chain site; dim 2 is not
         X = ps.representable(ps.box_site(2), chain(1))
@@ -926,6 +906,16 @@ class TestLeftKanMap:
             for M in [chain(1), interval_power(2)]:
                 mapping, src, _ = ps.left_kan_map(F, M)
                 assert len(set(mapping)) == src.count
+
+    def test_shared_target_must_be_the_value_of_the_target(self):
+        incl, M = ps.horn(2, {1, 2}), interval_power(1)
+        target = ps.left_kan(incl.target, M)
+        assert ps.left_kan_map(incl, M, target=target)[2] is target
+        # the right presheaf at another M, and another presheaf at the right M
+        for wrong in (ps.left_kan(incl.target, interval_power(2)),
+                      ps.left_kan(ps.simplex(1, 2), M)):
+            with pytest.raises(DomainMismatch):
+                ps.left_kan_map(incl, M, target=wrong)
 
 
 def all_phi_kan(X, M, D):
@@ -1132,30 +1122,38 @@ class TestKanNormalForm:
         with pytest.raises(IndexError):
             result.component(2, phi, X.cells[2])
 
+    def test_component_range_checks_the_level_and_the_phi(self):
+        # (-1, 1, 0) would read the label of (1, 1, 0) by negative indexing
+        result = ps.left_kan(ps.simplex(1, 1), chain(1))
+        phis = len(catalog.monotone_maps(chain(1), chain(1)))
+        for k, phi_index in ((1, -1), (1, phis), (-1, 1), (2, 0)):
+            with pytest.raises(IndexError):
+                result.component(k, phi_index, 0)
+
 
 class TestNatHomViaRetract:
     def test_singletons(self):
-        maps = ps.nat_hom_via_retract(chain(0), chain(0), 2)
+        maps = ps.nat_hom_via_retract(chain(0), chain(0))
         assert len(maps) == 1
 
     def test_chain_two_to_arrow(self):
-        maps = ps.nat_hom_via_retract(chain(2), chain(1), 4)
+        maps = ps.nat_hom_via_retract(chain(2), chain(1))
         assert len(maps) == 4
 
     def test_diamond_to_arrow(self):
-        maps = ps.nat_hom_via_retract(diamond(), chain(1), 4)
+        maps = ps.nat_hom_via_retract(diamond(), chain(1))
         assert len(maps) == catalog.count_monotone_maps(diamond(), chain(1)) == 6
 
     def test_matches_enumeration_exactly(self):
         lats = [cp.poset for s in (1, 2, 3) for cp in catalog.enumerate_lattices(s)]
         for L, L2 in product(lats, lats):
-            maps = ps.nat_hom_via_retract(L, L2, 3)
+            maps = ps.nat_hom_via_retract(L, L2)
             direct = {f.image for f in catalog.enumerate_monotone_maps(L, L2)}
             assert {f.image for f in maps} == direct
 
     def test_dimension_bound(self):
         with pytest.raises(BoundExceeded):
-            ps.nat_hom_via_retract(diamond(), chain(1), 3)
+            ps.nat_hom_via_retract(chain(4), chain(1))
 
 
 class TestContractingHomotopy:
