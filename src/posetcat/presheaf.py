@@ -5,18 +5,19 @@ cubes [1]^0..[1]^d) with every hom-set materialized in enumeration order and a
 set of generating homs found by greedy closure (on the chain site, exactly the
 cofaces and codegeneracies).  A presheaf is given by a cell count per object
 and its generator tables: a functor is fixed by its values on generators
-(Mac Lane, Categories for the Working Mathematician, II.8).  The closure
-that picks the generators records each pair of a generator g and a
-non-identity hom w into its domain once, as a step (g, w, g.w).  Presheaf
-runs the steps in order, one gather each: X(w)X(g) becomes the table of g.w
-if that hom has none yet and is compared with it otherwise.  So the
-generator tables fix the others, the law X(g.w) = X(w)X(g) is checked for
-every generator g and hom w, a presheaf holds one table per hom, and a key
-that names no hom of the site is rejected.  Naturality of maps between
-presheaves, sub-presheaves, pushouts and the unions behind left Kan
-extension are likewise checked or taken along generators only.  Action
-tables are built and checked by gathers that run in C (itemgetter over a
-cell index, see _picker), not one cell at a time.
+(Mac Lane, Categories for the Working Mathematician, II.8).  Once the
+generators are chosen, the site records steps (g, w, g.w) of two kinds (see
+PosetSite._close): one derivation per hom, spelling its shortlex-least word
+in the generators, and one rule per minimal non-normal word.  The rules form
+a complete rewriting system, so they present the site.  Presheaf runs the
+steps in order, one gather each: X(w)X(g) becomes the table of g.w if that
+hom has none yet and is compared with it otherwise.  So the generator tables
+fix the others, every relation between words is checked, a presheaf holds
+one table per hom, and a key that names no hom of the site is rejected.
+Naturality of maps between presheaves, sub-presheaves, pushouts and the
+unions behind left Kan extension are likewise checked or taken along
+generators only.  Action tables are built and checked by gathers that run
+in C (itemgetter over a cell index, see _picker), not one cell at a time.
 Everything downstream (left Kan extension along the inclusion of chains
 into complete posets, horns, pushouts) is finite and checked exhaustively
 at construction time.  The standard simplex Delta[n] on the chain site
@@ -113,7 +114,8 @@ class PosetSite:
         self._close()
 
     def _close(self):
-        """Pick the generators and record, as steps, how they compose.
+        """Pick the generators, then record as steps a complete rewriting
+        system for the site in them.
 
         Candidates are visited by larger object, then non-endomorphisms first,
         then nearer objects first, then larger image first; a candidate becomes
@@ -121,35 +123,58 @@ class PosetSite:
         it.  On the chain site this keeps exactly the cofaces and
         codegeneracies.
 
-        Each pair of a generator g and a non-identity hom w into dom g is
-        visited once: a new generator meets the homs reached before it, and
-        each hom reached from then on, the generator first, meets every
-        generator out of its codomain.  Sets generators, as (i, j, h), and
-        steps, a flat tuple p0, w0, c0, p1, w1, c1, ... with one triple per
-        visit: hom_keys[c] is g.w for the p-th generator g and w =
-        hom_keys[w], where w is a generator or the c of an earlier step.
-        Flat, because a tuple per step would cost 64 bytes more each; the
-        positions are the int objects of one dict, so they are shared.
-        Every hom other than the identities and generators is the c of a step.
+        A word x = g1 g2 ... gl names the hom gl...g2.g1 (g1 acts first);
+        words are ordered shortlex, by length and then lexicographically with
+        the letters ordered by generator number.  A second pass walks the
+        normal words (the least word of each hom) breadth first in that order
+        and extends each by every generator g out of its codomain, in order.
+        The first word to reach a hom is its normal form (a prefix of a
+        normal word is normal, so no other word needs extending), and that
+        extension is a derivation.  An extension x.g that reaches a hom already reached
+        is a minimal non-normal word exactly when its suffix tail(x).g is
+        normal, tail(x) being x without its first letter (every other proper
+        factor lies in x or in tail(x).g); then it is a rule x.g -> the
+        normal form of its value.  The rules strictly decrease words in
+        shortlex, a well-order compatible with concatenation, so rewriting
+        terminates, and the irreducible words are exactly the normal words,
+        one per hom: the rules form a complete rewriting system, and the
+        equalities between words that they generate are all that hold in the
+        site (Book & Otto, String-Rewriting Systems, 1993).
+
+        Sets generators, as (i, j, h), and steps, a flat tuple p0, w0, c0,
+        p1, w1, c1, ... with one triple per derivation and then one per
+        rule: hom_keys[c] is g.w for the p-th generator g and w = hom_keys[w],
+        the value of a normal word.  A derivation's w is a generator or the
+        c of an earlier derivation.  Flat, because a tuple per step would
+        cost 64 bytes more each.  Every hom other than the identities and
+        generators is the c of exactly one derivation.
         """
         n = len(self.objects)
         homs, index, keys = self.homs, self._index, self.hom_keys
-        position = {key: x for x, key in enumerate(keys)}
+        # hom_keys lists homs[i][j] at positions offset[i][j] onwards
+        offset = [[0] * n for _ in range(n)]
+        total = 0
+        for i in range(n):
+            for j in range(n):
+                offset[i][j] = total
+                total += len(homs[i][j])
+        identities = [offset[i][i] + h for i, h in enumerate(self.identity_index)]
         reached = bytearray(len(keys))
-        for i, h in enumerate(self.identity_index):
-            reached[position[(i, i, h)]] = 1
+        for x in identities:
+            reached[x] = 1
         into: list[list[int]] = [[] for _ in range(n)]  # reached non-identity homs by codomain
         leaving: list[list[int]] = [[] for _ in range(n)]  # generator numbers p by domain
         generators: list[tuple[int, int, int]] = []
-        steps: list[int] = []
         fresh: list[int] = []  # homs reached but not yet met by the generators
 
-        def step(p: int, w: int):
+        def compose(p: int, w: int) -> int:
             _, k, b = generators[p]
             i, j, a = keys[w]
             image = homs[j][k][b].image
-            c = position[(i, k, index[i][k][tuple(map(image.__getitem__, homs[i][j][a].image))])]
-            steps.extend((p, w, c))
+            return offset[i][k] + index[i][k][tuple(map(image.__getitem__, homs[i][j][a].image))]
+
+        def reach(p: int, w: int):
+            c = compose(p, w)
             if not reached[c]:
                 reached[c] = 1
                 fresh.append(c)
@@ -159,7 +184,8 @@ class PosetSite:
             return (max(i, j), i == j, abs(i - j), -len(set(homs[i][j][h].image)), key)
 
         for key in sorted(keys, key=order):
-            g, j = position[key], key[0]
+            j = key[0]
+            g = offset[j][key[1]] + key[2]
             if reached[g]:
                 continue
             reached[g] = 1
@@ -167,15 +193,43 @@ class PosetSite:
             generators.append(key)
             fresh.append(g)
             for w in into[j]:
-                step(len(generators) - 1, w)
+                reach(len(generators) - 1, w)
             while fresh:
                 w = fresh.pop()
                 cod = keys[w][1]
                 into[cod].append(w)
                 for p in leaving[cod]:
-                    step(p, w)
+                    reach(p, w)
         self.generators = tuple(generators)
-        self.steps = tuple(steps)
+
+        # the second pass: the normal words of length 1 are the generators, in
+        # order, and their tails are empty
+        letters = [offset[j][k] + b for j, k, b in generators]
+        words = letters
+        reached = bytearray(len(keys))
+        for x in letters + identities:
+            reached[x] = 1
+        tail: dict[int, int] = {}  # hom -> value of tail(its normal word), if nonempty
+        derived: dict[tuple[int, int], int] = {}  # (w, p) -> c for each derivation
+        derivations: list[int] = []
+        rules: list[int] = []
+        while words:
+            longer = []
+            for x in words:
+                t = tail.get(x)
+                for p in leaving[keys[x][1]]:
+                    c = compose(p, x)
+                    if not reached[c]:
+                        reached[c] = 1
+                        # tail(x).g is normal and one letter shorter: derived already
+                        tail[c] = letters[p] if t is None else derived[(t, p)]
+                        derived[(x, p)] = c
+                        derivations.extend((p, x, c))
+                        longer.append(c)
+                    elif t is None or (t, p) in derived:
+                        rules.extend((p, x, c))
+            words = longer
+        self.steps = tuple(derivations + rules)
 
     def hom_index(self, i: int, j: int, image: tuple[int, ...]) -> int:
         return self._index[i][j][image]
@@ -238,10 +292,14 @@ class Presheaf:
         Every generator table must be given.  Then each step (p, w, c) of
         the site costs one C-level gather, X(w)X(g) for the p-th generator
         g: it becomes the table of c = g.w if that hom has none yet, and is
-        compared with it otherwise.  The steps cover every pair of a
-        generator g and a non-identity hom w into its domain, and at w an
-        identity the law holds trivially, so X(g.w) = X(w)X(g) holds for
-        every generator g and hom w.
+        compared with it otherwise.  The derivations come first, so each
+        hom's table is X of its normal word, built or compared; a rule
+        then compares X of a minimal non-normal word with the table of its
+        value.  That is enough: the rules form a complete rewriting system
+        (see PosetSite._close), so any two words with one value rewrite to
+        the same normal word, and tables that respect every rule respect
+        every equality of words.  Hence X(g.w) = X(w)X(g) for every
+        generator g and hom w, and so for every composable pair.
         """
         site = self.site
         if len(self.cells) != len(site.objects):
@@ -266,8 +324,6 @@ class Presheaf:
             if key not in actions:
                 raise InvariantViolation("missing or misshapen action table (%d,%d,%d)" % key)
         pick = [_picker(actions[key]) for key in site.generators]
-        # X(g.w) = X(w)X(g) for generators g and all homs w gives X(u.w) =
-        # X(w)X(u) for every hom u, by induction on the length of u as a word.
         steps = iter(site.steps)
         for p, w, c in zip(steps, steps, steps):
             tab = pick[p](tables[w])
@@ -517,6 +573,9 @@ class KanResult:
         return self._labels[self._start[k][phi_index] + cell]
 
     def phi_index(self, k: int, phi: MonotoneMap) -> int:
+        """Index of phi: M -> [k]; IndexError at a level where X has no cells."""
+        if not 0 <= k < len(self._images) or not self._X.cells[k]:
+            raise IndexError(f"no cell at level {k}")
         return self._phis[k][phi.image]
 
 
@@ -534,21 +593,23 @@ def _kan_once(X: Presheaf, M: Poset) -> KanResult:
     kept only over surjective phi, and unions are taken only along the
     generators whose hom is surjective (the codegeneracies); a surjection
     after a surjection is one, so every union stays inside the kept cells.
+    At a level where X has no cells no phi is built.
     """
     site = X.site
     levels = range(len(site.objects))
-    images = [[f.image for f in catalog.monotone_maps(M, chain(k))] for k in levels]
+    images = [
+        [f.image for f in catalog.monotone_maps(M, chain(k))] if X.cells[k] else [] for k in levels
+    ]
     phis = [{phi: pi for pi, phi in enumerate(row)} for row in images]
     # start[k][phi_index] is the first global id of the cells over a surjective phi
     start: list[dict[int, int]] = []
     total = 0
     for k in levels:
         start.append({})
-        if X.cells[k]:
-            for pi, phi in enumerate(images[k]):
-                if len(set(phi)) == k + 1:
-                    start[k][pi] = total
-                    total += X.cells[k]
+        for pi, phi in enumerate(images[k]):
+            if len(set(phi)) == k + 1:
+                start[k][pi] = total
+                total += X.cells[k]
     uf = _UnionFind(total)
     union = uf.union
     for k, k2, h in site.generators:

@@ -158,6 +158,41 @@ def full_pair_functorial(X):
     return True
 
 
+@lru_cache(maxsize=None)
+def reference_steps(site):
+    """The all-pairs closure: every pair of a generator g and a non-identity
+    hom w into dom g, once, as (p, w, c) with hom_keys[c] = g.w by compose.
+    Each w is a generator or the c of an earlier step, so the steps can
+    derive tables in order.  Presheaf.validate ran these before the sites
+    kept only a complete rewriting system."""
+    position = {key: x for x, key in enumerate(site.hom_keys)}
+    order = list(site.generators) + [u for _, _, u in compose_words(site)]
+    steps = []
+    for i, j, a in order:
+        for p, (j2, k, b) in enumerate(site.generators):
+            if j2 == j:
+                image = compose(site.homs[j][k][b], site.homs[i][j][a]).image
+                steps.append((p, position[(i, j, a)],
+                              position[(i, k, site.hom_index(i, k, image))]))
+    return tuple(steps)
+
+
+def all_pairs_functorial(X):
+    """Reference: the identity law, and X(g.w) = X(w)X(g) at every step of
+    reference_steps, which gives every composable pair by induction on
+    words.  As full_pair_functorial, with one comparison per (generator,
+    hom) pair instead of per composable pair, so it runs on delta_site(4)."""
+    site = X.site
+    for i in range(len(site.objects)):
+        if X.actions[(i, i, site.identity_index[i])] != tuple(range(X.cells[i])):
+            return False
+    tables = [X.actions[key] for key in site.hom_keys]
+    gens = [X.actions[g] for g in site.generators]
+    return all(
+        tables[c] == tuple(tables[w][x] for x in gens[p]) for p, w, c in reference_steps(site)
+    )
+
+
 def full_naturality(F):
     """Reference: the naturality square at every hom of the site."""
     for (i, j, h), ax in F.source.actions.items():
@@ -192,7 +227,7 @@ def replace_entry(tab, x, rank):
 class TestGeneratorValidation:
     def test_references_accept_the_samples(self):
         for X in sample_presheaves():
-            assert full_pair_functorial(X)
+            assert full_pair_functorial(X) and all_pairs_functorial(X)
         for F in sample_maps():
             assert full_naturality(F)
 
@@ -408,10 +443,17 @@ class TestGatherTables:
 COMPOSITE_SITES = (
     [("delta", d) for d in range(6)] + [("box", d) for d in range(3)] + [("edge", None)]
 )
-# steps: the sum over generators g of the non-identity homs into dom g
-STEP_COUNTS = {("delta", 0): 0, ("delta", 1): 6, ("delta", 2): 72, ("delta", 3): 460,
-               ("delta", 4): 2400, ("delta", 5): 11480,
-               ("box", 0): 0, ("box", 1): 6, ("box", 2): 448}
+# (all pairs of a generator and a non-identity hom into its domain,
+#  derivations, rules): the steps are the derivations and then the rules
+STEP_COUNTS = {("delta", 0): (0, 0, 0), ("delta", 1): (6, 2, 2), ("delta", 2): (72, 20, 12),
+               ("delta", 3): (460, 102, 35), ("delta", 4): (2400, 427, 76),
+               ("delta", 5): (11480, 1668, 140),
+               ("box", 0): (0, 0, 0), ("box", 1): (6, 2, 2), ("box", 2): (448, 44, 94),
+               ("edge", None): (464, 46, 97)}
+# the sites small enough to enumerate every word the oracle needs
+ORACLE_SITES = (
+    [("delta", d) for d in range(4)] + [("box", d) for d in range(3)] + [("edge", None)]
+)
 
 
 def site_homs(site):
@@ -423,6 +465,14 @@ def site_steps(site):
     """The site's steps as (p, w, c) triples, in order."""
     steps = iter(site.steps)
     return list(zip(steps, steps, steps))
+
+
+def split_steps(site):
+    """(derivations, rules): one derivation per hom other than the
+    identities and generators, and they come first."""
+    steps = site_steps(site)
+    count = len(site.hom_keys) - len(site.objects) - len(site.generators)
+    return steps[:count], steps[count:]
 
 
 def identity_keys(site):
@@ -447,10 +497,66 @@ def drop_hom(site):
     return site.hom_keys[x]
 
 
+def shortlex_oracle(site):
+    """(normal, minimal): each hom's shortlex-least word in the generators,
+    and each minimal non-normal word with the hom it names.
+
+    Words are tuples of generator numbers, first letter acting first, valued
+    by poset.compose.  Each length is visited in lex order (the sorted
+    tuples), so the first word of a hom is its normal form.  Only normal
+    words are extended: every prefix of a normal word, and of a minimal
+    non-normal one, is normal.  A word is minimal non-normal when it is not
+    normal and every proper factor is."""
+    gens = site.generators
+    normal = {key: () for key in identity_keys(site)}
+    layer = [((p,), site.homs[i][j][h]) for p, (i, j, h) in enumerate(gens)]
+    candidates = []
+    while layer:
+        longer = []
+        for word, f in sorted(layer, key=lambda t: t[0]):
+            i, k = gens[word[0]][0], gens[word[-1]][1]
+            key = (i, k, site.hom_index(i, k, f.image))
+            if key in normal:
+                candidates.append((word, key))
+                continue
+            normal[key] = word
+            for p, (j, k2, b) in enumerate(gens):
+                if j == k:
+                    longer.append((word + (p,), compose(site.homs[j][k2][b], f)))
+        layer = longer
+    words = set(normal.values())
+    minimal = {
+        word: key for word, key in candidates
+        if all(word[a:b] in words for a in range(len(word))
+               for b in range(a + 1, len(word) + 1) if b - a < len(word))
+    }
+    return normal, minimal
+
+
+def rule_caught_corruption():
+    """The first one-entry corruption of the generator tables of y[1], on a
+    freshly built chain site, that the all-pairs reference rejects, as
+    (site, cells, actions).  Given generator tables alone, the derivations
+    only fill tables in, so only a rule can reject it."""
+    site = ps.PosetSite([chain(0), chain(1), chain(2)])
+    X = ps.representable(site, chain(1))
+    generator_only = {g: X.actions[g] for g in site.generators}
+    for key in site.generators:
+        tab = X.actions[key]
+        for x, rank in product(range(len(tab)), range(X.cells[key[0]] - 1)):
+            actions = dict(generator_only)
+            actions[key] = replace_entry(tab, x, rank)
+            if not all_pairs_functorial(reference_completion(site, X.cells, actions)):
+                return site, X.cells, actions
+    raise AssertionError("every corruption of the generator tables is a presheaf")
+
+
 class TestCompositeTable:
     """The site's steps: each is a generator g, a hom w into dom g and the
-    position of their composite g.w, so together they are the table of
-    composites that Presheaf.validate derives and checks along."""
+    position of their composite g.w.  The derivations spell each hom's
+    shortlex normal form and the rules are the minimal non-normal words, so
+    together they are the complete rewriting system that Presheaf.validate
+    derives and checks along."""
 
     @pytest.mark.parametrize("kind,d", COMPOSITE_SITES, ids=[f"{k}{d}" for k, d in COMPOSITE_SITES])
     def test_entries_are_the_composites(self, kind, d):
@@ -461,16 +567,17 @@ class TestCompositeTable:
             assert j2 == j
             g, f = site.homs[j][k][b], site.homs[i][j][a]
             assert site.hom_keys[c] == (i, k, site.hom_index(i, k, compose(g, f).image))
-        # each pair of a generator and a non-identity hom into its domain, once
+        # distinct pairs of a generator and a non-identity hom into its
+        # domain, and the derivations reach each other hom exactly once
         pairs = [(p, w) for p, w, _ in site_steps(site)]
-        identities = identity_keys(site)
-        expected = {
-            (p, x) for p, (j, _, _) in enumerate(site.generators)
-            for x, key in enumerate(site.hom_keys) if key[1] == j and key not in identities
-        }
-        assert len(pairs) == len(set(pairs)) and set(pairs) == expected
-        if (kind, d) in STEP_COUNTS:
-            assert len(pairs) == STEP_COUNTS[(kind, d)]
+        assert len(pairs) == len(set(pairs))
+        reference = reference_steps(site)
+        assert set(pairs) <= {(p, w) for p, w, _ in reference}
+        derivations, rules = split_steps(site)
+        reached = [site.hom_keys[c] for _, _, c in derivations]
+        others = set(site_homs(site)) - identity_keys(site) - set(site.generators)
+        assert len(reached) == len(set(reached)) and set(reached) == others
+        assert (len(reference), len(derivations), len(rules)) == STEP_COUNTS[(kind, d)]
 
     @pytest.mark.parametrize("kind,d", COMPOSITE_SITES, ids=[f"{k}{d}" for k, d in COMPOSITE_SITES])
     def test_word_order_writes_each_other_hom_once(self, kind, d):
@@ -484,11 +591,32 @@ class TestCompositeTable:
         reached = {site.hom_keys[x] for x in built}
         assert reached | identity_keys(site) == set(site_homs(site))
 
+    @pytest.mark.parametrize("kind,d", ORACLE_SITES, ids=[f"{k}{d}" for k, d in ORACLE_SITES])
+    def test_steps_spell_the_shortlex_rewriting_system(self, kind, d):
+        site = gather_site(kind, d)
+        normal, minimal = shortlex_oracle(site)
+        derivations, rules = split_steps(site)
+        word = {site.hom_keys.index(g): (p,) for p, g in enumerate(site.generators)}
+        for p, w, c in derivations:
+            word[c] = word[w] + (p,)
+            assert word[c] == normal[site.hom_keys[c]]
+        spelled = {word[w] + (p,): site.hom_keys[c] for p, w, c in rules}
+        assert len(spelled) == len(rules) and spelled == minimal
+
+    def test_step_totals_are_pinned(self):
+        # the work Presheaf.validate does per presheaf: a change to
+        # PosetSite._close that moves it re-pins these on purpose
+        assert len(ps.delta_site(4).steps) // 3 == 503
+        assert len(ps.box_site(2).steps) // 3 == 138
+        for (kind, d), (_, derivations, rules) in STEP_COUNTS.items():
+            assert len(gather_site(kind, d).steps) // 3 == derivations + rules
+
     def test_delta4_word_count(self):
         site = ps.delta_site(4)
         assert len(site_homs(site)) == 456 and len(site.generators) == 24
-        assert len(site_steps(site)) == 2400
-        assert len(derived_homs(site)) == 456 - 5 - 24 == 427
+        derivations, rules = split_steps(site)
+        assert len(derivations) == len(derived_homs(site)) == 456 - 5 - 24 == 427
+        assert len(rules) == 76
 
     def test_unreached_hom_is_rejected(self):
         # a hom no step reaches gets no table from the generator tables, so
@@ -499,6 +627,14 @@ class TestCompositeTable:
         with pytest.raises(InvariantViolation, match=missing):
             ps.representable(site, chain(1))
 
+    def test_corruption_only_a_rule_catches_is_rejected(self):
+        site, cells, actions = rule_caught_corruption()
+        with pytest.raises(InvariantViolation, match="composition law fails"):
+            ps.Presheaf(site, cells, actions)
+        derivations, _ = split_steps(site)
+        site.steps = tuple(v for t in derivations for v in t)
+        ps.Presheaf(site, cells, actions)
+
     def test_unreached_hom_is_rejected_under_python_O(self):
         src = os.path.dirname(os.path.dirname(ps.__file__))
         tests = os.path.dirname(__file__)
@@ -508,7 +644,7 @@ class TestCompositeTable:
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["InvariantViolation", "1"]
+        assert proc.stdout.splitlines() == ["InvariantViolation", "InvariantViolation", "1"]
 
     def test_corruptions_get_the_reference_verdict(self):
         # one-entry corruptions of generator-only and of full-table inputs:
@@ -516,7 +652,11 @@ class TestCompositeTable:
         # by compose followed by the all-pairs check
         rng = random.Random(20261018)
         tried = rejected = 0
-        for X in sample_presheaves()[:6]:
+        delta4 = ps.delta_site(4)
+        presheaves = sample_presheaves()[:6] + (
+            ps.simplex(1, 4), ps.representable(delta4, interval_power(2))
+        )
+        for X in presheaves:
             generator_only = {g: X.actions[g] for g in X.site.generators}
             for given in (generator_only, X.actions):
                 keys = [k for k in sorted(given) if given[k] and X.cells[k[0]] >= 2]
@@ -531,13 +671,14 @@ class TestCompositeTable:
                     try:
                         Y = ps.Presheaf(X.site, X.cells, actions)
                     except InvariantViolation:
-                        assert not full_pair_functorial(reference), (X, key)
+                        assert not all_pairs_functorial(reference), (X, key)
                         rejected += 1
                     else:
-                        assert full_pair_functorial(reference), (X, key)
+                        assert all_pairs_functorial(reference), (X, key)
                         assert Y.actions == reference.actions
                     tried += 1
-        assert tried == 1200 and 0 < rejected < tried
+        assert tried == 1600 and 0 < rejected < tried
+        assert {X.site for X in presheaves} >= {delta4, ps.box_site(2)}
 
 
 @lru_cache(maxsize=None)
@@ -580,11 +721,16 @@ import sys
 from posetcat import presheaf as ps
 from posetcat.errors import InvariantViolation
 from posetcat.poset import chain
-from test_presheaf import drop_hom
+from test_presheaf import drop_hom, rule_caught_corruption
 site = ps.PosetSite([chain(0), chain(1), chain(2)])
 drop_hom(site)
 try:
     ps.representable(site, chain(1))
+    print("accepted")
+except InvariantViolation as exc:
+    print(type(exc).__name__)
+try:
+    ps.Presheaf(*rule_caught_corruption())
     print("accepted")
 except InvariantViolation as exc:
     print(type(exc).__name__)
@@ -1129,6 +1275,20 @@ class TestKanNormalForm:
         for k, phi_index in ((1, -1), (1, phis), (-1, 1), (2, 0)):
             with pytest.raises(IndexError):
                 result.component(k, phi_index, 0)
+
+    def test_empty_presheaf_builds_no_phis(self):
+        # no level has a cell, so there is no comma cell and no phi: M -> [k]
+        # is built, and both lookups refuse every level
+        site = ps.delta_site(5)
+        empty = ps.Presheaf(site, [0] * 6, {g: () for g in site.generators})
+        M = chain(20)
+        result = ps.left_kan(empty, M)
+        assert result.count == 0 and not any(result._images)
+        for k in range(6):
+            with pytest.raises(IndexError):
+                result.phi_index(k, MonotoneMap(M, chain(k), (0,) * M.size))
+            with pytest.raises(IndexError):
+                result.component(k, 0, 0)
 
 
 class TestNatHomViaRetract:
