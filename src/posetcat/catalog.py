@@ -20,9 +20,9 @@ masks agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator, Optional
 
 from .errors import BoundExceeded
 from .poset import (
@@ -52,16 +52,16 @@ def _linear_extension(P: Poset) -> list[int]:
 
 
 def _refined_invariants(P: Poset) -> list[tuple]:
-    n = P.size
+    n, up, down = P.size, P.up, P.down
     inv: list[tuple] = [
-        (P.down[i].bit_count(), P.up[i].bit_count()) for i in range(n)
+        (down[i].bit_count(), up[i].bit_count()) for i in range(n)
     ]
     for _ in range(2):
         inv = [
             inv[i]
             + (
-                tuple(sorted(inv[j] for j in range(n) if P.up[i] >> j & 1 and j != i)),
-                tuple(sorted(inv[j] for j in range(n) if P.down[i] >> j & 1 and j != i)),
+                tuple(sorted(inv[j] for j in range(n) if up[i] >> j & 1 and j != i)),
+                tuple(sorted(inv[j] for j in range(n) if down[i] >> j & 1 and j != i)),
             )
             for i in range(n)
         ]
@@ -126,12 +126,10 @@ def canonical_key(P: Poset) -> bytes:
     return _key(_canonical_rows(P))
 
 
-@dataclass(frozen=True)
-class CanonicalPoset:
+class CanonicalPoset(namedtuple("CanonicalPoset", "poset key")):
     """Isomorphism-class representative in canonical labeling, with its key."""
 
-    poset: Poset
-    key: bytes
+    __slots__ = ()
 
     @classmethod
     def canonicalize(cls, P: Poset) -> "CanonicalPoset":
@@ -350,7 +348,7 @@ def monotone_maps(P: Poset, Q: Poset) -> tuple[MonotoneMap, ...]:
 # isomorphism search
 
 
-def find_isomorphism(P: Poset, Q: Poset) -> Optional[MonotoneMap]:
+def find_isomorphism(P: Poset, Q: Poset) -> MonotoneMap | None:
     """An order-isomorphism P -> Q (monotone with monotone inverse), or None.
 
     The search runs over injective monotone maps that send each element to
@@ -388,14 +386,15 @@ def _retraction_masks(A: Poset, keep: list[int], B: Poset) -> list[int]:
     maps within them are exactly the retractions.
     """
     full = (1 << B.size) - 1
+    b_up, b_down = B.up, B.down
     allowed = []
-    for v in range(A.size):
+    for below, above in zip(A.down, A.up):
         m = full
         for i, k in enumerate(keep):
-            if A.down[v] >> k & 1:
-                m &= B.up[i]
-            if A.up[v] >> k & 1:
-                m &= B.down[i]
+            if below >> k & 1:
+                m &= b_up[i]
+            if above >> k & 1:
+                m &= b_down[i]
         allowed.append(m)
     return allowed
 

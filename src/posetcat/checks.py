@@ -8,8 +8,8 @@ acceptance tests call these functions directly at the spec bounds.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import catalog, karoubi, presheaf
 from .errors import InvariantViolation
@@ -41,21 +41,15 @@ def require(cond: bool, msg: object) -> None:
         raise InvariantViolation(str(msg))
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    params: dict
-    passed: bool
-    counts: dict
-    elapsed: float
-    error: Optional[str] = None
+CheckRecord = namedtuple(
+    "CheckRecord", "name params passed counts elapsed error", defaults=(None,)
+)
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    params: dict = field(default_factory=dict)
-    checks: list[CheckRecord] = field(default_factory=list)
+class VerificationReport(namedtuple("VerificationReport", "suite params checks")):
+    """The check records of one suite run, in run order, under its params."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -427,6 +421,7 @@ def verify_all(
             "deep": deep,
             "seed": seed,
         },
+        checks=[],
     )
     for name, check, params in plan:
         start = time.monotonic()

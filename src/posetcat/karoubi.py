@@ -17,9 +17,8 @@ audited and weighted by the orbit size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import permutations
-from typing import Optional
 
 from . import catalog, cube
 from .errors import BoundExceeded, NotComplete, NotIdempotent
@@ -39,43 +38,39 @@ AUDIT_DIM_BOUND = 4
 SORT_SPLIT_BOUND = 5
 
 
-@dataclass(frozen=True)
-class Idempotent:
+class Idempotent(namedtuple("Idempotent", "map")):
     """Endomorphism with f . f = f."""
 
-    map: MonotoneMap
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = self.map
+    def __new__(cls, map: MonotoneMap):
+        f = map
         if f.dom != f.cod:
             raise NotIdempotent("an idempotent must be an endomorphism")
         img = f.image
         if any(img[img[x]] != img[x] for x in range(f.dom.size)):
             raise NotIdempotent("f . f differs from f")
+        return tuple.__new__(cls, (f,))
 
 
 def split_idempotent(f: Idempotent) -> Retract:
     """Retract of the domain onto its fixed points (= the image); s . r = f."""
-    P = f.map.dom
-    fixed = [a for a in range(P.size) if f.map.image[a] == a]
+    P, img = f.map.dom, f.map.image
+    fixed = [a for a in range(P.size) if img[a] == a]
     mid, incl = induced_subposet(P, fixed)
     pos = {a: i for i, a in enumerate(fixed)}
-    retraction = MonotoneMap(P, mid, tuple(pos[f.map.image[a]] for a in range(P.size)))
+    retraction = MonotoneMap(P, mid, tuple(pos[img[a]] for a in range(P.size)))
     if compose(incl, retraction) != f.map:
         raise NotIdempotent("section . retraction differs from the idempotent")
     return Retract(P, mid, incl, retraction)
 
 
-@dataclass
-class AuditReport:
+class AuditReport(
+    namedtuple("AuditReport", "dim endos idempotents split_classes violations wall_time")
+):
     """Result of an idempotent-splitting audit over cube endomorphisms."""
 
-    dim: int
-    endos: int
-    idempotents: int
-    split_classes: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -109,9 +104,8 @@ def audit_cube_idempotents(n: int) -> AuditReport:
         raise BoundExceeded(f"idempotent audit capped at dimension {AUDIT_DIM_BOUND}")
     start = time.monotonic()
     Q = interval_power(n)
-    report = AuditReport(
-        dim=n, endos=catalog.count_monotone_maps(Q, chain(1)) ** n, idempotents=0
-    )
+    endos = catalog.count_monotone_maps(Q, chain(1)) ** n
+    idempotents, split_classes, violations = 0, {}, []
     moves = [cube.symmetry(p).image for p in permutations(range(n))]
     seen = bytearray(1 << Q.size)
     for S in range(1, 1 << Q.size):
@@ -126,16 +120,15 @@ def audit_cube_idempotents(n: int) -> AuditReport:
         if r == 0:
             continue
         weight = r * len(orbit)
-        report.idempotents += weight
+        idempotents += weight
         if not is_complete(mid):
-            report.violations.append(
-                {"fix_set": keep, "reason": "split middle is not complete"}
-            )
+            violations.append({"fix_set": keep, "reason": "split middle is not complete"})
             continue
         key = catalog.canonical_key(mid)
-        report.split_classes[key] = report.split_classes.get(key, 0) + weight
-    report.wall_time = time.monotonic() - start
-    return report
+        split_classes[key] = split_classes.get(key, 0) + weight
+    return AuditReport(
+        n, endos, idempotents, split_classes, violations, time.monotonic() - start
+    )
 
 
 def retract_certificate(C: Poset) -> Retract:
@@ -146,6 +139,7 @@ def retract_certificate(C: Poset) -> Retract:
     n = C.size
     cube_poset = interval_power(n)
     lat = lattice_structure(C)
+    join_table = lat.join_table
     section = MonotoneMap(C, cube_poset, tuple(C.down[c] for c in range(n)))
     images = []
     for x in range(cube_poset.size):
@@ -154,7 +148,7 @@ def retract_certificate(C: Poset) -> Retract:
         while m:
             c = (m & -m).bit_length() - 1
             m &= m - 1
-            acc = lat.join_table[acc][c]
+            acc = join_table[acc][c]
         images.append(acc)
     retraction = MonotoneMap(cube_poset, C, tuple(images))
     return Retract(cube_poset, C, section, retraction)
@@ -176,7 +170,7 @@ def simplex_retract(n: int) -> Retract:
     return Retract(cube_poset, chain(n), section, retraction)
 
 
-def verify_sort_split(m: int) -> tuple[bool, Optional[MonotoneMap]]:
+def verify_sort_split(m: int) -> tuple[bool, MonotoneMap | None]:
     """Split the sort endomorphism of [1]^m and match it with the chain retract.
 
     Returns (ok, iso) where iso is an order-isomorphism from the splitting

@@ -1,15 +1,18 @@
 """Finite posets and monotone maps as bitmask relation matrices.
 
 Elements are dense indices 0..size-1; the order relation is stored row-wise
-as up-set bitmasks (bit j of up[i] set iff i <= j).  All values are immutable
-and hashable, so they can be shared freely and memoized.
+as up-set bitmasks (bit j of up[i] set iff i <= j).  The value types are
+tuples (namedtuple subclasses whose `__new__` checks the fields), so they are
+immutable, compared and hashed by value in C, and can be shared freely and
+memoized.  Code reads them by field name only; `_make` and `_replace` would
+skip the checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
 
 from .errors import (
     BoundExceeded,
@@ -21,32 +24,33 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Poset:
-    """Finite poset on 0..size-1 with up[i] = bitmask of {j : i <= j}."""
+class Poset(namedtuple("Poset", "size up")):
+    """Finite poset on 0..size-1 with up[i] = bitmask of {j : i <= j}.
 
-    size: int
-    up: tuple[int, ...]
+    Keeps an instance dict (no `__slots__`) for its cached properties.
+    """
 
-    def __post_init__(self):
-        n = self.size
-        if len(self.up) != n:
+    def __new__(cls, size: int, up: Iterable[int]):
+        up = tuple(up)
+        n = size
+        if len(up) != n:
             raise ValueError("up must have one row per element")
         full = (1 << n) - 1
-        for i, row in enumerate(self.up):
+        for i, row in enumerate(up):
             if row & ~full:
                 raise ValueError("relation references elements out of range")
             if not row >> i & 1:
                 raise ValueError(f"not reflexive at {i}")
         for i in range(n):
-            m = self.up[i] & ~(1 << i)
+            m = up[i] & ~(1 << i)
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
-                if self.up[j] >> i & 1:
+                if up[j] >> i & 1:
                     raise ValueError(f"not antisymmetric at ({i},{j})")
-                if self.up[j] & ~self.up[i]:
+                if up[j] & ~up[i]:
                     raise ValueError(f"not transitive through ({i},{j})")
+        return tuple.__new__(cls, (size, up))
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -67,14 +71,15 @@ class Poset:
     def covers(self) -> tuple[int, ...]:
         """covers[i] = bitmask of elements covering i (no element strictly between)."""
         out = []
-        for i in range(self.size):
-            strict = self.up[i] & ~(1 << i)
+        down = self.down
+        for i, row in enumerate(self.up):
+            strict = row & ~(1 << i)
             cov = 0
             m = strict
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
-                if not (strict & self.down[j] & ~(1 << j)):
+                if not (strict & down[j] & ~(1 << j)):
                     cov |= 1 << j
             out.append(cov)
         return tuple(out)
@@ -94,30 +99,28 @@ class Poset:
         return f"Poset(size={self.size}, covers={list(self.cover_edges)})"
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(namedtuple("MonotoneMap", "dom cod image")):
     """Order-preserving function, stored as the image vector over dom indices.
 
     Construction checks the length, the range of every image value, and
     f(i) <= f(j) on the covering pairs i < j of the domain.
     """
 
-    dom: Poset
-    cod: Poset
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        img = self.image
-        if len(img) != self.dom.size:
+    def __new__(cls, dom: Poset, cod: Poset, image: Iterable[int]):
+        img = tuple(image)
+        if len(img) != dom.size:
             raise ValueError("image length must equal domain size")
-        if img and not (0 <= min(img) and max(img) < self.cod.size):
+        if img and not (0 <= min(img) and max(img) < cod.size):
             raise ValueError("image value out of range")
         # In a finite poset i < j iff a chain of covers runs from i to j, and
         # cod is transitive, so f(i) <= f(j) on covers gives it on all pairs.
-        cod_up = self.cod.up
-        for i, j in self.dom.cover_edges:
+        cod_up = cod.up
+        for i, j in dom.cover_edges:
             if not cod_up[img[i]] >> img[j] & 1:
                 raise ValueError(f"not monotone on {i} <= {j}")
+        return tuple.__new__(cls, (dom, cod, img))
 
     def __call__(self, i: int) -> int:
         return self.image[i]
@@ -130,34 +133,30 @@ class MonotoneMap:
         return f"MonotoneMap({self.dom.size}->{self.cod.size}, {list(self.image)})"
 
 
-@dataclass(frozen=True)
-class LatticeStructure:
+class LatticeStructure(
+    namedtuple("LatticeStructure", "base meet_table join_table bottom top")
+):
     """Meet/join tables with bottom and top for a complete finite poset."""
 
-    base: Poset
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Retract:
+class Retract(namedtuple("Retract", "outer inner section retraction")):
     """Retract diagram: retraction . section = identity on inner."""
 
-    outer: Poset
-    inner: Poset
-    section: MonotoneMap
-    retraction: MonotoneMap
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.section.dom != self.inner or self.section.cod != self.outer:
+    def __new__(cls, outer: Poset, inner: Poset, section: MonotoneMap,
+                retraction: MonotoneMap):
+        if section.dom != inner or section.cod != outer:
             raise DomainMismatch("section must map inner -> outer")
-        if self.retraction.dom != self.outer or self.retraction.cod != self.inner:
+        if retraction.dom != outer or retraction.cod != inner:
             raise DomainMismatch("retraction must map outer -> inner")
-        for b in range(self.inner.size):
-            if self.retraction.image[self.section.image[b]] != b:
+        r, s = retraction.image, section.image
+        for b in range(inner.size):
+            if r[s[b]] != b:
                 raise InvariantViolation("retraction . section is not the identity")
+        return tuple.__new__(cls, (outer, inner, section, retraction))
 
 
 def validate_poset(relation: Iterable[tuple[int, int]], size: int) -> Poset:
@@ -197,17 +196,16 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     """Composite g . f (apply f first)."""
     if f.cod != g.dom:
         raise DomainMismatch("codomain of f must equal domain of g")
-    return MonotoneMap(f.dom, g.cod, tuple(g.image[x] for x in f.image))
+    gi = g.image
+    return MonotoneMap(f.dom, g.cod, tuple(gi[x] for x in f.image))
 
 
 def product(P: Poset, Q: Poset) -> Poset:
     """Componentwise order; element (p, q) is encoded as p + P.size * q."""
-    np_, nq = P.size, Q.size
+    np_ = P.size
     up = []
-    for j in range(nq):
-        qrow = Q.up[j]
-        for i in range(np_):
-            prow = P.up[i]
+    for qrow in Q.up:
+        for prow in P.up:
             row = 0
             m = qrow
             while m:
@@ -216,7 +214,7 @@ def product(P: Poset, Q: Poset) -> Poset:
                 # rows of the product: shift P-row into the j2-block
                 row |= prow << (np_ * j2)
             up.append(row)
-    return Poset(np_ * nq, tuple(up))
+    return Poset(len(up), tuple(up))
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +246,7 @@ def antichain(k: int) -> Poset:
     return Poset(k, tuple(1 << i for i in range(k)))
 
 
-def terminal(P: Poset) -> Optional[int]:
+def terminal(P: Poset) -> int | None:
     """The unique element above everything, if it exists."""
     full = (1 << P.size) - 1
     for x in range(P.size):
@@ -257,7 +255,7 @@ def terminal(P: Poset) -> Optional[int]:
     return None
 
 
-def meet(P: Poset, a: int, b: int) -> Optional[int]:
+def meet(P: Poset, a: int, b: int) -> int | None:
     """Greatest lower bound of {a, b}, or None."""
     lb = P.down[a] & P.down[b]
     m = lb
@@ -269,14 +267,15 @@ def meet(P: Poset, a: int, b: int) -> Optional[int]:
     return None
 
 
-def join(P: Poset, a: int, b: int) -> Optional[int]:
+def join(P: Poset, a: int, b: int) -> int | None:
     """Least upper bound of {a, b}, or None."""
-    ub = P.up[a] & P.up[b]
+    up = P.up
+    ub = up[a] & up[b]
     m = ub
     while m:
         x = (m & -m).bit_length() - 1
         m &= m - 1
-        if not ub & ~P.up[x]:
+        if not ub & ~up[x]:
             return x
     return None
 
@@ -336,8 +335,9 @@ def induced_subposet(P: Poset, elements: Iterable[int]) -> tuple[Poset, Monotone
     up = []
     for e in els:
         row = 0
+        above = P.up[e]
         for f in els:
-            if P.up[e] >> f & 1:
+            if above >> f & 1:
                 row |= 1 << pos[f]
         up.append(row)
     sub = Poset(len(els), tuple(up))
@@ -355,9 +355,9 @@ def limit_via_retract(ret: Retract, targets: Iterable[int]) -> int:
     ts = list(targets)
     A, B = ret.outer, ret.inner
     lat = lattice_structure(A)
-    acc = lat.top
+    acc, meet_table, section = lat.top, lat.meet_table, ret.section.image
     for t in ts:
-        acc = lat.meet_table[acc][ret.section.image[t]]
+        acc = meet_table[acc][section[t]]
     result = ret.retraction.image[acc]
     # verification: result is the greatest lower bound of ts in B
     lb_mask = (1 << B.size) - 1
@@ -383,7 +383,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def poset_from_json(data: dict, max_size: Optional[int] = None) -> Poset:
+def poset_from_json(data: dict, max_size: int | None = None) -> Poset:
     """Inverse of poset_to_json; any pairs are accepted, closure restores the order.
 
     Raises SchemaError unless data is {"size": n, "relation": [[i, j], ...]}

@@ -37,9 +37,9 @@ other phi is in the class of (surj, X(inj) c).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
 
 from . import catalog
 from .errors import (
@@ -473,7 +473,7 @@ def _face_union_keep(n: int, I: frozenset[int], site: PosetSite) -> list[list[in
     ]
 
 
-def face_union(n: int, I: Iterable[int], d: Optional[int] = None) -> tuple[Presheaf, PresheafMap]:
+def face_union(n: int, I: Iterable[int], d: int | None = None) -> tuple[Presheaf, PresheafMap]:
     """Union of the i-th faces of the representable n-simplex, i in I.
 
     I may be empty (empty sub-presheaf) or everything (the boundary has I
@@ -488,7 +488,7 @@ def face_union(n: int, I: Iterable[int], d: Optional[int] = None) -> tuple[Presh
     return subpresheaf(simplex(n, d), _face_union_keep(n, Iset, site))
 
 
-def horn(n: int, I: Iterable[int], d: Optional[int] = None) -> PresheafMap:
+def horn(n: int, I: Iterable[int], d: int | None = None) -> PresheafMap:
     """Inclusion of the generalized horn (union of the faces indexed by I).
 
     Cells are the chain maps into [n] that factor through the i-th face for
@@ -647,7 +647,7 @@ def left_kan(X: Presheaf, M: Poset) -> KanResult:
 
 
 def left_kan_map(
-    F: PresheafMap, M: Poset, target: Optional[KanResult] = None
+    F: PresheafMap, M: Poset, target: KanResult | None = None
 ) -> tuple[tuple[int, ...], KanResult, KanResult]:
     """Induced function between pointwise Kan values, as a component mapping.
 
@@ -704,7 +704,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
     # completes the rest
     actions = {}
     for i, j, h in site.generators:
-        tab: list[Optional[int]] = [None] * counts[j]
+        tab: list[int | None] = [None] * counts[j]
         for part, T, lab in (("B", B, lab_b), ("C", C, lab_c)):
             for x, val in zip(lab[j], map(lab[i].__getitem__, T.actions[(i, j, h)])):
                 if tab[x] is None:
@@ -726,7 +726,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
     return P, in_b, in_c
 
 
-def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = None) -> dict:
+def horn_attachment_square(n: int, I: Iterable[int], i: int, d: int | None = None) -> dict:
     """Check the face-attachment pushout: glueing the i-th face onto the horn
     with faces I-{i} along their overlap yields the horn with faces I.
 
@@ -740,11 +740,11 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
     if d is None:
         d = n
     site = delta_site(d)
-    delta_i = MonotoneMap(
+    delta_image = MonotoneMap(
         chain(n - 1), chain(n), tuple(j if j < i else j + 1 for j in range(n))
-    )
+    ).image
     Iprime = Iset - {i}
-    J = frozenset(j for j in range(n) if delta_i.image[j] in Iprime)
+    J = frozenset(j for j in range(n) if delta_image[j] in Iprime)
 
     rep_n1 = simplex(n - 1, d)
     big, big_incl = face_union(n, Iset, d)
@@ -762,7 +762,7 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
 
     def post_delta(level: int, cell_n1: int) -> int:
         h = cells_n1[level][cell_n1]
-        return idx_n[level][tuple(delta_i.image[v] for v in h.image)]
+        return idx_n[level][tuple(map(delta_image.__getitem__, h.image))]
 
     a = PresheafMap(
         small,
@@ -776,7 +776,7 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: Optional[int] = 
     P, in_prime, in_face = pushout(a, b)
 
     # canonical comparison map into the directly built horn
-    compare: list[list[Optional[int]]] = [[None] * P.cells[lvl] for lvl in range(len(site.objects))]
+    compare: list[list[int | None]] = [[None] * P.cells[lvl] for lvl in range(len(site.objects))]
     for lvl in range(len(site.objects)):
         for s, c in enumerate(keep_prime[lvl]):
             compare[lvl][in_prime.components[lvl][s]] = pos_big[lvl][c]
@@ -824,21 +824,18 @@ def nat_hom_via_retract(L: Poset, L2: Poset) -> tuple[MonotoneMap, ...]:
     below = [
         [p for p, s_el in enumerate(s_elems) if s_el & ~x == 0] for x in range(cube1.size)
     ]
+    r2, s1 = cert2.retraction.image, cert1.section.image
     composites = set()
     for rho in catalog.enumerate_monotone_maps(S, cube2):
+        rho_image = rho.image
         g_image = []
         for positions in below:
             acc = 0
             for p in positions:
-                acc |= rho.image[p]
+                acc |= rho_image[p]
             g_image.append(acc)
-        g = MonotoneMap(cube1, cube2, tuple(g_image))
-        composites.add(
-            tuple(
-                cert2.retraction.image[g.image[cert1.section.image[c]]]
-                for c in range(L.size)
-            )
-        )
+        g = MonotoneMap(cube1, cube2, tuple(g_image)).image  # checked monotone
+        composites.add(tuple(r2[g[s]] for s in s1))
     direct = {f.image for f in catalog.enumerate_monotone_maps(L, L2)}
     if composites != direct:
         raise InvariantViolation("transported hom-set differs from direct enumeration")

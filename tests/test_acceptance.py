@@ -172,11 +172,11 @@ def test_criterion_10_enumeration_cross_checks():
             )
         )
         assert naive == sequence[n - 1]
-    # n = 4: pruned enumerator under two different worker counts
-    a = catalog.count_monotone_maps(interval_power(4), chain(1), workers=1)
-    b = catalog.count_monotone_maps(interval_power(4), chain(1), workers=3)
-    assert a == b == 168
-    report(10, "map counts 3, 6, 20, 168 confirmed (truth tables for n <= 3; workers 1 vs 3 at n = 4)")
+    # n = 4: the state-merging count against the streamed search
+    count = catalog.count_monotone_maps(interval_power(4), chain(1))
+    streamed = sum(1 for _ in catalog.enumerate_monotone_maps(interval_power(4), chain(1)))
+    assert count == streamed == 168
+    report(10, "map counts 3, 6, 20, 168 confirmed (truth tables for n <= 3; count vs stream at n = 4)")
 
 
 def test_criterion_11_verify_all_deterministic_and_fast():

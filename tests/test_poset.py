@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import posetcat
 from posetcat.errors import (
     BoundExceeded,
     CycleError,
@@ -13,6 +17,7 @@ from posetcat.errors import (
     SchemaError,
 )
 from posetcat.catalog import enumerate_posets, monotone_maps
+from posetcat.karoubi import Idempotent, retract_certificate
 from posetcat.poset import (
     MonotoneMap,
     Poset,
@@ -291,6 +296,86 @@ class TestRetractValidation:
         bad_r = MonotoneMap(sq, chain(1), (0, 0, 0, 0))
         with pytest.raises(InvariantViolation):
             Retract(sq, chain(1), s, bad_r)
+
+
+# Every construction check must raise under python -O too.
+CHECKS_UNDER_O = """
+import sys
+from posetcat.errors import InvariantViolation, NotIdempotent
+from posetcat.karoubi import Idempotent
+from posetcat.poset import MonotoneMap, Poset, Retract, chain, interval_power
+sq = interval_power(2)
+section = MonotoneMap(chain(1), sq, (0, 3))
+builds = [
+    (ValueError, lambda: MonotoneMap(chain(1), chain(1), (1, 0))),
+    (ValueError, lambda: Poset(2, (3, 3))),
+    (InvariantViolation, lambda: Retract(sq, chain(1), section, MonotoneMap(sq, chain(1), (0,) * 4))),
+    (NotIdempotent, lambda: Idempotent(MonotoneMap(chain(2), chain(2), (1, 2, 2)))),
+]
+for exc, build in builds:
+    try:
+        build()
+    except exc as e:
+        print(f"{type(e).__name__}: {e}")
+print(sys.flags.optimize)
+"""
+
+
+class TestValueTypes:
+    def values(self):
+        sq = interval_power(2)
+        f = identity_map(sq)
+        return [
+            (sq, "size"), (sq, "up"), (f, "dom"), (f, "image"),
+            (lattice_structure(sq), "top"), (retract_certificate(chain(1)), "section"),
+            (enumerate_posets(2)[0], "key"), (Idempotent(f), "map"),
+        ]
+
+    def test_fields_are_read_only(self):
+        for value, field in self.values():
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        # the hash a frozen dataclass had, so set and dict orders stay put
+        for P in [Poset(0, ()), chain(2), vee(), diamond(), interval_power(2)]:
+            assert hash(P) == hash((P.size, P.up))
+        for f in monotone_maps(vee(), diamond()) + (identity_map(interval_power(2)),):
+            assert hash(f) == hash((f.dom, f.cod, f.image))
+
+    def test_reprs_are_pinned(self):
+        assert repr(vee()) == "Poset(size=3, covers=[(0, 2), (1, 2)])"
+        assert repr(MonotoneMap(chain(1), chain(2), (0, 2))) == "MonotoneMap(2->3, [0, 2])"
+        assert repr(retract_certificate(chain(1))) == (
+            "Retract(outer=Poset(size=4, covers=[(0, 1), (0, 2), (1, 3), (2, 3)]), "
+            "inner=Poset(size=2, covers=[(0, 1)]), section=MonotoneMap(2->4, [1, 3]), "
+            "retraction=MonotoneMap(4->2, [0, 0, 1, 1]))"
+        )
+
+    def test_lists_are_stored_as_tuples(self):
+        P = Poset(2, [3, 2])
+        assert P == chain(1) and hash(P) == hash(chain(1))
+        f = MonotoneMap(chain(1), chain(1), [0, 1])
+        assert f == identity_map(chain(1)) and hash(f) == hash(identity_map(chain(1)))
+        assert [g.image for g in monotone_maps(P, chain(1))] == [(0, 0), (0, 1), (1, 1)]
+        up = (3, 2)
+        assert Poset(2, up).up is up
+
+    def test_construction_checks_hold_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(posetcat.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CHECKS_UNDER_O],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "ValueError: not monotone on 0 <= 1",
+            "ValueError: not antisymmetric at (0,1)",
+            "InvariantViolation: retraction . section is not the identity",
+            "NotIdempotent: f . f differs from f",
+            "1",
+        ]
 
 
 class TestJson:
