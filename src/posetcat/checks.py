@@ -7,6 +7,7 @@ acceptance tests call these functions directly at the spec bounds.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import namedtuple
 from collections.abc import Callable
@@ -237,17 +238,12 @@ def check_sort_splits(max_dim: int) -> dict:
     return {"max_dim": max_dim}
 
 
-def _threshold_count(m: int) -> int:
-    """Monotone maps [m] -> [1] by filtering all binary functions."""
-    count = 0
-    for bits in range(1 << (m + 1)):
-        if all(
-            (bits >> i & 1) <= (bits >> j & 1)
-            for i in range(m + 1)
-            for j in range(i, m + 1)
-        ):
-            count += 1
-    return count
+def _brute_monotone_count(m: int, Q: Poset) -> int:
+    """Monotone maps [m] -> Q by filtering all Q.size ** (m + 1) functions."""
+    return sum(
+        all(Q.leq(img[i], img[j]) for i in range(m + 1) for j in range(i, m + 1))
+        for img in itertools.product(range(Q.size), repeat=m + 1)
+    )
 
 
 def check_triangulation(max_simplex: int) -> dict:
@@ -258,35 +254,26 @@ def check_triangulation(max_simplex: int) -> dict:
     for n in range(presheaf.TRIANGULATE_BOUND + 1):
         X = presheaf.triangulate(n, d)
         for m in range(d + 1):
-            expect = _threshold_count(m) ** n
-            require(_threshold_count(m) == m + 2, ("threshold count", m))
+            threshold = _brute_monotone_count(m, chain(1))
+            require(threshold == m + 2, ("threshold count", m))
+            expect = threshold ** n
             require(X.cells[m] == expect, (n, m, X.cells[m], expect))
             checked += 1
             if n <= 3 and m <= 3:
                 # second oracle: filter all vertex functions into the cube
-                cube_size = 1 << n
-                cube_p = interval_power(n)
-                brute = 0
-                for code in range(cube_size ** (m + 1)):
-                    img, c = [], code
-                    for _ in range(m + 1):
-                        img.append(c % cube_size)
-                        c //= cube_size
-                    if all(
-                        cube_p.leq(img[i], img[j])
-                        for i in range(m + 1)
-                        for j in range(i, m + 1)
-                    ):
-                        brute += 1
+                brute = _brute_monotone_count(m, interval_power(n))
                 require(brute == expect, ("brute force", n, m))
     return {"cells_checked": checked, "truncation": d}
 
 
+def _lattices(max_size: int) -> list[Poset]:
+    """The lattices of sizes 1..max_size up to isomorphism, in catalog order."""
+    return [cp.poset for s in range(1, max_size + 1) for cp in catalog.enumerate_lattices(s)]
+
+
 def check_kan_oracle(max_simplex: int, max_poset: int) -> dict:
     """|i_! y[m] (M)| must equal |Poset(M, [m])| on the chain site truncated at m."""
-    lattices = [
-        cp.poset for s in range(1, max_poset + 1) for cp in catalog.enumerate_lattices(s)
-    ]
+    lattices = _lattices(max_poset)
     checked = 0
     for m in range(min(3, max_simplex) + 1):
         X = presheaf.simplex(m, m)
@@ -309,9 +296,7 @@ def _horn_index_sets(n: int):
 def check_mono_preservation(max_simplex: int, max_poset: int) -> dict:
     """Left Kan extension sends horn inclusions to injections with the
     union-of-faces image, for every complete target poset in range."""
-    lattices = [
-        cp.poset for s in range(1, max_poset + 1) for cp in catalog.enumerate_lattices(s)
-    ]
+    lattices = _lattices(max_poset)
     horns_checked = 0
     for n in range(1, min(3, max_simplex) + 1):
         rep = presheaf.simplex(n, n)
@@ -369,9 +354,7 @@ def check_contracting_homotopies(max_chain: int) -> dict:
 
 
 def check_nat_hom(max_lattice: int) -> dict:
-    lattices = [
-        cp.poset for s in range(1, max_lattice + 1) for cp in catalog.enumerate_lattices(s)
-    ]
+    lattices = _lattices(max_lattice)
     pairs = 0
     for L in lattices:
         for L2 in lattices:

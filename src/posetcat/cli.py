@@ -138,10 +138,13 @@ def _cmd_kan(args) -> int:
             X = presheaf.presheaf_from_json(json.load(fh))
     else:
         X = presheaf.simplex(args.simplex, args.simplex)
-    # left_kan builds every phi: M -> [k], even over a level with no cells,
-    # and the cells over it: bound both before any is built, level by level
+    # at each level where X has cells, left_kan builds every phi: M -> [k]
+    # and at most the cells over it; a level without cells builds nothing.
+    # Bound both before any is built, level by level
     size = 0
     for k, c in enumerate(X.cells):
+        if not c:
+            continue
         size += (1 + c) * catalog.count_monotone_maps(M, chain(k))
         if size > MAX_KAN_CELLS:
             raise BoundExceeded(f"kan would build {size} comma cells, more than {MAX_KAN_CELLS}")

@@ -37,6 +37,7 @@ other phi is in the class of (surj, X(inj) c).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from operator import itemgetter
@@ -505,31 +506,53 @@ def horn(n: int, I: Iterable[int], d: int | None = None) -> PresheafMap:
 
 
 # ---------------------------------------------------------------------------
-# union-find, shared by left Kan extension and pushouts
+# quotients, shared by left Kan extension, pushouts and the attachment square
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _classes(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Classes of the equivalence on range(size) generated by pairs.
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+    Union-find with path halving, inlined in one loop; each class's root is
+    its least element, so every parent is at most its child and one forward
+    pass labels the elements.  Returns the number of classes and a label per
+    element; labels number the classes in order of their first element.
+    """
+    parent = list(range(size))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    labels: list[int] = []
+    count = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            labels.append(count)
+            count += 1
+        else:
+            labels.append(labels[p])
+    return count, labels
 
-    def union(self, a: int, b: int):
-        # find(a) then find(b), inlined: the same halving, one call instead of three
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        while p[b] != b:
-            p[b] = p[p[b]]
-            b = p[b]
-        if a != b:
-            p[b] = a
+
+def _descend(size: int, pairs: Iterable[tuple[int, int]], what: str) -> tuple[int, ...]:
+    """The function on classes 0..size-1 whose graph is the (class, value) pairs.
+
+    Raises InvariantViolation, its message starting with `what`, when a class
+    gets two values or none.
+    """
+    table: list[int | None] = [None] * size
+    for x, v in pairs:
+        if table[x] is None:
+            table[x] = v
+        elif table[x] != v:
+            raise InvariantViolation(f"{what}: class {x} gets two values")
+    if None in table:
+        raise InvariantViolation(f"{what}: class {table.index(None)} gets no value")
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +633,8 @@ def _kan_once(X: Presheaf, M: Poset) -> KanResult:
             if len(set(phi)) == k + 1:
                 start[k][pi] = total
                 total += X.cells[k]
-    uf = _UnionFind(total)
-    union = uf.union
+    # the cell c2 over phi2 = s.phi is joined to the cell X(s) c2 over phi
+    edges = []
     for k, k2, h in site.generators:
         uimg = site.homs[k][k2][h].image
         if len(set(uimg)) != k2 + 1 or X.cells[k2] == 0:
@@ -620,11 +643,9 @@ def _kan_once(X: Presheaf, M: Poset) -> KanResult:
         at, start2 = phis[k2], start[k2]
         for pi, base in start[k].items():
             base2 = start2[at[tuple(map(uimg.__getitem__, images[k][pi]))]]
-            for c2, c in enumerate(tab):
-                union(base + c, base2 + c2)
-    label_of_root: dict[int, int] = {}
-    labels = [label_of_root.setdefault(r, len(label_of_root)) for r in map(uf.find, range(total))]
-    return KanResult(len(label_of_root), M, X, images, phis, start, labels)
+            edges.append(zip(map(base.__add__, tab), range(base2, base2 + len(tab))))
+    count, labels = _classes(total, itertools.chain.from_iterable(edges))
+    return KanResult(count, M, X, images, phis, start, labels)
 
 
 def left_kan(X: Presheaf, M: Poset) -> KanResult:
@@ -660,16 +681,14 @@ def left_kan_map(
     src = left_kan(F.source, M)
     tgt = target if target is not None else left_kan(F.target, M)
     # F keeps phi, so the surjective cells of the source land on those of the target
-    pairs = set()
-    for k, row in enumerate(src._start):
-        for pi, base in row.items():
-            tgt_ids = map(tgt._start[k][pi].__add__, F.components[k])
-            pairs.update(zip(src._labels[base:base + F.source.cells[k]],
-                             map(tgt._labels.__getitem__, tgt_ids)))
-    mapping = dict(pairs)
-    if len(mapping) != len(pairs):
-        raise InvariantViolation("induced component map is not well defined")
-    return tuple(map(mapping.__getitem__, range(src.count))), src, tgt
+    pairs = itertools.chain.from_iterable(
+        zip(src._labels[base:base + F.source.cells[k]],
+            map(tgt._labels.__getitem__, map(tgt._start[k][pi].__add__, F.components[k])))
+        for k, row in enumerate(src._start)
+        for pi, base in row.items()
+    )
+    mapping = _descend(src.count, pairs, "induced component map is not well defined")
+    return mapping, src, tgt
 
 
 # ---------------------------------------------------------------------------
@@ -679,51 +698,35 @@ def left_kan_map(
 def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, PresheafMap]:
     """Levelwise pushout of sets along the shared source, with cocone maps.
 
-    Cells are glued levelwise by union-find; the generator tables of the
-    quotient are read off those of B and C, and Presheaf completes the rest.
+    At each level the cells of B, then of C, are divided into the classes
+    joined by f(x) ~ g(x) (see _classes); the generator tables of the
+    quotient descend from those of B and C, and Presheaf completes the rest.
     """
     if f.source != g.source:
         raise SiteMismatch("pushout legs must share their source presheaf")
-    A, B, C = f.source, f.target, g.target
-    site = A.site
-    n = len(site.objects)
+    B, C = f.target, g.target
+    site = f.source.site
     lab_b, lab_c, counts = [], [], []
-    for i in range(n):
-        nb, nc = B.cells[i], C.cells[i]
-        uf = _UnionFind(nb + nc)
-        for x, y in zip(f.components[i], g.components[i]):
-            uf.union(x, nb + y)
-        # labels in order of first root: the B cells first, then the C cells
-        roots: dict[int, int] = {}
-        labels = [roots.setdefault(r, len(roots)) for r in map(uf.find, range(nb + nc))]
+    for i in range(len(site.objects)):
+        nb = B.cells[i]
+        count, labels = _classes(
+            nb + C.cells[i], zip(f.components[i], map(nb.__add__, g.components[i]))
+        )
         lab_b.append(labels[:nb])
         lab_c.append(labels[nb:])
-        counts.append(len(roots))
-    # glue the generator tables only: a quotient that is well defined on
-    # the generators is well defined on their composites, and Presheaf
-    # completes the rest
+        counts.append(count)
+    # a quotient that is well defined on the generators is well defined on
+    # their composites, and Presheaf completes the rest
     actions = {}
-    for i, j, h in site.generators:
-        tab: list[int | None] = [None] * counts[j]
-        for part, T, lab in (("B", B, lab_b), ("C", C, lab_c)):
-            for x, val in zip(lab[j], map(lab[i].__getitem__, T.actions[(i, j, h)])):
-                if tab[x] is None:
-                    tab[x] = val
-                elif tab[x] != val:
-                    raise InvariantViolation(f"pushout action not well defined on {part} cells")
-        if None in tab:
-            raise InvariantViolation("pushout cell without representative")
-        actions[(i, j, h)] = tuple(tab)
+    for key in site.generators:
+        i, j, _ = key
+        pairs = itertools.chain(
+            zip(lab_b[j], map(lab_b[i].__getitem__, B.actions[key])),
+            zip(lab_c[j], map(lab_c[i].__getitem__, C.actions[key])),
+        )
+        actions[key] = _descend(counts[j], pairs, "pushout action not well defined")
     P = Presheaf(site, counts, actions)
-    in_b = PresheafMap(B, P, lab_b)
-    in_c = PresheafMap(C, P, lab_c)
-    if any(
-        _picker(f.components[i])(in_b.components[i])
-        != _picker(g.components[i])(in_c.components[i])
-        for i in range(n)
-    ):
-        raise InvariantViolation("pushout square does not commute")
-    return P, in_b, in_c
+    return P, PresheafMap(B, P, lab_b), PresheafMap(C, P, lab_c)
 
 
 def horn_attachment_square(n: int, I: Iterable[int], i: int, d: int | None = None) -> dict:
@@ -740,13 +743,13 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: int | None = Non
     if d is None:
         d = n
     site = delta_site(d)
+    levels = range(len(site.objects))
     delta_image = MonotoneMap(
         chain(n - 1), chain(n), tuple(j if j < i else j + 1 for j in range(n))
     ).image
     Iprime = Iset - {i}
     J = frozenset(j for j in range(n) if delta_image[j] in Iprime)
 
-    rep_n1 = simplex(n - 1, d)
     big, big_incl = face_union(n, Iset, d)
     prime, prime_incl = face_union(n, Iprime, d)
     small, small_incl = face_union(n - 1, J, d)
@@ -756,43 +759,34 @@ def horn_attachment_square(n: int, I: Iterable[int], i: int, d: int | None = Non
     # positions of kept cells inside the ambient representables
     pos_big = [{c: s for s, c in enumerate(ks)} for ks in keep_big]
     pos_prime = [{c: s for s, c in enumerate(ks)} for ks in keep_prime]
-    cells_n = [catalog.monotone_maps(Q, chain(n)) for Q in site.objects]
-    idx_n = [{h.image: c for c, h in enumerate(cs)} for cs in cells_n]
-    cells_n1 = [catalog.monotone_maps(Q, chain(n - 1)) for Q in site.objects]
-
-    def post_delta(level: int, cell_n1: int) -> int:
-        h = cells_n1[level][cell_n1]
-        return idx_n[level][tuple(map(delta_image.__getitem__, h.image))]
+    # the component of delta_i: Delta[n-1] -> Delta[n] at each level
+    delta = []
+    for Q in site.objects:
+        idx_n = {h.image: c for c, h in enumerate(catalog.monotone_maps(Q, chain(n)))}
+        delta.append(tuple(
+            idx_n[tuple(map(delta_image.__getitem__, h.image))]
+            for h in catalog.monotone_maps(Q, chain(n - 1))
+        ))
 
     a = PresheafMap(
         small,
         prime,
-        [
-            tuple(pos_prime[lvl][post_delta(lvl, c)] for c in keep_small[lvl])
-            for lvl in range(len(site.objects))
-        ],
+        [tuple(map(pos_prime[lvl].__getitem__, _picker(keep_small[lvl])(delta[lvl])))
+         for lvl in levels],
     )
-    b = small_incl
-    P, in_prime, in_face = pushout(a, b)
+    P, in_prime, in_face = pushout(a, small_incl)
 
     # canonical comparison map into the directly built horn
-    compare: list[list[int | None]] = [[None] * P.cells[lvl] for lvl in range(len(site.objects))]
-    for lvl in range(len(site.objects)):
-        for s, c in enumerate(keep_prime[lvl]):
-            compare[lvl][in_prime.components[lvl][s]] = pos_big[lvl][c]
-        for c1 in range(rep_n1.cells[lvl]):
-            target = pos_big[lvl][post_delta(lvl, c1)]
-            lab = in_face.components[lvl][c1]
-            if compare[lvl][lab] is None:
-                compare[lvl][lab] = target
-            elif compare[lvl][lab] != target:
-                raise InvariantViolation("comparison map to the horn is not well defined")
-    counts = {}
-    for lvl in range(len(site.objects)):
-        if None in compare[lvl] or len(set(compare[lvl])) != len(compare[lvl]):
+    compare, counts = [], {}
+    for lvl in levels:
+        pairs = itertools.chain(
+            zip(in_prime.components[lvl], map(pos_big[lvl].__getitem__, keep_prime[lvl])),
+            zip(in_face.components[lvl], map(pos_big[lvl].__getitem__, delta[lvl])),
+        )
+        comp = _descend(P.cells[lvl], pairs, "comparison map to the horn is not well defined")
+        if P.cells[lvl] != big.cells[lvl] or len(set(comp)) != P.cells[lvl]:
             raise InvariantViolation(f"pushout differs from the horn at level {lvl}")
-        if P.cells[lvl] != big.cells[lvl]:
-            raise InvariantViolation(f"pushout differs from the horn at level {lvl}")
+        compare.append(comp)
         counts[lvl] = P.cells[lvl]
     # a levelwise bijection is an isomorphism once it is also natural
     PresheafMap(P, big, compare)

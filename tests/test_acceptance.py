@@ -14,6 +14,7 @@ from itertools import product
 import posetcat
 from posetcat import catalog, checks, karoubi, presheaf
 from posetcat.poset import chain, interval_power
+from test_presheaf import square_with_pushouts
 
 
 def report(num, message):
@@ -134,7 +135,7 @@ def test_criterion_08_horn_pushout_squares():
             if len(I) > n:
                 continue
             for i in sorted(I):
-                presheaf.horn_attachment_square(n, I, i)
+                square_with_pushouts(n, I, i)  # asserts in_b . f == in_c . g
                 squares += 1
     assert squares == 37
     report(8, f"all {squares} horn attachment squares are levelwise pushouts (n in {{2,3}})")

@@ -1,8 +1,8 @@
 """Smoke test of the benchmark worker (bench/worker.py) under its tracer.
 
 The worker wraps src functions by name (bench/spans.py), so a refactor that
-renames or drops one of them breaks the benchmark; this runs one traced
-presheaf op and one traced count op in a subprocess, as bench/run.py does.
+renames or drops one of them breaks the benchmark; this runs traced
+triangulate, count, horn and square ops in a subprocess, as bench/run.py does.
 """
 
 import json
@@ -22,7 +22,12 @@ def test_traced_worker_runs_a_presheaf_op_and_a_count_op():
     cube = {"kind": "cube", "n": 2, "perm": [3, 1, 2, 0]}
     chain = {"kind": "chain", "m": 2, "perm": [0, 1, 2]}
     spec = {
-        "ops": [{"op": "triangulate", "n": 2, "d": 2}, {"op": "count", "dom": cube, "cod": chain}],
+        "ops": [
+            {"op": "triangulate", "n": 2, "d": 2},
+            {"op": "count", "dom": cube, "cod": chain},
+            {"op": "horn", "n": 2, "I": [1, 2], "d": 2},
+            {"op": "square", "n": 2, "I": [1, 2], "i": 1, "d": 2},
+        ],
         "trace": True,
     }
     proc = subprocess.run(
@@ -32,5 +37,9 @@ def test_traced_worker_runs_a_presheaf_op_and_a_count_op():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert [r for r in out["results"] if "error" in r] == []
-    assert out["trace"]["presheaf.Presheaf.validate.calls"] == 1
+    # triangulate 1; horn: Delta[2] and the horn; square: two face unions
+    # in Delta[2], Delta[1] and a face union in it, and the pushout
+    assert out["trace"]["presheaf.Presheaf.validate.calls"] == 8
     assert out["trace"]["catalog.count_monotone_maps.calls"] == 1
+    assert out["trace"]["presheaf.pushout.calls"] == 1
+    assert out["trace"]["presheaf.horn_attachment_square.calls"] == 1

@@ -207,21 +207,43 @@ class TestKanPresheaf:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("dim, cells, size", [(3, None, 60), (5, 0, 40)])
+    @pytest.mark.parametrize("dim, cells, size", [(3, None, 60), (5, 1, 40)])
     def test_cell_bound_exits_2(self, capsys, tmp_path, dim, cells, size):
         # Delta[3] at a 60-element chain: about 1.5 million comma cells; the
-        # empty presheaf on [0]..[5] has none, but a 40-element chain still
-        # has 1.2 million phis into [5] for the extension to build
+        # terminal presheaf on [0]..[5] has one cell per level, but a
+        # 40-element chain has 1.2 million phis into [5] for the extension
+        # to build
         from posetcat import presheaf as ps
 
         X = ps.simplex(dim, dim)
         if cells is not None:
-            X = ps.Presheaf(X.site, [cells] * (dim + 1), {key: () for key in X.site.generators})
+            X = ps.Presheaf(
+                X.site, [cells] * (dim + 1), {key: (0,) * cells for key in X.site.generators}
+            )
         path = write_json(tmp_path, "X.json", ps.presheaf_to_json(X))
         argv = ["kan", "--presheaf", path, "--target", chain_file(tmp_path, size)]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert f"more than {cli.MAX_KAN_CELLS}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("dim, target", [(4, "cube"), (5, "chain")])
+    def test_levels_without_cells_are_not_counted(self, capsys, tmp_path, dim, target):
+        # the empty presheaf: [1]^4 has 2.2 million phis into [0]..[4] and a
+        # 40-element chain 1.2 million into [5], but the extension builds no
+        # phi at a level without cells, so the bound counts none of them
+        from posetcat import presheaf as ps
+        from posetcat.poset import interval_power, poset_to_json
+
+        site = ps.delta_site(dim)
+        X = ps.Presheaf(site, [0] * (dim + 1), {key: () for key in site.generators})
+        path = write_json(tmp_path, "X.json", ps.presheaf_to_json(X))
+        if target == "cube":
+            M = write_json(tmp_path, "M.json", poset_to_json(interval_power(4)))
+        else:
+            M = chain_file(tmp_path, 40)
+        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", M])
+        assert code == 0 and err == ""
+        assert json.loads(out)["components"] == 0
 
     @pytest.mark.parametrize("key", ["0,1,9", "5,5,5"])
     def test_action_key_of_no_hom_exits_2(self, capsys, tmp_path, key):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -61,6 +63,32 @@ def coproduct(X: ps.Presheaf, Y: ps.Presheaf) -> ps.Presheaf:
         ty = Y.actions[key]
         actions[key] = tx + tuple(X.cells[i] + v for v in ty)
     return ps.Presheaf(X.site, [a + b for a, b in zip(X.cells, Y.cells)], actions)
+
+
+def assert_commutes(f, g, in_b, in_c):
+    """The pushout square commutes: in_b . f == in_c . g at every level."""
+    for fc, gc, bc, cc in zip(f.components, g.components, in_b.components, in_c.components):
+        assert [bc[x] for x in fc] == [cc[y] for y in gc]
+
+
+def square_with_pushouts(n, I, i, d=None):
+    """horn_attachment_square(n, I, i, d), and each pushout it built as
+    (f, g, P, in_b, in_c); asserts that every such square commutes."""
+    made = []
+    original = ps.pushout
+
+    def recording(f, g):
+        made.append((f, g) + original(f, g))
+        return made[-1][2:]
+
+    ps.pushout = recording
+    try:
+        counts = ps.horn_attachment_square(n, I, i, d)
+    finally:
+        ps.pushout = original
+    for f, g, _, in_b, in_c in made:
+        assert_commutes(f, g, in_b, in_c)
+    return counts, made
 
 
 class TestSites:
@@ -851,7 +879,7 @@ class TestSimplex:
         for I in [{0}, {1, 3}, {0, 2, 4}, {0, 1, 2, 3}]:
             assert ps.horn(4, I, 4).target is X
             for i in sorted(I):
-                ps.horn_attachment_square(4, I, i)
+                square_with_pushouts(4, I, i)
         assert X.cells == cells and X.actions == actions
         assert X == ps.representable(ps.delta_site(4), chain(4))
 
@@ -911,6 +939,7 @@ class TestPushout:
             )
         g = ps.PresheafMap(A, C, g_comp)
         P, in_b, in_c = ps.pushout(identity_psmap(A), g)
+        assert_commutes(identity_psmap(A), g, in_b, in_c)
         assert P.cells == C.cells
         assert all(len(set(c)) == len(c) for c in in_c.components)
 
@@ -923,7 +952,8 @@ class TestPushout:
         C = ps.representable(site, chain(0))
         f = ps.PresheafMap(empty, B, [(), ()])
         g = ps.PresheafMap(empty, C, [(), ()])
-        P, _, _ = ps.pushout(f, g)
+        P, in_b, in_c = ps.pushout(f, g)
+        assert_commutes(f, g, in_b, in_c)
         assert P.cells == tuple(b + c for b, c in zip(B.cells, C.cells))
 
     def test_quotient_must_be_well_defined_on_generators(self):
@@ -945,20 +975,106 @@ class TestPushout:
             ps.pushout(identity_psmap(A), identity_psmap(B))
 
 
+class TestQuotients:
+    def test_classes_equal_breadth_first_labels(self):
+        rng = random.Random(20261019)
+        cases = [(0, []), (1, [(0, 0)]), (3, [(2, 2), (2, 1), (1, 2), (2, 1)]), (3, [(0, 1)])]
+        for _ in range(400):
+            size = rng.randrange(1, 40)
+            pairs = [(rng.randrange(size), rng.randrange(size))
+                     for _ in range(rng.randrange(2 * size))]
+            pairs += [(x, x) for x in rng.sample(range(size), min(3, size))]
+            pairs += rng.choices(pairs, k=len(pairs) // 3)
+            rng.shuffle(pairs)
+            cases.append((size, pairs))
+        for size, pairs in cases:
+            assert ps._classes(size, iter(pairs)) == breadth_first_labels(size, pairs)
+
+    def test_descend(self):
+        assert ps._descend(3, iter([(2, 5), (0, 4), (1, 4), (2, 5)]), "f") == (4, 4, 5)
+        assert ps._descend(0, [], "f") == ()
+
+    def test_descend_rejects_two_values_and_none(self):
+        with pytest.raises(InvariantViolation, match="^f is bad: class 0 gets two values$"):
+            ps._descend(2, [(0, 1), (1, 1), (0, 2)], "f is bad")
+        with pytest.raises(InvariantViolation, match="^f is bad: class 1 gets no value$"):
+            ps._descend(3, [(0, 1), (2, 1), (0, 1)], "f is bad")
+
+    def test_descend_rejects_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(ps.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", DESCEND_UNDER_O],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "f: class 0 gets two values", "f: class 1 gets no value", "1"
+        ]
+
+
+def breadth_first_labels(size, pairs):
+    """Components of the graph on range(size) with edges pairs, by breadth
+    first search from each unlabelled element in order: labels number the
+    components in order of their first element."""
+    adjacent = [[] for _ in range(size)]
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    labels = [None] * size
+    count = 0
+    for x in range(size):
+        if labels[x] is None:
+            labels[x] = count
+            queue = [x]
+            for y in queue:
+                for z in adjacent[y]:
+                    if labels[z] is None:
+                        labels[z] = count
+                        queue.append(z)
+            count += 1
+    return count, labels
+
+
+DESCEND_UNDER_O = """
+import sys
+from posetcat import presheaf as ps
+from posetcat.errors import InvariantViolation
+for size, pairs in ((2, [(0, 1), (1, 1), (0, 2)]), (3, [(0, 1), (2, 1)])):
+    try:
+        print(ps._descend(size, pairs, "f"))
+    except InvariantViolation as exc:
+        print(exc)
+print(sys.flags.optimize)
+"""
+
+
 class TestHornAttachmentSquares:
     @pytest.mark.parametrize(
         "I", [{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}]
     )
     def test_dim2_all_choices(self, I):
         for i in sorted(I):
-            counts = ps.horn_attachment_square(2, I, i)
+            counts, _ = square_with_pushouts(2, I, i)
             incl = ps.horn(2, I)
             assert tuple(counts[l] for l in sorted(counts)) == incl.source.cells
 
     def test_dim3_sample(self):
         for I in [{0, 1}, {1, 2, 3}, {0, 3}]:
             for i in sorted(I):
-                ps.horn_attachment_square(3, I, i)
+                square_with_pushouts(3, I, i)
+
+    def test_dim3_pushout_labels_are_pinned(self):
+        # the cell counts and cocone labels of the 28 pushouts over all dim-3
+        # squares, as the union-find labelling by first cell gave them
+        # before the quotient helpers replaced it
+        made = [P for I in horn_index_sets(3) for i in sorted(I)
+                for P in square_with_pushouts(3, I, i)[1]]
+        data = [[list(P.cells), [list(c) for c in in_b.components],
+                 [list(c) for c in in_c.components]] for _, _, P, in_b, in_c in made]
+        digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+        assert len(made) == 28
+        assert digest == "eee52993133aca340272dc55f4b713eadc482e2d2fbbbc42a3f97bc3a3b2af18"
 
     def test_requires_i_in_I(self):
         with pytest.raises(BadIndexSet):
@@ -1162,21 +1278,13 @@ def kan_families():
     tri_maps = [
         representable_map(ps.delta_site(2), box.homs[i][j][h]) for i, j, h in box.generators
     ]
-    made = []
-    original = ps.pushout
-
-    def recording(f, g):
-        made.append(original(f, g))
-        return made[-1]
-
-    ps.pushout = recording
-    try:
-        for n in range(1, 4):
-            for I in horn_index_sets(n):
-                for i in sorted(I):
-                    ps.horn_attachment_square(n, I, i)
-    finally:
-        ps.pushout = original
+    made = [
+        square[2:]
+        for n in range(1, 4)
+        for I in horn_index_sets(n)
+        for i in sorted(I)
+        for square in square_with_pushouts(n, I, i)[1]
+    ]
     return {
         "representables": (reps, rep_maps),
         "horns": ([incl.source for incl in horns], horns),
