@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import catalog, checks, karoubi, presheaf
-from .errors import BoundExceeded, PosetCatError
+from .errors import BoundExceeded, PosetCatError, SchemaError
 from .poset import JSON_POSET_BOUND, chain, poset_from_json, poset_to_json
 
 MAX_POSET_LIMIT = 5
@@ -50,13 +50,20 @@ def _emit(data) -> None:
     sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
 
+def _parse_json(raw: str):
+    try:
+        return json.loads(raw)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise SchemaError("JSON document is nested too deeply") from None
+
+
 def _read_poset(path: str | None, max_size: int = JSON_POSET_BOUND):
     if path in (None, "-"):
         raw = sys.stdin.read()
     else:
         with open(path) as fh:
             raw = fh.read()
-    return poset_from_json(json.loads(raw), max_size)
+    return poset_from_json(_parse_json(raw), max_size)
 
 
 def _cmd_enumerate(args) -> int:
@@ -135,7 +142,7 @@ def _cmd_kan(args) -> int:
     M = _read_poset(args.target)
     if args.presheaf:
         with open(args.presheaf) as fh:
-            X = presheaf.presheaf_from_json(json.load(fh))
+            X = presheaf.presheaf_from_json(_parse_json(fh.read()))
     else:
         X = presheaf.simplex(args.simplex, args.simplex)
     # at each level where X has cells, left_kan builds every phi: M -> [k]

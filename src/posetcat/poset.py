@@ -383,7 +383,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def poset_from_json(data: dict, max_size: int | None = None) -> Poset:
+def poset_from_json(data: dict, max_size: int) -> Poset:
     """Inverse of poset_to_json; any pairs are accepted, closure restores the order.
 
     Raises SchemaError unless data is {"size": n, "relation": [[i, j], ...]}
@@ -395,7 +395,7 @@ def poset_from_json(data: dict, max_size: int | None = None) -> Poset:
     size, relation = data.get("size"), data.get("relation")
     if not _is_int(size) or size < 0:
         raise SchemaError(f"poset size must be a non-negative integer, got {size!r}")
-    if max_size is not None and size > max_size:
+    if size > max_size:
         raise BoundExceeded(f"poset size {size} exceeds the bound {max_size}")
     if not isinstance(relation, list):
         raise SchemaError("poset relation must be a list of [i, j] pairs")

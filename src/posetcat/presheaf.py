@@ -54,7 +54,6 @@ from .errors import (
 )
 from .karoubi import retract_certificate
 from .poset import (
-    JSON_POSET_BOUND,
     MonotoneMap,
     Poset,
     _is_int,
@@ -62,8 +61,6 @@ from .poset import (
     induced_subposet,
     interval_power,
     is_complete,
-    poset_from_json,
-    poset_to_json,
 )
 from .poset import product as poset_product
 
@@ -72,8 +69,6 @@ BOX_SITE_BOUND = 2
 TRIANGULATE_BOUND = 4
 HORN_DIM_BOUND = 4
 NAT_HOM_BOUND = 4
-# a custom site read from JSON materializes every hom-set; at most this many homs
-SITE_HOM_BOUND = 1 << 16
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -567,7 +562,7 @@ class KanResult:
     comma objects are pairs ([k], phi: M -> [k]) with k up to the site's
     truncation d (see left_kan).  Labels are stored only for cells
     (k, phi, c) with phi surjective, which meet every component (the normal
-    form, see _kan_once).  component() answers any phi by its image
+    form, see left_kan).  component() answers any phi by its image
     factorization phi = inj . surj with surj: M ->> [j] and inj: [j] >-> [k]:
     the cell (k, phi, c) lies in the component of (j, surj, X(inj) c).
     """
@@ -602,8 +597,13 @@ class KanResult:
         return self._phis[k][phi.image]
 
 
-def _kan_once(X: Presheaf, M: Poset) -> KanResult:
-    """Components over the comma category, computed on surjective phi only.
+def left_kan(X: Presheaf, M: Poset) -> KanResult:
+    """Value of the extension of X along chains -> complete posets, at M.
+
+    The value is the set of connected components of X pulled back to the
+    comma category of pairs ([k], phi: M -> [k]) with k up to the site's
+    truncation d; no working truncation above d is taken, because X has no
+    cells above level d and those levels add no component.
 
     A monotone phi: M -> [k] factors uniquely as a surjection M ->> [j]
     followed by an injection [j] >-> [k] (its image is a subchain).  So every
@@ -616,9 +616,15 @@ def _kan_once(X: Presheaf, M: Poset) -> KanResult:
     kept only over surjective phi, and unions are taken only along the
     generators whose hom is surjective (the codegeneracies); a surjection
     after a surjection is one, so every union stays inside the kept cells.
-    At a level where X has no cells no phi is built.
+    At a level where X has no cells no phi is built.  KanResult.component
+    resolves any other cell by the image factorization.
     """
     site = X.site
+    for k, Q in enumerate(site.objects):
+        if Q != chain(k):
+            raise SiteMismatch("left Kan extension requires the chain-site truncation")
+    if not is_complete(M):
+        raise NotComplete("left Kan extension is evaluated at complete posets only")
     levels = range(len(site.objects))
     images = [
         [f.image for f in catalog.monotone_maps(M, chain(k))] if X.cells[k] else [] for k in levels
@@ -646,25 +652,6 @@ def _kan_once(X: Presheaf, M: Poset) -> KanResult:
             edges.append(zip(map(base.__add__, tab), range(base2, base2 + len(tab))))
     count, labels = _classes(total, itertools.chain.from_iterable(edges))
     return KanResult(count, M, X, images, phis, start, labels)
-
-
-def left_kan(X: Presheaf, M: Poset) -> KanResult:
-    """Value of the extension of X along chains -> complete posets, at M.
-
-    The value is the set of connected components of X pulled back to the
-    comma category of pairs ([k], M -> [k]) with k up to the site's
-    truncation d; no working truncation above d is taken, because X has no
-    cells above level d and those levels add no component.  Only the cells
-    over surjective M ->> [k] are built, joined along codegeneracies (see
-    _kan_once); KanResult.component resolves any other cell by the image
-    factorization.
-    """
-    for k, Q in enumerate(X.site.objects):
-        if Q != chain(k):
-            raise SiteMismatch("left Kan extension requires the chain-site truncation")
-    if not is_complete(M):
-        raise NotComplete("left Kan extension is evaluated at complete posets only")
-    return _kan_once(X, M)
 
 
 def left_kan_map(
@@ -851,41 +838,26 @@ def contracting_homotopy(n: int) -> MonotoneMap:
 
 
 def site_to_json(site: PosetSite) -> dict:
-    if site.kind in ("delta", "box"):
-        return {"kind": site.kind, "dim": len(site.objects) - 1}
-    return {"kind": "custom", "objects": [poset_to_json(P) for P in site.objects]}
+    if site.kind not in ("delta", "box"):
+        raise SiteMismatch(f"a {site.kind} site has no JSON form")
+    return {"kind": site.kind, "dim": len(site.objects) - 1}
 
 
 def site_from_json(data: dict) -> PosetSite:
     """Inverse of site_to_json; raises SchemaError on a malformed site.
 
-    A delta or box site needs a non-negative integer "dim"; a custom site
-    needs a list of poset "objects", each at most JSON_POSET_BOUND elements.
-    Before a custom site is built, each ordered pair of objects is counted
-    (an empty hom-set counts as one); BoundExceeded is raised at the first
-    pair that takes the total past SITE_HOM_BOUND.
+    A site is {"kind": "delta" | "box", "dim": d} with d a non-negative
+    integer; delta_site and box_site bound d.
     """
     if not isinstance(data, dict):
         raise SchemaError(f"site must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind in ("delta", "box"):
-        dim = data.get("dim")
-        if not _is_int(dim) or dim < 0:
-            raise SchemaError(f"site dim must be a non-negative integer, got {dim!r}")
-        return delta_site(dim) if kind == "delta" else box_site(dim)
-    if kind != "custom":
-        raise SchemaError(f"site kind must be delta, box or custom, got {kind!r}")
-    objects = data.get("objects")
-    if not isinstance(objects, list):
-        raise SchemaError("custom site objects must be a list of posets")
-    posets = [poset_from_json(p, JSON_POSET_BOUND) for p in objects]
-    total = 0
-    for P in posets:
-        for Q in posets:
-            total += max(1, catalog.count_monotone_maps(P, Q))
-            if total > SITE_HOM_BOUND:
-                raise BoundExceeded(f"custom site has more than {SITE_HOM_BOUND} homs")
-    return PosetSite(posets, kind="custom")
+    if kind not in ("delta", "box"):
+        raise SchemaError(f"site kind must be delta or box, got {kind!r}")
+    dim = data.get("dim")
+    if not _is_int(dim) or dim < 0:
+        raise SchemaError(f"site dim must be a non-negative integer, got {dim!r}")
+    return delta_site(dim) if kind == "delta" else box_site(dim)
 
 
 def presheaf_to_json(X: Presheaf) -> dict:

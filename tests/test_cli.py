@@ -199,13 +199,25 @@ class TestKanPresheaf:
         assert "error" in err and "Traceback" not in err
 
 
-    def test_custom_site_past_the_hom_bound_exits_2(self, capsys, tmp_path):
-        # one 12-element antichain asks for 12**12 endomorphisms
-        site = {"kind": "custom", "objects": [{"size": 12, "relation": []}]}
-        path = write_json(tmp_path, "big.json", {"site": site, "cells": [0], "actions": {}})
+    def test_custom_site_has_no_json_form(self, capsys, tmp_path):
+        # a site built in code from other objects is not written, and a
+        # document naming a third kind is not read, even when its objects
+        # are the chains of a delta site
+        from posetcat import presheaf as ps
+        from posetcat.errors import SchemaError, SiteMismatch
+        from posetcat.poset import chain, interval_power, poset_to_json
+
+        X = ps.representable(ps.PosetSite([chain(0), interval_power(2)]), chain(1))
+        with pytest.raises(SiteMismatch, match="no JSON form"):
+            ps.presheaf_to_json(X)
+        data = ps.presheaf_to_json(ps.representable(ps.delta_site(1), chain(1)))
+        data["site"] = {"kind": "custom", "objects": [poset_to_json(chain(k)) for k in (0, 1)]}
+        with pytest.raises(SchemaError, match="site kind must be delta or box"):
+            ps.presheaf_from_json(data)
+        path = write_json(tmp_path, "custom.json", data)
         code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert "site kind must be delta or box" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("dim, cells, size", [(3, None, 60), (5, 1, 40)])
     def test_cell_bound_exits_2(self, capsys, tmp_path, dim, cells, size):
@@ -294,7 +306,6 @@ class TestInputPosetBound:
             ["kan", "--target", "{big}"],
             ["enumerate", "--kind", "maps", "--dom", "{big}", "--cod", "{arrow}"],
             ["enumerate", "--kind", "maps", "--dom", "{arrow}", "--cod", "{big}"],
-            ["kan", "--presheaf", "{site}", "--target", "{arrow}"],
         ],
     )
     def test_oversized_poset_exits_2_before_its_closure(
@@ -306,15 +317,11 @@ class TestInputPosetBound:
         files = {
             "big": write_json(tmp_path, "big.json", big),
             "arrow": arrow_file(tmp_path),
-            "site": write_json(
-                tmp_path, "site.json",
-                {"site": {"kind": "custom", "objects": [big]}, "cells": [1], "actions": {}},
-            ),
         }
         real = poset.validate_poset
 
         def bounded(relation, size):
-            # fail fast: past the closure, a 3000-element site object hangs
+            # fail fast, before paying for the closure of 3000 elements
             assert size <= poset.JSON_POSET_BOUND, "closure of an oversized poset"
             return real(relation, size)
 
@@ -322,6 +329,27 @@ class TestInputPosetBound:
         code, out, err = run(capsys, [a.format(**files) for a in argv])
         assert code == 2 and out == ""
         assert "bound" in err and "Traceback" not in err
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--input", "{deep}"],
+            ["kan", "--target", "{deep}"],
+            ["kan", "--presheaf", "{deep}", "--target", "{arrow}"],
+            ["enumerate", "--kind", "maps", "--dom", "{arrow}", "--cod", "{deep}"],
+        ],
+    )
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, argv):
+        # the JSON decoder recurses once per level; 1000 levels pass Python's
+        # default recursion limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 1000 + "]" * 1000)
+        files = {"deep": str(deep), "arrow": arrow_file(tmp_path)}
+        code, out, err = run(capsys, [a.format(**files) for a in argv])
+        assert code == 2 and out == ""
+        assert "error" in err and "Traceback" not in err
 
 
 class TestHorn:
@@ -362,7 +390,7 @@ class TestEnumerate:
         assert code == 0 and json.loads(out)["count"] == 2045
 
     def test_lattice_items_round_trip(self, capsys):
-        from posetcat.poset import poset_from_json, is_complete
+        from posetcat.poset import JSON_POSET_BOUND, is_complete, poset_from_json
 
         code, out, _ = run(
             capsys, ["enumerate", "--kind", "lattices", "--size", "4"]
@@ -371,7 +399,7 @@ class TestEnumerate:
         data = json.loads(out)
         assert data["count"] == 2
         for item in data["items"]:
-            assert is_complete(poset_from_json(item))
+            assert is_complete(poset_from_json(item, JSON_POSET_BOUND))
 
     def test_maps_count(self, capsys, tmp_path):
         arrow = arrow_file(tmp_path)
@@ -591,7 +619,6 @@ def presheaf_documents(draw):
         ps.representable(ps.delta_site(1), chain(1)),
         ps.representable(ps.delta_site(2), chain(1)),
         coproduct(y0, y0),
-        ps.representable(ps.PosetSite([chain(0), chain(1)]), chain(1)),
     ]
     data = ps.presheaf_to_json(draw(st.sampled_from(bases)))
     actions = data["actions"]

@@ -19,6 +19,7 @@ from posetcat.errors import (
 from posetcat.catalog import enumerate_posets, monotone_maps
 from posetcat.karoubi import Idempotent, retract_certificate
 from posetcat.poset import (
+    JSON_POSET_BOUND,
     MonotoneMap,
     Poset,
     Retract,
@@ -381,7 +382,7 @@ class TestValueTypes:
 class TestJson:
     def test_poset_round_trip(self):
         for P in [chain(2), interval_power(2), vee(), diamond(), antichain(3)]:
-            assert poset_from_json(poset_to_json(P)) == P
+            assert poset_from_json(poset_to_json(P), JSON_POSET_BOUND) == P
 
     def test_covering_relation_only(self):
         data = poset_to_json(chain(2))
@@ -406,7 +407,7 @@ class TestJson:
     )
     def test_malformed_input_rejected(self, data):
         with pytest.raises(SchemaError):
-            poset_from_json(data)
+            poset_from_json(data, JSON_POSET_BOUND)
 
     def test_size_bound_checked_before_closure(self):
         with pytest.raises(BoundExceeded):

@@ -21,13 +21,11 @@ from posetcat.errors import (
     SiteMismatch,
 )
 from posetcat.poset import (
-    JSON_POSET_BOUND,
     MonotoneMap,
     antichain,
     chain,
     compose,
     interval_power,
-    poset_to_json,
     validate_poset,
 )
 
@@ -1448,12 +1446,6 @@ class TestJson:
         assert data["site"] == {"kind": "delta", "dim": 2}
         assert ps.presheaf_from_json(data) == X
 
-    def test_custom_site_round_trip(self):
-        site = ps.PosetSite([chain(0), interval_power(2)])
-        X = ps.representable(site, chain(1))
-        back = ps.presheaf_from_json(ps.presheaf_to_json(X))
-        assert back.cells == X.cells and back.actions == X.actions
-
     @pytest.mark.parametrize(
         "data",
         [
@@ -1479,25 +1471,6 @@ class TestJson:
     def test_malformed_input_rejected(self, data):
         with pytest.raises(SchemaError):
             ps.presheaf_from_json(data)
-
-    def test_custom_site_objects_are_bounded(self, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("site built from an oversized object")
-
-        # End of any 257-element poset is far too large to materialize
-        monkeypatch.setattr(ps, "PosetSite", unreachable)
-        objects = [{"size": JSON_POSET_BOUND + 1, "relation": []}]
-        with pytest.raises(BoundExceeded):
-            ps.site_from_json({"kind": "custom", "objects": objects})
-
-    def test_custom_site_homs_are_bounded(self, monkeypatch):
-        # End(antichain(2)) has 4 maps: the site loads at bound 4, not at 3
-        site = {"kind": "custom", "objects": [poset_to_json(antichain(2))]}
-        monkeypatch.setattr(ps, "SITE_HOM_BOUND", 4)
-        assert ps.site_from_json(site) == ps.PosetSite([antichain(2)])
-        monkeypatch.setattr(ps, "SITE_HOM_BOUND", 3)
-        with pytest.raises(BoundExceeded, match="more than 3 homs"):
-            ps.site_from_json(site)
 
     @pytest.mark.parametrize("key", ["0,1,9", "5,5,5"])
     def test_action_key_of_no_hom_rejected(self, key):
