@@ -158,10 +158,10 @@ def check_retract_transfer(max_poset: int) -> dict:
 
 def check_cube_idempotents(max_dim: int, deep: bool = False) -> dict:
     """Exhaustive splitting audits; every split middle must be complete."""
-    dims = list(range(min(max_dim, 3) + 1))
+    dims = list(range(max_dim + 1))
     if deep and 3 not in dims:
         dims.append(3)
-    dedekind = {0: 2, 1: 3, 2: 6, 3: 20}
+    dedekind = {0: 2, 1: 3, 2: 6, 3: 20, 4: 168}
     counts = {}
     for n in dims:
         report = karoubi.audit_cube_idempotents(n)
@@ -275,7 +275,7 @@ def check_kan_oracle(max_simplex: int, max_poset: int) -> dict:
     """|i_! y[m] (M)| must equal |Poset(M, [m])| on the chain site truncated at m."""
     lattices = _lattices(max_poset)
     checked = 0
-    for m in range(min(3, max_simplex) + 1):
+    for m in range(max_simplex + 1):
         X = presheaf.simplex(m, m)
         for M in lattices:
             result = presheaf.left_kan(X, M)
@@ -298,7 +298,7 @@ def check_mono_preservation(max_simplex: int, max_poset: int) -> dict:
     union-of-faces image, for every complete target poset in range."""
     lattices = _lattices(max_poset)
     horns_checked = 0
-    for n in range(1, min(3, max_simplex) + 1):
+    for n in range(1, max_simplex + 1):
         rep = presheaf.simplex(n, n)
         horns = [(I, presheaf.horn(n, I, n)) for I in _horn_index_sets(n)]
         id_cell = catalog.monotone_maps(chain(n), chain(n)).index(
@@ -308,8 +308,7 @@ def check_mono_preservation(max_simplex: int, max_poset: int) -> dict:
             target = presheaf.left_kan(rep, M)
             homs = catalog.monotone_maps(M, chain(n))
             comp_of_hom = {
-                h_idx: target.component(n, target.phi_index(n, h), id_cell)
-                for h_idx, h in enumerate(homs)
+                h_idx: target.component(n, h, id_cell) for h_idx, h in enumerate(homs)
             }
             require(
                 len(set(comp_of_hom.values())) == len(homs) == target.count,
@@ -331,9 +330,7 @@ def check_mono_preservation(max_simplex: int, max_poset: int) -> dict:
 
 def check_horn_pushouts(max_simplex: int) -> dict:
     squares = 0
-    for n in (2, 3):
-        if n > max_simplex:
-            continue
+    for n in range(2, max_simplex + 1):
         for I in _horn_index_sets(n):
             for i in sorted(I):
                 presheaf.horn_attachment_square(n, I, i)

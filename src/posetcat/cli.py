@@ -16,9 +16,6 @@ from . import catalog, checks, karoubi, presheaf
 from .errors import BoundExceeded, PosetCatError, SchemaError
 from .poset import JSON_POSET_BOUND, chain, poset_from_json, poset_to_json
 
-MAX_POSET_LIMIT = 5
-MAX_DIM_LIMIT = 3
-MAX_SIMPLEX_LIMIT = 4
 # certify builds the cube [1]^n on an n-element lattice: 2^n vertices and
 # about 5x the time per extra element (1.9 s at 12 on a 2 vCPU Xeon VM).
 MAX_CERTIFY_SIZE = 12
@@ -260,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_horn)
 
     p = sub.add_parser("verify-all", help="run the full audit suite")
-    p.add_argument("--max-poset", type=_int_in(1, MAX_POSET_LIMIT), default=5)
-    p.add_argument("--max-dim", type=_int_in(0, MAX_DIM_LIMIT), default=2)
-    p.add_argument("--max-simplex", type=_int_in(1, MAX_SIMPLEX_LIMIT), default=3)
+    p.add_argument("--max-poset", type=_int_in(1, catalog.RETRACT_SIZE_BOUND), default=5)
+    p.add_argument("--max-dim", type=_int_in(0, karoubi.AUDIT_DIM_BOUND), default=2)
+    simplex_bound = min(presheaf.TRIANGULATE_BOUND, presheaf.HORN_DIM_BOUND)
+    p.add_argument("--max-simplex", type=_int_in(1, simplex_bound), default=3)
     p.add_argument("--deep", action="store_true", help="include the exhaustive dim-3 audit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "human"], default="json")

@@ -38,6 +38,7 @@ other phi is in the class of (surj, X(inj) c).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 from operator import itemgetter
@@ -283,23 +284,26 @@ class Presheaf:
         """Check the tables given, complete the others along the site's steps
         and check the laws; raise InvariantViolation on the first failure.
 
-        Each key must name a hom, and each table given must have the right
-        shape and range (by min/max) and be the identity at an identity.
-        Every generator table must be given.  Then each step (p, w, c) of
-        the site costs one C-level gather, X(w)X(g) for the p-th generator
-        g: it becomes the table of c = g.w if that hom has none yet, and is
-        compared with it otherwise.  The derivations come first, so each
-        hom's table is X of its normal word, built or compared; a rule
-        then compares X of a minimal non-normal word with the table of its
-        value.  That is enough: the rules form a complete rewriting system
-        (see PosetSite._close), so any two words with one value rewrite to
-        the same normal word, and tables that respect every rule respect
-        every equality of words.  Hence X(g.w) = X(w)X(g) for every
+        Each cell count must be a non-negative int, each key must name a
+        hom, and each table given must have the right shape and range (by
+        min/max) and be the identity at an identity.  Every generator table
+        must be given.  Then each step (p, w, c) of the site costs one
+        C-level gather, X(w)X(g) for the p-th generator g: it becomes the
+        table of c = g.w if that hom has none yet, and is compared with it
+        otherwise.  The derivations come first, so each hom's table is X of
+        its normal word, built or compared; a rule then compares X of a
+        minimal non-normal word with the table of its value.  That is
+        enough: the rules form a complete rewriting system (see
+        PosetSite._close), so any two words with one value rewrite to the
+        same normal word, and tables that respect every rule respect every
+        equality of words.  Hence X(g.w) = X(w)X(g) for every
         generator g and hom w, and so for every composable pair.
         """
         site = self.site
         if len(self.cells) != len(site.objects):
             raise InvariantViolation("one cell count per site object required")
+        if not all(_is_int(c) and c >= 0 for c in self.cells):
+            raise InvariantViolation("cell counts must be non-negative integers")
         actions = self.actions
         surplus = len(set(actions).difference(site.hom_keys))
         if surplus:
@@ -461,27 +465,27 @@ def subpresheaf(X: Presheaf, keep: Sequence[Iterable[int]]) -> tuple[Presheaf, P
     return sub, incl
 
 
-def _face_union_keep(n: int, I: frozenset[int], site: PosetSite) -> list[list[int]]:
-    """Per level, the cells of Delta[n] that miss some vertex in I."""
-    return [
-        [c for c, h in enumerate(catalog.monotone_maps(Q, chain(n))) if not I <= set(h.image)]
-        for Q in site.objects
-    ]
-
-
 def face_union(n: int, I: Iterable[int], d: int | None = None) -> tuple[Presheaf, PresheafMap]:
     """Union of the i-th faces of the representable n-simplex, i in I.
 
     I may be empty (empty sub-presheaf) or everything (the boundary has I
-    proper; horns add that restriction on top).
+    proper; horns add that restriction on top).  Its cells at each level are
+    the chain maps into [n] that miss some vertex in I.  n is capped at
+    HORN_DIM_BOUND here, where horns and attachment squares both build theirs.
     """
+    if n > HORN_DIM_BOUND:
+        raise BoundExceeded(f"horns and face unions capped at dimension {HORN_DIM_BOUND}")
     if d is None:
         d = n
     site = delta_site(d)
     Iset = frozenset(I)
     if any(not 0 <= i <= n for i in Iset):
         raise BadIndexSet("face indices must lie in 0..n")
-    return subpresheaf(simplex(n, d), _face_union_keep(n, Iset, site))
+    keep = [
+        [c for c, h in enumerate(catalog.monotone_maps(Q, chain(n))) if not Iset <= set(h.image)]
+        for Q in site.objects
+    ]
+    return subpresheaf(simplex(n, d), keep)
 
 
 def horn(n: int, I: Iterable[int], d: int | None = None) -> PresheafMap:
@@ -491,8 +495,6 @@ def horn(n: int, I: Iterable[int], d: int | None = None) -> PresheafMap:
     some i in I, i.e. miss some i in I.  I must be a nonempty proper subset of
     the vertices.
     """
-    if n > HORN_DIM_BOUND:
-        raise BoundExceeded(f"horns capped at dimension {HORN_DIM_BOUND}")
     Iset = frozenset(I)
     if not Iset or not Iset < set(range(n + 1)):
         raise BadIndexSet("need a nonempty proper subset of {0..n}")
@@ -554,47 +556,36 @@ def _descend(size: int, pairs: Iterable[tuple[int, int]], what: str) -> tuple[in
 # left Kan extension along chains -> complete posets
 
 
-class KanResult:
+class KanResult(namedtuple("KanResult", "count M X start labels")):
     """Pointwise left Kan extension value at M: components of the comma diagram.
 
     Components are connected components of the category of elements of the
     presheaf pulled back along the projection (M down i) -> chains, where the
     comma objects are pairs ([k], phi: M -> [k]) with k up to the site's
-    truncation d (see left_kan).  Labels are stored only for cells
-    (k, phi, c) with phi surjective, which meet every component (the normal
-    form, see left_kan).  component() answers any phi by its image
-    factorization phi = inj . surj with surj: M ->> [j] and inj: [j] >-> [k]:
-    the cell (k, phi, c) lies in the component of (j, surj, X(inj) c).
+    truncation d (see left_kan).  Cells (k, phi, c) are kept only for phi
+    surjective, which meet every component (the normal form, see left_kan):
+    start[k] maps the image of each surjective phi: M ->> [k] to the id of
+    its first cell, and labels maps a cell id to its component.
+    component() answers any phi by its image factorization phi = inj . surj
+    with surj: M ->> [j] and inj: [j] >-> [k]: the cell (k, phi, c) lies in
+    the component of (j, surj, X(inj) c).
     """
 
-    def __init__(self, count: int, M: Poset, X: Presheaf, images: list, phis: list,
-                 start: list, labels: list):
-        self.count = count
-        self.M = M
-        self._X = X
-        self._images = images  # images[k][phi_index] is the image of phi: M -> [k]
-        self._phis = phis  # phis[k] inverts images[k]
-        self._start = start  # start[k][phi_index] -> first cell id, surjective phi only
-        self._labels = labels  # cell id -> component label
+    __slots__ = ()
 
-    def component(self, k: int, phi_index: int, cell: int) -> int:
-        if not 0 <= k < len(self._images) or not 0 <= cell < self._X.cells[k]:
+    def component(self, k: int, phi: MonotoneMap, cell: int) -> int:
+        X = self.X
+        if not 0 <= k < len(self.start) or not 0 <= cell < X.cells[k]:
             raise IndexError(f"no cell {cell} at level {k}")
-        if not 0 <= phi_index < len(self._images[k]):
-            raise IndexError(f"no phi {phi_index} at level {k}")
-        phi = self._images[k][phi_index]
-        image = sorted(set(phi))
+        if phi.dom != self.M or phi.cod != chain(k):
+            raise DomainMismatch(f"phi is not a map from M to [{k}]")
+        image = sorted(set(phi.image))
         j = len(image) - 1
+        surj = phi.image
         if j < k:  # phi = inj . surj, with inj the subchain image and surj the ranks in it
-            cell = self._X.action(j, k, self._X.site.hom_index(j, k, tuple(image)))[cell]
-            k, phi_index = j, self._phis[j][tuple(map(image.index, phi))]
-        return self._labels[self._start[k][phi_index] + cell]
-
-    def phi_index(self, k: int, phi: MonotoneMap) -> int:
-        """Index of phi: M -> [k]; IndexError at a level where X has no cells."""
-        if not 0 <= k < len(self._images) or not self._X.cells[k]:
-            raise IndexError(f"no cell at level {k}")
-        return self._phis[k][phi.image]
+            cell = X.action(j, k, X.site.hom_index(j, k, tuple(image)))[cell]
+            k, surj = j, tuple(map(image.index, surj))
+        return self.labels[self.start[k][surj] + cell]
 
 
 def left_kan(X: Presheaf, M: Poset) -> KanResult:
@@ -625,19 +616,16 @@ def left_kan(X: Presheaf, M: Poset) -> KanResult:
             raise SiteMismatch("left Kan extension requires the chain-site truncation")
     if not is_complete(M):
         raise NotComplete("left Kan extension is evaluated at complete posets only")
-    levels = range(len(site.objects))
-    images = [
-        [f.image for f in catalog.monotone_maps(M, chain(k))] if X.cells[k] else [] for k in levels
-    ]
-    phis = [{phi: pi for pi, phi in enumerate(row)} for row in images]
-    # start[k][phi_index] is the first global id of the cells over a surjective phi
-    start: list[dict[int, int]] = []
+    # start[k][phi.image] is the first global id of the cells over a surjective phi
+    start: list[dict[tuple[int, ...], int]] = []
     total = 0
-    for k in levels:
+    for k in range(len(site.objects)):
         start.append({})
-        for pi, phi in enumerate(images[k]):
-            if len(set(phi)) == k + 1:
-                start[k][pi] = total
+        if not X.cells[k]:
+            continue
+        for phi in catalog.monotone_maps(M, chain(k)):
+            if len(set(phi.image)) == k + 1:
+                start[k][phi.image] = total
                 total += X.cells[k]
     # the cell c2 over phi2 = s.phi is joined to the cell X(s) c2 over phi
     edges = []
@@ -646,12 +634,12 @@ def left_kan(X: Presheaf, M: Poset) -> KanResult:
         if len(set(uimg)) != k2 + 1 or X.cells[k2] == 0:
             continue
         tab = X.actions[(k, k2, h)]
-        at, start2 = phis[k2], start[k2]
-        for pi, base in start[k].items():
-            base2 = start2[at[tuple(map(uimg.__getitem__, images[k][pi]))]]
+        start2 = start[k2]
+        for phi, base in start[k].items():
+            base2 = start2[tuple(map(uimg.__getitem__, phi))]
             edges.append(zip(map(base.__add__, tab), range(base2, base2 + len(tab))))
     count, labels = _classes(total, itertools.chain.from_iterable(edges))
-    return KanResult(count, M, X, images, phis, start, labels)
+    return KanResult(count, M, X, start, labels)
 
 
 def left_kan_map(
@@ -663,16 +651,16 @@ def left_kan_map(
     share it across several maps into the same presheaf; DomainMismatch is
     raised unless it is that value.
     """
-    if target is not None and (target.M != M or target._X != F.target):
+    if target is not None and (target.M != M or target.X != F.target):
         raise DomainMismatch("target is not the Kan value of the map's target at M")
     src = left_kan(F.source, M)
     tgt = target if target is not None else left_kan(F.target, M)
     # F keeps phi, so the surjective cells of the source land on those of the target
     pairs = itertools.chain.from_iterable(
-        zip(src._labels[base:base + F.source.cells[k]],
-            map(tgt._labels.__getitem__, map(tgt._start[k][pi].__add__, F.components[k])))
-        for k, row in enumerate(src._start)
-        for pi, base in row.items()
+        zip(src.labels[base:base + F.source.cells[k]],
+            map(tgt.labels.__getitem__, map(tgt.start[k][phi].__add__, F.components[k])))
+        for k, row in enumerate(src.start)
+        for phi, base in row.items()
     )
     mapping = _descend(src.count, pairs, "induced component map is not well defined")
     return mapping, src, tgt

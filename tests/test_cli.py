@@ -549,7 +549,18 @@ class TestVerifyAllFlags:
     def test_bad_dim_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify-all", "--max-dim", "99"])
-        assert exc.value.code == 2 and "--max-dim: must be in 0..3" in capsys.readouterr().err
+        assert exc.value.code == 2 and "--max-dim: must be in 0..4" in capsys.readouterr().err
+
+    def test_largest_flags_run_every_check_at_the_bound_it_prints(self, capsys):
+        argv = ["verify-all", "--max-poset", "5", "--max-dim", "4", "--max-simplex", "4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        counts = {c["name"]: c["counts"] for c in json.loads(out)["checks"]}
+        assert counts["kan-oracle"]["evaluations"] == 50  # [0]..[4] at 10 lattices
+        assert counts["mono-preservation"]["horn_instances"] == 520
+        assert counts["horn-pushouts"]["squares"] == 112
+        assert counts["cube-idempotents"]["dim4_endos"] == 168 ** 4 == 796_594_176
+        assert counts["cube-idempotents"]["dim4_idempotents"] == 6_999_420
 
     def test_bad_poset_bound_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

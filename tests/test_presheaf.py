@@ -794,6 +794,11 @@ class TestRangeCheck:
         with pytest.raises(InvariantViolation, match=r"\(0,1,0\) out of range"):
             ps.Presheaf(X.site, X.cells, actions)
 
+    @pytest.mark.parametrize("count", [-1, True, 1.0])
+    def test_cell_count_must_be_a_non_negative_int(self, count):
+        with pytest.raises(InvariantViolation, match="non-negative integers"):
+            ps.Presheaf(ps.delta_site(0), [count], {})
+
     def test_largest_entry_accepted(self):
         X = ps.representable(ps.delta_site(1), chain(1))
         assert max(X.actions[(0, 1, 0)]) == X.cells[0] - 1
@@ -1078,6 +1083,16 @@ class TestHornAttachmentSquares:
         with pytest.raises(BadIndexSet):
             ps.horn_attachment_square(2, {0}, 1)
 
+    def test_dimension_bound(self):
+        # face_union refuses n past the bound, so horns and attachment squares
+        # do too: a square's work grows as C(n + d + 1, d + 1) at truncation d
+        n = ps.HORN_DIM_BOUND + 1
+        for build in (lambda: ps.face_union(n, {0}, n),
+                      lambda: ps.horn(n, {0}, n),
+                      lambda: ps.horn_attachment_square(n, {0}, 0, n)):
+            with pytest.raises(BoundExceeded, match=f"capped at dimension {ps.HORN_DIM_BOUND}"):
+                build()
+
     def test_unnatural_comparison_is_rejected(self, monkeypatch):
         # swapping cells 0 and 1 of the pushout at the top level in both
         # cocone maps keeps every comparison component a bijection, but the
@@ -1314,8 +1329,9 @@ def kan_run(runs, X, M):
         count, labels = all_phi_kan(X, M, len(X.site.objects))
         assert result.count == count
         bijection = {}
-        for cell, label in labels.items():
-            assert bijection.setdefault(label, result.component(*cell)) == result.component(*cell)
+        for (k, pi, c), label in labels.items():
+            component = result.component(k, catalog.monotone_maps(M, chain(k))[pi], c)
+            assert bijection.setdefault(label, component) == component
         assert sorted(bijection.values()) == list(range(count))
         runs[key] = result, labels, bijection
     return runs[key]
@@ -1365,8 +1381,8 @@ class TestKanNormalForm:
         # identity, so (2, phi, c) lies in the component of (1, id, X(d1) c)
         X = ps.representable(ps.delta_site(2), chain(2))
         result = ps.left_kan(X, chain(1))
-        phi = result.phi_index(2, MonotoneMap(chain(1), chain(2), (0, 2)))
-        identity = result.phi_index(1, MonotoneMap(chain(1), chain(1), (0, 1)))
+        phi = MonotoneMap(chain(1), chain(2), (0, 2))
+        identity = MonotoneMap(chain(1), chain(1), (0, 1))
         coface = X.site.hom_index(1, 2, (0, 2))
         for c in range(X.cells[2]):
             face = X.action(1, 2, coface)[c]
@@ -1374,27 +1390,36 @@ class TestKanNormalForm:
         with pytest.raises(IndexError):
             result.component(2, phi, X.cells[2])
 
-    def test_component_range_checks_the_level_and_the_phi(self):
-        # (-1, 1, 0) would read the label of (1, 1, 0) by negative indexing
+    def test_component_range_checks_the_level_and_the_cell(self):
+        # (-1, phi, 0) would read a label of level 1 by negative indexing
         result = ps.left_kan(ps.simplex(1, 1), chain(1))
-        phis = len(catalog.monotone_maps(chain(1), chain(1)))
-        for k, phi_index in ((1, -1), (1, phis), (-1, 1), (2, 0)):
+        identity = MonotoneMap(chain(1), chain(1), (0, 1))
+        for k, cell in ((-1, 0), (2, 0), (1, -1), (1, 3)):
             with pytest.raises(IndexError):
-                result.component(k, phi_index, 0)
+                result.component(k, identity, cell)
+
+    def test_component_rejects_a_phi_with_the_wrong_domain_or_codomain(self):
+        result = ps.left_kan(ps.simplex(1, 1), chain(1))
+        assert 0 <= result.component(1, MonotoneMap(chain(1), chain(1), (0, 1)), 0) < result.count
+        for k, phi in (
+            (1, MonotoneMap(chain(2), chain(1), (0, 1, 1))),  # domain is not M
+            (1, MonotoneMap(chain(1), chain(0), (0, 0))),  # codomain is not [k]
+            (0, MonotoneMap(chain(1), chain(1), (0, 1))),  # a map into [1] at level 0
+        ):
+            with pytest.raises(DomainMismatch):
+                result.component(k, phi, 0)
 
     def test_empty_presheaf_builds_no_phis(self):
         # no level has a cell, so there is no comma cell and no phi: M -> [k]
-        # is built, and both lookups refuse every level
+        # is built, and component refuses every level
         site = ps.delta_site(5)
         empty = ps.Presheaf(site, [0] * 6, {g: () for g in site.generators})
         M = chain(20)
         result = ps.left_kan(empty, M)
-        assert result.count == 0 and not any(result._images)
+        assert result.count == 0 and not any(result.start)
         for k in range(6):
             with pytest.raises(IndexError):
-                result.phi_index(k, MonotoneMap(M, chain(k), (0,) * M.size))
-            with pytest.raises(IndexError):
-                result.component(k, 0, 0)
+                result.component(k, MonotoneMap(M, chain(k), (0,) * M.size), 0)
 
 
 class TestNatHomViaRetract:
