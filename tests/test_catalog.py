@@ -7,7 +7,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetcat import catalog
+from posetcat import catalog, checks
 from posetcat.errors import BoundExceeded
 from posetcat.poset import (
     MonotoneMap,
@@ -130,6 +130,12 @@ def reference_canonical_order(P):
     rec(0, [])
     code, order = best[0]
     return bytes([n]) + code.to_bytes((n * n + 7) // 8, "big"), order
+
+
+def test_published_tables_in_checks_match():
+    # verify-all counts its enumerations against these tables
+    assert checks.A000112 == POSET_CLASSES
+    assert checks.A006966 == {n: c for n, c in LATTICE_CLASSES.items() if n > 0}
 
 
 class TestEnumeratePosets:

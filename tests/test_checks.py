@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import posetcat
-from posetcat import checks, cube
+from posetcat import catalog, checks, cube
 from posetcat.errors import InvariantViolation
 from posetcat.poset import MonotoneMap, interval_power
 
@@ -21,12 +21,24 @@ failed = {c.name: c.error for c in report.checks if not c.passed}
 print(json.dumps({"optimize": sys.flags.optimize, "failed": failed}))
 """
 
+# Drops the last class of the 5-element posets, then runs the default
+# verify-all and prints which checks failed.
+DROPPED_POSET_CLASS = """
+import json, sys
+from posetcat import catalog, checks
+real = catalog.enumerate_posets
+catalog.enumerate_posets = lambda n: real(n)[:-1] if n == 5 else real(n)
+report = checks.verify_all()
+failed = {c.name: c.error for c in report.checks if not c.passed}
+print(json.dumps({"optimize": sys.flags.optimize, "failed": failed}))
+"""
 
-def test_injected_fault_fails_its_check_under_python_O():
+
+def run_under_python_O(script):
     src = os.path.dirname(os.path.dirname(posetcat.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", FAULTY_SORT_SPLIT],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
@@ -35,8 +47,64 @@ def test_injected_fault_fails_its_check_under_python_O():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["optimize"] == 1
-    assert list(out["failed"]) == ["sort-splits"]
-    assert "sort split" in out["failed"]["sort-splits"]
+    return out["failed"]
+
+
+def test_injected_fault_fails_its_check_under_python_O():
+    failed = run_under_python_O(FAULTY_SORT_SPLIT)
+    assert list(failed) == ["sort-splits"]
+    assert "sort split" in failed["sort-splits"]
+
+
+def test_dropped_poset_class_fails_poset_laws_under_python_O():
+    failed = run_under_python_O(DROPPED_POSET_CLASS)
+    assert "poset-laws" in failed
+    assert "poset count" in failed["poset-laws"]
+
+
+def drop_last_class(monkeypatch, name, size):
+    real = getattr(catalog, name)
+    monkeypatch.setattr(catalog, name, lambda n: real(n)[:-1] if n == size else real(n))
+
+
+def test_poset_laws_counts_the_posets_of_each_size(monkeypatch):
+    assert checks.check_poset_laws(5)["posets"] == 88
+    drop_last_class(monkeypatch, "enumerate_posets", 5)
+    with pytest.raises(InvariantViolation, match="poset count"):
+        checks.check_poset_laws(5)
+
+
+def test_lattice_certificates_count_the_lattices_of_each_size(monkeypatch):
+    assert checks.check_lattice_certificates(6)["size6"] == 15
+    drop_last_class(monkeypatch, "enumerate_lattices", 6)
+    with pytest.raises(InvariantViolation, match="lattice count"):
+        checks.check_lattice_certificates(6)
+
+
+def test_lattice_samples_are_counted(monkeypatch):
+    # kan-oracle, mono-preservation and nat-hom draw their lattices here
+    assert len(checks._lattices(5)) == 10
+    drop_last_class(monkeypatch, "enumerate_lattices", 4)
+    with pytest.raises(InvariantViolation, match="lattice sample"):
+        checks._lattices(5)
+    with pytest.raises(InvariantViolation, match="lattice sample"):
+        checks.check_nat_hom(4)
+
+
+def test_triangulation_reads_the_chain_count(monkeypatch):
+    # off by one only at the largest cube and level the check reaches
+    real = checks._cube_chain_counts
+
+    def broken(n, top):
+        counts = real(n, top)
+        if n == 4 and top == 4:
+            counts[4] += 1
+        return counts
+
+    checks.check_triangulation(4)
+    monkeypatch.setattr(checks, "_cube_chain_counts", broken)
+    with pytest.raises(InvariantViolation, match="chain count"):
+        checks.check_triangulation(4)
 
 
 def test_sort_splits_reads_an_independent_sort(monkeypatch):
