@@ -23,7 +23,6 @@ from .poset import (
     MonotoneMap,
     Poset,
     Retract,
-    antichain,
     chain,
     compose,
     identity_map,
@@ -66,7 +65,6 @@ from .presheaf import (
     delta_site,
     horn,
     horn_attachment_square,
-    is_mono,
     left_kan,
     left_kan_map,
     nat_hom_via_retract,

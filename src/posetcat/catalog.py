@@ -13,9 +13,11 @@ for each element obtained by intersecting the up-sets of the images of its
 lower covers.  One flat loop walks the search tree over an explicit stack of
 pending candidate masks.  Per-element masks of allowed images and an
 injectivity flag let the same loop find isomorphisms and retractions.
-Counting does not walk that tree: `_map_count` goes along the same extension
-one level at a time and merges the partial maps whose remaining candidate
-masks agree.
+Every materialized hom-set passes its images through `poset.checked_maps`,
+which checks each map against the previous one, so no map is trusted to the
+search.  Counting does not walk that tree: `_map_count` goes along the same
+extension one level at a time and merges the partial maps whose remaining
+candidate masks agree.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .poset import (
     Poset,
     Retract,
     chain,
+    checked_maps,
     identity_map,
     induced_subposet,
     is_complete,
@@ -322,10 +325,12 @@ def enumerate_monotone_maps(P: Poset, Q: Poset) -> Iterator[MonotoneMap]:
     """Every monotone map P -> Q exactly once, in a deterministic order.
 
     Order is lexicographic in the image tuple read along the fixed linear
-    extension of P.
+    extension of P.  Each image of `_map_search` is checked by `checked_maps`
+    where it differs from the one before, the first in full; so consecutive
+    maps, which mostly differ in the last elements of the extension, cost a
+    few cover edges each.
     """
-    for image in _map_search(P, Q):
-        yield MonotoneMap(P, Q, image)
+    return checked_maps(P, Q, _map_search(P, Q))
 
 
 def count_monotone_maps(P: Poset, Q: Poset, workers: int = 1) -> int:

@@ -80,6 +80,9 @@ def _cmd_enumerate(args) -> int:
                 "use --format count"
             )
         maps = list(catalog.enumerate_monotone_maps(dom, cod))
+        if len(maps) != count:
+            print(f"error: streamed {len(maps)} maps, counted {count}", file=sys.stderr)
+            return 1
         _emit(
             {
                 "dom": poset_to_json(dom),

@@ -5,14 +5,18 @@ as up-set bitmasks (bit j of up[i] set iff i <= j).  The value types are
 tuples (namedtuple subclasses whose `__new__` checks the fields), so they are
 immutable, compared and hashed by value in C, and can be shared freely and
 memoized.  Code reads them by field name only; `_make` and `_replace` would
-skip the checks.
+skip the checks.  A stream of maps between one pair of posets is checked by
+`checked_maps`: the first map in full by `MonotoneMap`, each later one where
+its image differs from the previous one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import is_not
 
 from .errors import (
     BoundExceeded,
@@ -125,12 +129,54 @@ class MonotoneMap(namedtuple("MonotoneMap", "dom cod image")):
     def __call__(self, i: int) -> int:
         return self.image[i]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and self.image == tuple(range(self.dom.size))
-
     def __repr__(self):
         return f"MonotoneMap({self.dom.size}->{self.cod.size}, {list(self.image)})"
+
+
+def checked_maps(
+    dom: Poset, cod: Poset, images: Iterable[Iterable[int]]
+) -> Iterator[MonotoneMap]:
+    """Each image as a MonotoneMap dom -> cod, checked where it changed.
+
+    The first image is checked in full by `MonotoneMap`.  Each later one gets
+    the length check, and then only the positions where it differs from the
+    previous image get the range check, and only the cover edges that touch
+    them the order check.  Every other edge joins two values that were
+    checked on it before, so by induction every map yielded is in range and
+    monotone on all covers, whatever produced the images.  Raises ValueError
+    at the first image that fails, after yielding the maps before it.
+    A position counts as unchanged only when it holds the very object it
+    held before (`is_not`, cheaper than `!=` and never looser: an equal but
+    distinct value such as 1.0 for 1 is checked again).
+    """
+    images = iter(images)
+    for first in images:
+        prev = MonotoneMap(dom, cod, first)
+        yield prev
+        break
+    else:
+        return
+    n, q, cod_up = dom.size, cod.size, cod.up
+    touching = [[] for _ in range(n)]  # the cover edges at each position
+    for i, j in dom.cover_edges:
+        touching[i].append((i, j))
+        touching[j].append((i, j))
+    positions = range(n)
+    last = prev.image
+    for image in images:
+        img = tuple(image)
+        if len(img) != n:
+            raise ValueError("image length must equal domain size")
+        changed = list(compress(positions, map(is_not, last, img)))
+        for k in changed:
+            if not 0 <= img[k] < q:
+                raise ValueError("image value out of range")
+        for k in changed:
+            for i, j in touching[k]:
+                if not cod_up[img[i]] >> img[j] & 1:
+                    raise ValueError(f"not monotone on {i} <= {j}")
+        last = img
+        yield tuple.__new__(MonotoneMap, (dom, cod, img))
 
 
 class LatticeStructure(
@@ -238,12 +284,6 @@ def chain(m: int) -> Poset:
         raise ValueError("chain length must be >= 0")
     full = (1 << (m + 1)) - 1
     return Poset(m + 1, tuple((full >> i) << i for i in range(m + 1)))
-
-
-@lru_cache(maxsize=None)
-def antichain(k: int) -> Poset:
-    """k pairwise incomparable elements."""
-    return Poset(k, tuple(1 << i for i in range(k)))
 
 
 def terminal(P: Poset) -> int | None:

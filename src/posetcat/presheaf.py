@@ -395,11 +395,6 @@ class PresheafMap:
         return f"PresheafMap(cells={list(self.source.cells)} -> {list(self.target.cells)})"
 
 
-def is_mono(F: PresheafMap) -> bool:
-    """Levelwise injectivity (= monomorphism of presheaves)."""
-    return all(len(set(c)) == len(c) for c in F.components)
-
-
 # ---------------------------------------------------------------------------
 # representables
 

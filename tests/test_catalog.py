@@ -1,3 +1,5 @@
+import inspect
+import json
 import os
 import random
 import subprocess
@@ -12,8 +14,8 @@ from posetcat.errors import BoundExceeded
 from posetcat.poset import (
     MonotoneMap,
     Poset,
-    antichain,
     chain,
+    identity_map,
     induced_subposet,
     interval_power,
     is_complete,
@@ -23,6 +25,11 @@ from posetcat.poset import (
 # isomorphism-class counts, confirmed against brute-force relation filtering below
 POSET_CLASSES = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}  # OEIS A000112
 LATTICE_CLASSES = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}  # OEIS A006966
+
+
+def antichain(k):
+    """k pairwise incomparable elements."""
+    return Poset(k, tuple(1 << i for i in range(k)))
 
 
 def brute_force_posets(n):
@@ -404,6 +411,80 @@ class TestSearchOrder:
         assert catalog.count_monotone_maps(*SEARCH_PAIRS["empty-codomain"]()) == 0
 
 
+def with_bad_image(real):
+    """`real` with one non-monotone image in the middle of each stream.
+
+    The bad image is the middle one with the values of the last cover edge
+    (i, j) of P set to the top and the bottom of the chain Q.
+    """
+
+    def search(P, Q, *args, **kwargs):
+        images = list(real(P, Q, *args, **kwargs))
+        mid = len(images) // 2
+        bad = list(images[mid])
+        i, j = P.cover_edges[-1]
+        bad[i], bad[j] = Q.size - 1, 0
+        yield from images[:mid] + [tuple(bad)] + images[mid:]
+
+    return search
+
+
+BAD_IMAGE_UNDER_O = inspect.getsource(with_bad_image) + """
+import json, sys
+from posetcat import catalog
+from posetcat.poset import chain, interval_power
+catalog._map_search = with_bad_image(catalog._map_search)
+catalog.monotone_maps.cache_clear()
+P, Q = interval_power(3), chain(2)
+raised = {}
+for name, build in [
+    ("enumerate_monotone_maps", lambda: list(catalog.enumerate_monotone_maps(P, Q))),
+    ("monotone_maps", lambda: catalog.monotone_maps(P, Q)),
+]:
+    try:
+        build()
+    except ValueError as exc:
+        raised[name] = str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised}))
+"""
+
+
+class TestCheckedStream:
+    """Every streamed map is checked, whatever the search yields."""
+
+    def test_cube4_to_chain3_stream_is_the_search(self):
+        P, Q = interval_power(4), chain(3)
+        stream = [f.image for f in catalog.enumerate_monotone_maps(P, Q)]
+        assert len(stream) == 160948
+        assert stream == list(catalog._map_search(P, Q))
+
+    def test_bad_image_mid_stream_raises(self, monkeypatch):
+        P, Q = interval_power(3), chain(2)
+        mid = len(list(catalog._map_search(P, Q))) // 2
+        monkeypatch.setattr(catalog, "_map_search", with_bad_image(catalog._map_search))
+        catalog.monotone_maps.cache_clear()
+        maps = []
+        with pytest.raises(ValueError, match="not monotone"):
+            for f in catalog.enumerate_monotone_maps(P, Q):
+                maps.append(f)
+        assert len(maps) == mid
+        with pytest.raises(ValueError, match="not monotone"):
+            catalog.monotone_maps(P, Q)
+
+    def test_bad_image_mid_stream_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(catalog.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", BAD_IMAGE_UNDER_O],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["optimize"] == 1
+        assert sorted(out["raised"]) == ["enumerate_monotone_maps", "monotone_maps"]
+        assert all(msg.startswith("not monotone on ") for msg in out["raised"].values())
+
+
 class TestEnumerationDeterminism:
     # no thread pool, and no `dataclasses` or the `inspect` it pulls in
     @pytest.mark.parametrize("module", ["concurrent.futures", "dataclasses", "inspect"])
@@ -575,7 +656,7 @@ class TestEnumerateRetracts:
         rets = [r for r in catalog.enumerate_retracts(2) if r.outer == chain(1)]
         assert len(rets) == 3
         assert sum(1 for r in rets if r.inner.size == 1) == 2
-        assert sum(1 for r in rets if r.retraction.is_identity) == 1
+        assert sum(1 for r in rets if r.retraction == identity_map(r.outer)) == 1
 
     def test_identity_retract_always_present(self):
         for n in range(0, 4):
@@ -583,7 +664,7 @@ class TestEnumerateRetracts:
                 found = any(
                     r.outer == cp.poset
                     and r.inner == cp.poset
-                    and r.retraction.is_identity
+                    and r.retraction == identity_map(cp.poset)
                     for r in catalog.enumerate_retracts(n)
                 )
                 assert found, cp.poset
@@ -622,12 +703,13 @@ STATE_BOUND_UNDER_O = """
 import sys
 from posetcat import catalog
 from posetcat.errors import BoundExceeded
-from posetcat.poset import antichain, chain
+from posetcat.poset import Poset, chain
+antichain = Poset(40, tuple(1 << i for i in range(40)))
 catalog.COUNT_STATE_BOUND = 40
-print(catalog.count_monotone_maps(antichain(40), chain(1)))
+print(catalog.count_monotone_maps(antichain, chain(1)))
 catalog.COUNT_STATE_BOUND = 39
 try:
-    catalog.count_monotone_maps(antichain(40), chain(1))
+    catalog.count_monotone_maps(antichain, chain(1))
 except BoundExceeded as exc:
     print(exc)
 print(sys.flags.optimize)

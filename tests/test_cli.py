@@ -434,6 +434,16 @@ class TestEnumerate:
         code, out, err = run(capsys, ["enumerate", "--kind", "maps", "--dom", wide, "--cod", arrow])
         assert code == 2 and out == "" and f"exceed the listing bound {1 << 16}" in err
 
+    def test_maps_listing_that_misses_a_counted_map_exits_1(self, capsys, tmp_path, monkeypatch):
+        from posetcat import catalog
+
+        real = catalog._map_search
+        monkeypatch.setattr(catalog, "_map_search", lambda P, Q: list(real(P, Q))[:-1])
+        arrow = arrow_file(tmp_path)
+        code, out, err = run(capsys, ["enumerate", "--kind", "maps", "--dom", arrow, "--cod", arrow])
+        assert code == 1 and out == ""
+        assert err == "error: streamed 2 maps, counted 3\n"
+
     @pytest.mark.parametrize("fmt", ["json", "count"])
     def test_maps_past_the_count_state_bound_exit_2(self, capsys, tmp_path, fmt):
         # five disjoint arrows into a 16-chain: 16**5 states of five masks

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import product as iproduct, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +23,8 @@ from posetcat.poset import (
     MonotoneMap,
     Poset,
     Retract,
-    antichain,
     chain,
+    checked_maps,
     compose,
     identity_map,
     interval_power,
@@ -39,6 +39,11 @@ from posetcat.poset import (
     terminal,
     validate_poset,
 )
+
+
+def antichain(k):
+    """k pairwise incomparable elements."""
+    return Poset(k, tuple(1 << i for i in range(k)))
 
 
 def vee():
@@ -184,6 +189,81 @@ class TestCoverCheck:
         assert lost == [edge]
         with pytest.raises(ValueError, match=f"not monotone on {i} <= {j}"):
             MonotoneMap(cube, broken, tuple(range(cube.size)))
+
+
+def checked_prefix(P, Q, images):
+    """The maps checked_maps yields, and whether it then raised ValueError."""
+    maps = []
+    try:
+        for f in checked_maps(P, Q, images):
+            maps.append(f)
+    except ValueError:
+        return maps, True
+    return maps, False
+
+
+def monotone_prefix(P, Q, images):
+    """The reference: every image up to the first that is not monotone."""
+    good = list(takewhile(lambda image: monotone_on_all_pairs(P, Q, image), images))
+    return [MonotoneMap(P, Q, image) for image in good], len(good) < len(images)
+
+
+class TestCheckedMaps:
+    """checked_maps checks each image where it changed; it must agree with all pairs."""
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_yields_exactly_the_monotone_prefix(self, data):
+        P = data.draw(st.sampled_from(posets_to_five()))
+        Q = data.draw(st.sampled_from(posets_to_five()))
+        homs = [f.image for f in monotone_maps(P, Q)]
+        values = st.integers(-1, Q.size)
+        images = [data.draw(st.sampled_from(homs))] if homs else []
+        kinds = ["map", "changed", "changed", "length"] if homs else ["any", "length"]
+        for _ in range(data.draw(st.integers(0, 6))):
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "length":
+                length = data.draw(st.integers(0, P.size + 1).filter(lambda k: k != P.size))
+                image = data.draw(st.lists(values, min_size=length, max_size=length))
+            elif kind == "any":
+                image = data.draw(st.lists(values, min_size=P.size, max_size=P.size))
+            else:
+                image = list(data.draw(st.sampled_from(homs)))
+                if kind == "changed" and P.size:
+                    # one value of the previous image or a map replaced: -1,
+                    # Q.size or a near miss
+                    if len(images[-1]) == P.size and data.draw(st.booleans()):
+                        image = list(images[-1])
+                    at = data.draw(st.integers(0, P.size - 1))
+                    near = st.sampled_from([image[at] - 1, image[at] + 1])
+                    image[at] = data.draw(st.one_of(st.sampled_from([-1, Q.size]), near, values))
+            images.append(tuple(image))
+        maps, raised = checked_prefix(P, Q, images)
+        assert (maps, raised) == monotone_prefix(P, Q, images)
+        assert all(type(f) is MonotoneMap for f in maps)
+
+    def test_exhaustive_to_three_elements(self):
+        # every monotone first image, then every tuple over -1..Q.size
+        posets = [P for P in posets_to_five() if P.size <= 3]
+        for P in posets:
+            for Q in posets:
+                for f in monotone_maps(P, Q):
+                    for image in iproduct(range(-1, Q.size + 1), repeat=P.size):
+                        maps, raised = checked_prefix(P, Q, [f.image, image])
+                        good = monotone_on_all_pairs(P, Q, image)
+                        assert maps == ([f, MonotoneMap(P, Q, image)] if good else [f])
+                        assert raised != good
+
+    def test_first_image_is_checked_in_full(self):
+        with pytest.raises(ValueError, match="not monotone on 0 <= 1"):
+            next(checked_maps(chain(1), chain(1), [(1, 0), (0, 0)]))
+        assert list(checked_maps(chain(1), chain(1), [])) == []
+
+    def test_wrong_length_after_the_first_is_rejected(self):
+        maps = checked_maps(chain(1), chain(1), [(0, 1), (0,)])
+        assert next(maps) == identity_map(chain(1))
+        with pytest.raises(ValueError, match="image length"):
+            next(maps)
 
 
 class TestProducts:
