@@ -34,7 +34,6 @@ from .poset import (
     chain,
     checked_maps,
     identity_map,
-    induced_subposet,
     is_complete,
 )
 
@@ -410,9 +409,14 @@ def enumerate_retracts(max_size: int) -> Iterator[Retract]:
     A runs over isomorphism-class representatives; B runs over all induced
     subposets of A (sections of poset retracts are order-embeddings, so every
     retract appears this way), r over all monotone retractions fixing B.
+    B's up-rows are read off A's as `induced_subposet` does, and equal rows
+    share one `Poset`, built and validated once per call (107 at max_size 5,
+    for 2,235 keep sets), so its `down` and `covers` are computed once too.
+    Each section is still checked in full as a `MonotoneMap` B -> A.
     """
     if max_size > RETRACT_SIZE_BOUND:
         raise BoundExceeded(f"retract enumeration capped at outer size {RETRACT_SIZE_BOUND}")
+    inner: dict[tuple[int, ...], Poset] = {}  # up-rows of an induced subposet -> its Poset
     for n in range(max_size + 1):
         for cp in enumerate_posets(n):
             A = cp.poset
@@ -421,6 +425,12 @@ def enumerate_retracts(max_size: int) -> Iterator[Retract]:
                 continue
             for mask in range(1, 1 << n):
                 keep = [e for e in range(n) if mask >> e & 1]
-                B, incl = induced_subposet(A, keep)
+                rows = tuple(
+                    sum(1 << i for i, f in enumerate(keep) if A.up[e] >> f & 1) for e in keep
+                )
+                B = inner.get(rows)
+                if B is None:
+                    B = inner[rows] = Poset(len(keep), rows)
+                incl = MonotoneMap(B, A, keep)
                 for image in _map_search(A, B, _retraction_masks(A, keep, B)):
                     yield Retract(A, B, incl, MonotoneMap(A, B, image))

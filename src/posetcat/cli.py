@@ -79,7 +79,11 @@ def _cmd_enumerate(args) -> int:
                 f"{count} maps exceed the listing bound {MAX_LISTED_MAPS}; "
                 "use --format count"
             )
-        maps = list(catalog.enumerate_monotone_maps(dom, cod))
+        try:
+            maps = list(catalog.enumerate_monotone_maps(dom, cod))
+        except ValueError as exc:  # both posets are valid: a streamed map failed its check
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if len(maps) != count:
             print(f"error: streamed {len(maps)} maps, counted {count}", file=sys.stderr)
             return 1

@@ -59,6 +59,7 @@ from .poset import (
     Poset,
     _is_int,
     chain,
+    checked_maps,
     induced_subposet,
     interval_power,
     is_complete,
@@ -773,7 +774,9 @@ def nat_hom_via_retract(L: Poset, L2: Poset) -> tuple[MonotoneMap, ...]:
     The composite depends only on the restriction of g to the section image,
     and every monotone function there extends to the whole cube (join
     extension into a complete target), so restrictions are enumerated and one
-    extension g is materialized for each.  The result is asserted equal to the
+    extension g is built for each.  The extensions are checked monotone as
+    one stream by `checked_maps`: the first in full, each later one where it
+    differs from the one before.  The result is asserted equal to the
     directly enumerated hom-set.
     """
     if L.size > NAT_HOM_BOUND or L2.size > NAT_HOM_BOUND:
@@ -788,18 +791,23 @@ def nat_hom_via_retract(L: Poset, L2: Poset) -> tuple[MonotoneMap, ...]:
     below = [
         [p for p, s_el in enumerate(s_elems) if s_el & ~x == 0] for x in range(cube1.size)
     ]
+
+    def join_extensions():
+        for rho in catalog.enumerate_monotone_maps(S, cube2):
+            rho_image = rho.image
+            g_image = []
+            for positions in below:
+                acc = 0
+                for p in positions:
+                    acc |= rho_image[p]
+                g_image.append(acc)
+            yield g_image
+
     r2, s1 = cert2.retraction.image, cert1.section.image
-    composites = set()
-    for rho in catalog.enumerate_monotone_maps(S, cube2):
-        rho_image = rho.image
-        g_image = []
-        for positions in below:
-            acc = 0
-            for p in positions:
-                acc |= rho_image[p]
-            g_image.append(acc)
-        g = MonotoneMap(cube1, cube2, tuple(g_image)).image  # checked monotone
-        composites.add(tuple(r2[g[s]] for s in s1))
+    composites = {
+        tuple(r2[g.image[s]] for s in s1)
+        for g in checked_maps(cube1, cube2, join_extensions())
+    }
     direct = {f.image for f in catalog.enumerate_monotone_maps(L, L2)}
     if composites != direct:
         raise InvariantViolation("transported hom-set differs from direct enumeration")

@@ -636,7 +636,37 @@ def recursive_retractions_onto(A, keep, B):
     yield from rec(0)
 
 
+def reference_retracts(max_size):
+    """(outer, inner, section, retraction) images as the enumerator gave them
+    when it built the inner poset anew, by induced_subposet, for every keep set."""
+    for n in range(max_size + 1):
+        for cp in catalog.enumerate_posets(n):
+            A = cp.poset
+            if n == 0:
+                yield A, A, (), ()
+                continue
+            for mask in range(1, 1 << n):
+                keep = [e for e in range(n) if mask >> e & 1]
+                B, incl = induced_subposet(A, keep)
+                for image in catalog._map_search(A, B, catalog._retraction_masks(A, keep, B)):
+                    yield A, B, incl.image, MonotoneMap(A, B, image).image
+
+
 class TestEnumerateRetracts:
+    @pytest.mark.parametrize("m", range(6))
+    def test_equals_the_reference_enumerator(self, m):
+        got = [
+            (r.outer, r.inner, r.section.image, r.retraction.image)
+            for r in catalog.enumerate_retracts(m)
+        ]
+        assert got == list(reference_retracts(m))
+
+    def test_each_inner_poset_is_built_once(self):
+        rets = list(catalog.enumerate_retracts(5))
+        assert len(rets) == 4722
+        inner_ids = {id(r.inner) for r in rets}
+        assert len(inner_ids) == len({r.inner for r in rets}) == 104
+
     def test_retractions_equal_recursive_search(self):
         cases = 0
         for n in range(1, 5):

@@ -33,6 +33,47 @@ failed = {c.name: c.error for c in report.checks if not c.passed}
 print(json.dumps({"optimize": sys.flags.optimize, "failed": failed}))
 """
 
+# Each of these breaks one oracle or one extension that a check computes once
+# per object, then runs a small verify-all; append SMALL_VERIFY_ALL.
+SMALL_VERIFY_ALL = """
+report = checks.verify_all(max_poset=3, max_dim=0, max_simplex=1)
+failed = {c.name: c.error for c in report.checks if not c.passed}
+print(json.dumps({"optimize": sys.flags.optimize, "failed": failed}))
+"""
+
+# Transports one infimum wrongly, but only along a retract whose inner poset
+# an earlier retract already had: every retract must still be compared.
+WRONG_LIMIT_ON_A_SEEN_INNER = """
+import json, sys
+from posetcat import checks
+real = checks.limit_via_retract
+first = {}
+def limit(ret, targets):
+    got = real(ret, targets)
+    return got if first.setdefault(ret.inner, ret) is ret else got + 1
+checks.limit_via_retract = limit
+""" + SMALL_VERIFY_ALL
+
+# Denies that [1] is complete, which [2] retracts onto.
+ONE_INNER_NOT_COMPLETE = """
+import json, sys
+from posetcat import checks
+from posetcat.poset import chain
+real = checks.is_complete
+checks.is_complete = lambda P: P != chain(1) and real(P)
+""" + SMALL_VERIFY_ALL
+
+# Extends each rho from the section by xor where the join is an or.
+XOR_NAT_HOM_EXTENSION = """
+import inspect, json, sys
+from posetcat import checks, presheaf
+source = inspect.getsource(presheaf.nat_hom_via_retract)
+mutant = source.replace("acc |= ", "acc ^= ")
+if mutant == source:
+    raise SystemExit("nat_hom_via_retract has no join extension to break")
+exec(mutant, vars(presheaf))
+""" + SMALL_VERIFY_ALL
+
 
 def run_under_python_O(script):
     src = os.path.dirname(os.path.dirname(posetcat.__file__))
@@ -60,6 +101,24 @@ def test_dropped_poset_class_fails_poset_laws_under_python_O():
     failed = run_under_python_O(DROPPED_POSET_CLASS)
     assert "poset-laws" in failed
     assert "poset count" in failed["poset-laws"]
+
+
+def test_wrong_limit_on_a_seen_inner_fails_retract_transfer_under_python_O():
+    failed = run_under_python_O(WRONG_LIMIT_ON_A_SEEN_INNER)
+    assert list(failed) == ["retract-transfer"]
+    assert failed["retract-transfer"].startswith("('infimum', ")
+
+
+def test_one_inner_not_complete_fails_retract_transfer_under_python_O():
+    failed = run_under_python_O(ONE_INNER_NOT_COMPLETE)
+    assert list(failed) == ["retract-transfer"]
+    assert failed["retract-transfer"].startswith("('completeness', ")
+
+
+def test_xor_extension_fails_nat_hom_under_python_O():
+    failed = run_under_python_O(XOR_NAT_HOM_EXTENSION)
+    assert list(failed) == ["nat-hom"]
+    assert failed["nat-hom"].startswith("not monotone on ")
 
 
 def drop_last_class(monkeypatch, name, size):

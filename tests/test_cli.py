@@ -444,6 +444,23 @@ class TestEnumerate:
         assert code == 1 and out == ""
         assert err == "error: streamed 2 maps, counted 3\n"
 
+    def test_maps_listing_with_a_rejected_map_exits_1(self, capsys, tmp_path, monkeypatch):
+        # the posets are valid, so a map the stream check rejects is a failed
+        # audit, not an input error; unreadable posets still exit 2
+        from posetcat import catalog
+
+        monkeypatch.setattr(catalog, "_map_search", lambda P, Q: iter([(1, 0)]))
+        arrow = arrow_file(tmp_path)
+        code, out, err = run(capsys, ["enumerate", "--kind", "maps", "--dom", arrow, "--cod", arrow])
+        assert code == 1 and out == ""
+        assert err == "error: not monotone on 0 <= 1\n"
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for argv in (["--dom", str(bad), "--cod", arrow], ["--dom", arrow, "--cod", str(bad)]):
+            code, out, err = run(capsys, ["enumerate", "--kind", "maps", *argv])
+            assert code == 2 and out == ""
+            assert err.startswith("input error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["json", "count"])
     def test_maps_past_the_count_state_bound_exit_2(self, capsys, tmp_path, fmt):
         # five disjoint arrows into a 16-chain: 16**5 states of five masks
@@ -519,6 +536,18 @@ class TestVerifyAllFlags:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_SHA256
+
+    def test_timings_add_only_elapsed(self, capsys):
+        argv = ["verify-all", "--max-poset", "1", "--max-dim", "0", "--max-simplex", "1"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        code, timed_out, _ = run(capsys, [*argv, "--timings"])
+        assert code == 0
+        timed = json.loads(timed_out)
+        for check in timed["checks"]:
+            elapsed = check.pop("elapsed")
+            assert type(elapsed) in (int, float) and elapsed >= 0, check["name"]
+        assert timed == json.loads(out)
 
     def test_error_inside_a_check_fails_that_check(self, capsys, monkeypatch):
         # a defect that builds a non-monotone map raises ValueError from
