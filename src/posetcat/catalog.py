@@ -13,11 +13,14 @@ for each element obtained by intersecting the up-sets of the images of its
 lower covers.  One flat loop walks the search tree over an explicit stack of
 pending candidate masks.  Per-element masks of allowed images and an
 injectivity flag let the same loop find isomorphisms and retractions.
-Every materialized hom-set passes its images through `poset.checked_maps`,
-which checks each map against the previous one, so no map is trusted to the
-search.  Counting does not walk that tree: `_map_count` goes along the same
-extension one level at a time and merges the partial maps whose remaining
-candidate masks agree.
+A hom-set P -> Q is streamed in blocks: the search runs on P without a
+widest antichain A, and each of its images, with one candidate mask per
+element of A, stands for the product of those candidates.  Every
+materialized hom-set passes its blocks through `poset.checked_maps`, which
+checks each block against the previous one and builds its maps, so no map
+is trusted to the search.  Counting does not walk that tree: `_map_count`
+goes along the same extension one level at a time and merges the partial
+maps whose remaining candidate masks agree.
 """
 
 from __future__ import annotations
@@ -47,6 +50,16 @@ def _linear_extension(P: Poset) -> list[int]:
     # |down-set| strictly increases along the order, so this sort is a linear
     # extension; index tiebreak makes it deterministic.
     return sorted(range(P.size), key=lambda i: (P.down[i].bit_count(), i))
+
+
+def _induced_rows(P: Poset, keep: list[int]) -> tuple[int, ...]:
+    """Up-set rows of the subposet of P on `keep`, element keep[i] as i.
+
+    Read off P's rows, as `induced_subposet` does, without its validation
+    and inclusion map.
+    """
+    up = P.up
+    return tuple(sum(1 << i for i, f in enumerate(keep) if up[e] >> f & 1) for e in keep)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +333,69 @@ def _map_count(P: Poset, Q: Poset, allowed=None) -> int:
     return states.get((), 0)
 
 
+@lru_cache(maxsize=64)
+def _antichain_split(P: Poset) -> tuple:
+    """(A, R, lower, upper): P cut into a widest antichain A and the rest.
+
+    A is the largest set of elements with equal down-set size, the last such
+    level on a tie: for a chain its top, for the cube [1]^4 its six rank-2
+    vertices.  It is an antichain, since x < y gives |down(x)| < |down(y)|.
+    R is the subposet induced on the other elements, in increasing index.
+    lower[t] and upper[t] hold the positions in R of the lower and upper
+    covers of A[t]; no cover of an element of A lies in A.  Cached per
+    domain, like `is_complete`, so the many short streams out of one domain
+    share it.
+    """
+    n, covers = P.size, P.covers
+    levels: dict[int, list[int]] = {}
+    for e in range(n):
+        levels.setdefault(P.down[e].bit_count(), []).append(e)
+    free = max((levels[d] for d in sorted(levels, reverse=True)), key=len, default=[])
+    keep = [e for e in range(n) if e not in free]
+    pos = {e: i for i, e in enumerate(keep)}
+    lower = tuple(tuple(pos[i] for i in keep if covers[i] >> a & 1) for a in free)
+    upper = tuple(tuple(pos[j] for j in keep if covers[a] >> j & 1) for a in free)
+    return tuple(free), Poset(len(keep), _induced_rows(P, keep)), lower, upper
+
+
+def _map_blocks(P: Poset, Q: Poset):
+    """The hom-set P -> Q as blocks (outer image, candidate masks) for `checked_maps`.
+
+    For each image of `_map_search` on P's outer part R, the candidates of
+    an element a of the antichain A are the values above the images of its
+    lower covers and below those of its upper covers.  Blocks where some
+    mask is empty hold no map and are skipped.
+    """
+    free, R, lower, upper = _antichain_split(P)
+    qup, qdown, full = Q.up, Q.down, (1 << Q.size) - 1
+    for image in _map_search(R, Q):
+        masks = []
+        for lo, hi in zip(lower, upper):
+            m = full
+            for p in lo:
+                m &= qup[image[p]]
+            for p in hi:
+                m &= qdown[image[p]]
+            if not m:
+                break
+            masks.append(m)
+        else:
+            yield image, masks
+
+
 def enumerate_monotone_maps(P: Poset, Q: Poset) -> Iterator[MonotoneMap]:
     """Every monotone map P -> Q exactly once, in a deterministic order.
 
-    Order is lexicographic in the image tuple read along the fixed linear
-    extension of P.  Each image of `_map_search` is checked by `checked_maps`
-    where it differs from the one before, the first in full; so consecutive
-    maps, which mostly differ in the last elements of the extension, cost a
-    few cover edges each.
+    A map is monotone iff its restriction to R (P without the antichain A
+    of `_antichain_split`) is, and each element of A goes between the images
+    of its covers, which all lie in R; so each map lies in exactly one block
+    of `_map_blocks`.  The blocks are checked by `checked_maps` once each,
+    and it builds the maps of a block by `itertools.product` in C.  Order:
+    lexicographic in the image read along the linear extension of R, then
+    along A in increasing index.  For a chain A is its top, so this is the
+    order of `_map_search` on P; for other domains it differs.
     """
-    return checked_maps(P, Q, _map_search(P, Q))
+    return checked_maps(P, Q, _map_blocks(P, Q), _antichain_split(P)[0])
 
 
 def count_monotone_maps(P: Poset, Q: Poset, workers: int = 1) -> int:
@@ -409,8 +475,8 @@ def enumerate_retracts(max_size: int) -> Iterator[Retract]:
     A runs over isomorphism-class representatives; B runs over all induced
     subposets of A (sections of poset retracts are order-embeddings, so every
     retract appears this way), r over all monotone retractions fixing B.
-    B's up-rows are read off A's as `induced_subposet` does, and equal rows
-    share one `Poset`, built and validated once per call (107 at max_size 5,
+    B's up-rows are read off A's by `_induced_rows`, and equal rows share
+    one `Poset`, built and validated once per call (107 at max_size 5,
     for 2,235 keep sets), so its `down` and `covers` are computed once too.
     Each section is still checked in full as a `MonotoneMap` B -> A.
     """
@@ -425,9 +491,7 @@ def enumerate_retracts(max_size: int) -> Iterator[Retract]:
                 continue
             for mask in range(1, 1 << n):
                 keep = [e for e in range(n) if mask >> e & 1]
-                rows = tuple(
-                    sum(1 << i for i, f in enumerate(keep) if A.up[e] >> f & 1) for e in keep
-                )
+                rows = _induced_rows(A, keep)
                 B = inner.get(rows)
                 if B is None:
                     B = inner[rows] = Poset(len(keep), rows)

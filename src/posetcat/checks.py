@@ -99,7 +99,10 @@ def check_poset_laws(max_poset: int) -> dict:
     """Meet/join against the definitional oracle, plus composition laws.
 
     The oracle reads only the order relation, as one table per poset, and
-    never calls `meet` or `join`.
+    never calls `meet` or `join`.  The composition laws run on the first
+    maps of each sampled hom-set in stream order (`[:3]` and `[:2]`), so for
+    the square and the vee as domains the sample follows the block order of
+    `enumerate_monotone_maps`; the triple count does not depend on it.
     """
     posets = []
     for s in range(max_poset + 1):

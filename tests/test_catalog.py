@@ -411,78 +411,174 @@ class TestSearchOrder:
         assert catalog.count_monotone_maps(*SEARCH_PAIRS["empty-codomain"]()) == 0
 
 
-def with_bad_image(real):
-    """`real` with one non-monotone image in the middle of each stream.
-
-    The bad image is the middle one with the values of the last cover edge
-    (i, j) of P set to the top and the bottom of the chain Q.
-    """
-
-    def search(P, Q, *args, **kwargs):
-        images = list(real(P, Q, *args, **kwargs))
-        mid = len(images) // 2
-        bad = list(images[mid])
-        i, j = P.cover_edges[-1]
-        bad[i], bad[j] = Q.size - 1, 0
-        yield from images[:mid] + [tuple(bad)] + images[mid:]
-
-    return search
+def outer_elements(P):
+    """P's elements outside the antichain its hom-sets are streamed over."""
+    free = catalog._antichain_split(P)[0]
+    return [e for e in range(P.size) if e not in free]
 
 
-BAD_IMAGE_UNDER_O = inspect.getsource(with_bad_image) + """
+def with_bad_outer(real):
+    """`real` with the outer values of the middle block broken on the last
+    cover edge (i, j) between two outer elements: i to the top of the chain
+    Q and j to its bottom."""
+
+    def blocks(P, Q):
+        found = list(real(P, Q))
+        mid = len(found) // 2
+        outer = outer_elements(P)
+        i, j = [(i, j) for i, j in P.cover_edges if i in outer and j in outer][-1]
+        image, masks = found[mid]
+        bad = list(image)
+        bad[outer.index(i)], bad[outer.index(j)] = Q.size - 1, 0
+        yield from found[:mid] + [(tuple(bad), masks)] + found[mid:]
+
+    return blocks
+
+
+def with_wide_mask(real):
+    """`real` with every value of Q allowed for one free element of the
+    first block from the middle on where that widens its mask."""
+
+    def blocks(P, Q):
+        found = list(real(P, Q))
+        full = (1 << Q.size) - 1
+        mid = next(
+            b for b in range(len(found) // 2, len(found)) if any(m != full for m in found[b][1])
+        )
+        image, masks = found[mid]
+        at = next(t for t, m in enumerate(masks) if m != full)
+        wide = list(masks)
+        wide[at] = full
+        yield from found[:mid] + [(image, wide)] + found[mid + 1 :]
+
+    return blocks
+
+
+def maps_before_the_bad_block(mutant, P, Q):
+    """The maps of the blocks before the one `mutant` breaks."""
+    real = list(catalog._map_blocks(P, Q))
+    broken = list(mutant(lambda P, Q: iter(real))(P, Q))
+    bad = next(b for b, (x, y) in enumerate(zip(real, broken)) if x != y)
+    count = 0
+    for _, masks in real[:bad]:
+        block = 1
+        for m in masks:
+            block *= m.bit_count()
+        count += block
+    return count
+
+
+MUTANTS_UNDER_O = "".join(
+    inspect.getsource(f)
+    for f in (outer_elements, with_bad_outer, with_wide_mask, maps_before_the_bad_block)
+) + """
 import json, sys
 from posetcat import catalog
 from posetcat.poset import chain, interval_power
-catalog._map_search = with_bad_image(catalog._map_search)
-catalog.monotone_maps.cache_clear()
 P, Q = interval_power(3), chain(2)
-raised = {}
-for name, build in [
-    ("enumerate_monotone_maps", lambda: list(catalog.enumerate_monotone_maps(P, Q))),
-    ("monotone_maps", lambda: catalog.monotone_maps(P, Q)),
-]:
+real = catalog._map_blocks
+out = {}
+for mutant in (with_bad_outer, with_wide_mask):
+    before = maps_before_the_bad_block(mutant, P, Q)
+    catalog._map_blocks = mutant(real)
+    catalog.monotone_maps.cache_clear()
+    maps = []
     try:
-        build()
+        for f in catalog.enumerate_monotone_maps(P, Q):
+            maps.append(f)
     except ValueError as exc:
-        raised[name] = str(exc)
-print(json.dumps({"optimize": sys.flags.optimize, "raised": raised}))
+        streamed = str(exc)
+    try:
+        catalog.monotone_maps(P, Q)
+    except ValueError as exc:
+        cached = str(exc)
+    out[mutant.__name__] = [before, len(maps), streamed, cached]
+print(json.dumps({"optimize": sys.flags.optimize, "raised": out}))
 """
 
 
-class TestCheckedStream:
-    """Every streamed map is checked, whatever the search yields."""
+def documented_order(P, free):
+    """Sort key of the stream order: the image read along a linear extension
+    of P without `free` (down-set size there, then index), then along
+    `free`."""
+    outer = [e for e in range(P.size) if e not in free]
+    below = {e: sum(1 for d in outer if P.leq(d, e)) for e in outer}
+    along = sorted(outer, key=lambda e: (below[e], e)) + sorted(free)
+    return lambda image: [image[e] for e in along]
 
-    def test_cube4_to_chain3_stream_is_the_search(self):
+
+class TestCheckedStream:
+    """Every streamed map is checked, whatever the block producer yields."""
+
+    def test_cube4_to_chain3_streams_the_search_set_in_block_order(self):
         P, Q = interval_power(4), chain(3)
         stream = [f.image for f in catalog.enumerate_monotone_maps(P, Q)]
-        assert len(stream) == 160948
-        assert stream == list(catalog._map_search(P, Q))
+        assert len(stream) == len(set(stream)) == 160948
+        assert set(stream) == set(catalog._map_search(P, Q))
+        rank2 = [x for x in range(P.size) if x.bit_count() == 2]
+        assert stream == sorted(stream, key=documented_order(P, rank2))
+
+    def test_cube4_to_chain3_is_4243_blocks_over_the_rank2_vertices(self):
+        # any labelling of [1]^4: its six rank-2 vertices are the widest level
+        P = interval_power(4)
+        perm = list(range(P.size))
+        random.Random(29).shuffle(perm)
+        # element a of relabel(P, perm) is the vertex perm[a]
+        for D, vertex in ((P, list(range(P.size))), (relabel(P, perm), perm)):
+            free = catalog._antichain_split(D)[0]
+            assert sorted(vertex[a].bit_count() for a in free) == [2] * 6
+            assert list(free) == sorted(free)
+            assert sum(1 for _ in catalog._map_blocks(D, chain(3))) == 4243
+            assert catalog.count_monotone_maps(D, chain(3)) == 160948
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_chain_domains_stream_in_search_order(self, m):
+        # a chain's widest level is its top, so the blocks read the search's order
+        P = chain(m)
+        assert catalog._antichain_split(P)[0] == (m,)
+        for Q in [chain(k) for k in range(6)] + [interval_power(k) for k in range(5)]:
+            stream = [f.image for f in catalog.enumerate_monotone_maps(P, Q)]
+            assert stream == list(catalog._map_search(P, Q))
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_PAIRS))
+    def test_stream_is_the_search_set_in_block_order(self, name):
+        P, Q = SEARCH_PAIRS[name]()
+        stream = [f.image for f in catalog.enumerate_monotone_maps(P, Q)]
+        assert len(stream) == len(set(stream))
+        assert set(stream) == set(catalog._map_search(P, Q))
+        assert stream == sorted(stream, key=documented_order(P, catalog._antichain_split(P)[0]))
 
     def test_bad_image_mid_stream_raises(self, monkeypatch):
+        # a broken outer image, and a widened candidate mask
         P, Q = interval_power(3), chain(2)
-        mid = len(list(catalog._map_search(P, Q))) // 2
-        monkeypatch.setattr(catalog, "_map_search", with_bad_image(catalog._map_search))
-        catalog.monotone_maps.cache_clear()
-        maps = []
-        with pytest.raises(ValueError, match="not monotone"):
-            for f in catalog.enumerate_monotone_maps(P, Q):
-                maps.append(f)
-        assert len(maps) == mid
-        with pytest.raises(ValueError, match="not monotone"):
-            catalog.monotone_maps(P, Q)
+        real = catalog._map_blocks
+        for mutant in (with_bad_outer, with_wide_mask):
+            before = maps_before_the_bad_block(mutant, P, Q)
+            assert before > 0
+            monkeypatch.setattr(catalog, "_map_blocks", mutant(real))
+            catalog.monotone_maps.cache_clear()
+            maps = []
+            with pytest.raises(ValueError, match="not monotone on "):
+                for f in catalog.enumerate_monotone_maps(P, Q):
+                    maps.append(f)
+            assert len(maps) == before
+            with pytest.raises(ValueError, match="not monotone on "):
+                catalog.monotone_maps(P, Q)
 
     def test_bad_image_mid_stream_raises_under_python_O(self):
         src = os.path.dirname(os.path.dirname(catalog.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", BAD_IMAGE_UNDER_O],
+            [sys.executable, "-O", "-c", MUTANTS_UNDER_O],
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["optimize"] == 1
-        assert sorted(out["raised"]) == ["enumerate_monotone_maps", "monotone_maps"]
-        assert all(msg.startswith("not monotone on ") for msg in out["raised"].values())
+        assert sorted(out["raised"]) == ["with_bad_outer", "with_wide_mask"]
+        for before, yielded, streamed, cached in out["raised"].values():
+            assert 0 < before == yielded
+            assert streamed.startswith("not monotone on ") and cached.startswith("not monotone on ")
 
 
 class TestEnumerationDeterminism:

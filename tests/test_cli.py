@@ -449,11 +449,21 @@ class TestEnumerate:
         # audit, not an input error; unreadable posets still exit 2
         from posetcat import catalog
 
-        monkeypatch.setattr(catalog, "_map_search", lambda P, Q: iter([(1, 0)]))
         arrow = arrow_file(tmp_path)
-        code, out, err = run(capsys, ["enumerate", "--kind", "maps", "--dom", arrow, "--cod", arrow])
-        assert code == 1 and out == ""
-        assert err == "error: not monotone on 0 <= 1\n"
+        three = write_json(tmp_path, "three.json", {"size": 3, "relation": [[0, 1], [1, 2]]})
+        # a good block, then one that breaks 0 <= 1: on the arrow by a
+        # candidate for 1 below the value of 0, on the 3-chain (whose top is
+        # free) by its outer values
+        mutants = [
+            (arrow, [((0,), [0b11]), ((1,), [0b11])]),
+            (three, [((0, 0), [0b11]), ((1, 0), [0b10])]),
+        ]
+        for dom, blocks in mutants:
+            monkeypatch.setattr(catalog, "_map_blocks", lambda P, Q, blocks=blocks: iter(blocks))
+            argv = ["enumerate", "--kind", "maps", "--dom", dom, "--cod", arrow]
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            assert err == "error: not monotone on 0 <= 1\n"
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         for argv in (["--dom", str(bad), "--cod", arrow], ["--dom", arrow, "--cod", str(bad)]):

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import product as iproduct, takewhile
+from itertools import combinations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,79 +191,208 @@ class TestCoverCheck:
             MonotoneMap(cube, broken, tuple(range(cube.size)))
 
 
-def checked_prefix(P, Q, images):
+def checked_prefix(P, Q, blocks, free=()):
     """The maps checked_maps yields, and whether it then raised ValueError."""
     maps = []
     try:
-        for f in checked_maps(P, Q, images):
+        for f in checked_maps(P, Q, blocks, free):
             maps.append(f)
     except ValueError:
         return maps, True
     return maps, False
 
 
-def monotone_prefix(P, Q, images):
-    """The reference: every image up to the first that is not monotone."""
-    good = list(takewhile(lambda image: monotone_on_all_pairs(P, Q, image), images))
-    return [MonotoneMap(P, Q, image) for image in good], len(good) < len(images)
+def expand_block(P, Q, free, block):
+    """The reference for one block: whether it is sound, and its maps.
+
+    A sound block has a value per outer element, a nonempty mask per free
+    one, and all its maps monotone on all pairs; its maps are the product
+    of the candidates, the last free element varying fastest."""
+    outer_img, masks = block
+    outer = [e for e in range(P.size) if e not in free]
+    if len(outer_img) != len(outer) or len(masks) != len(free) or min(masks, default=1) <= 0:
+        return False, []
+    cands = [[v for v in range(m.bit_length()) if m >> v & 1] for m in masks]
+    values = dict(zip(outer, outer_img))
+    images = []
+    for combo in iproduct(*cands):
+        values.update(zip(free, combo))
+        images.append(tuple(values[e] for e in range(P.size)))
+    if not all(monotone_on_all_pairs(P, Q, image) for image in images):
+        return False, []
+    return True, [MonotoneMap(P, Q, image) for image in images]
+
+
+def expanded_prefix(P, Q, blocks, free):
+    """The reference: the maps of every block up to the first unsound one."""
+    maps = []
+    for block in blocks:
+        good, block_maps = expand_block(P, Q, free, block)
+        if not good:
+            return maps, True
+        maps += block_maps
+    return maps, False
+
+
+def antichains(P):
+    """Every antichain of P, as a tuple in increasing index, the empty one first."""
+    return [
+        free
+        for r in range(P.size + 1)
+        for free in combinations(range(P.size), r)
+        if not any(P.leq(a, b) for a in free for b in free if a != b)
+    ]
+
+
+def block_of(P, Q, free, image):
+    """The block of a monotone image: its outer values, and for each free
+    element every value that keeps the map monotone."""
+    outer = [e for e in range(P.size) if e not in free]
+    masks = []
+    for a in free:
+        moved = list(image)
+        masks.append(0)
+        for v in range(Q.size):
+            moved[a] = v
+            masks[-1] |= monotone_on_all_pairs(P, Q, moved) << v
+    return tuple(image[e] for e in outer), masks
 
 
 class TestCheckedMaps:
-    """checked_maps checks each image where it changed; it must agree with all pairs."""
+    """checked_maps checks each block where it changed; it must agree with
+    expanding every block and checking all pairs."""
 
     @given(st.data())
     @settings(max_examples=200)
     def test_yields_exactly_the_monotone_prefix(self, data):
         P = data.draw(st.sampled_from(posets_to_five()))
         Q = data.draw(st.sampled_from(posets_to_five()))
+        # an antichain, possibly empty, in a drawn order
+        picks = data.draw(st.permutations(range(P.size)))[: data.draw(st.integers(0, P.size))]
+        free = []
+        for a in picks:
+            if not any(P.leq(a, b) or P.leq(b, a) for b in free):
+                free.append(a)
+        free = tuple(free)
+        k = P.size - len(free)
         homs = [f.image for f in monotone_maps(P, Q)]
         values = st.integers(-1, Q.size)
-        images = [data.draw(st.sampled_from(homs))] if homs else []
-        kinds = ["map", "changed", "changed", "length"] if homs else ["any", "length"]
+        masks = st.integers(-1, (2 << Q.size) - 1)
+        blocks = [block_of(P, Q, free, data.draw(st.sampled_from(homs)))] if homs else []
+        kinds = ["map", "outer", "mask", "length"] if homs else ["any", "length"]
         for _ in range(data.draw(st.integers(0, 6))):
             kind = data.draw(st.sampled_from(kinds))
             if kind == "length":
-                length = data.draw(st.integers(0, P.size + 1).filter(lambda k: k != P.size))
-                image = data.draw(st.lists(values, min_size=length, max_size=length))
+                # too many or too few outer values, or masks
+                sizes = [k, len(free)]
+                at = data.draw(st.integers(0, 1))
+                wrong = st.integers(0, sizes[at] + 1).filter(lambda n: n != sizes[at])
+                sizes[at] = data.draw(wrong)
+                block = (
+                    data.draw(st.lists(values, min_size=sizes[0], max_size=sizes[0])),
+                    data.draw(st.lists(masks, min_size=sizes[1], max_size=sizes[1])),
+                )
             elif kind == "any":
-                image = data.draw(st.lists(values, min_size=P.size, max_size=P.size))
+                block = (
+                    data.draw(st.lists(values, min_size=k, max_size=k)),
+                    data.draw(st.lists(masks, min_size=len(free), max_size=len(free))),
+                )
             else:
-                image = list(data.draw(st.sampled_from(homs)))
-                if kind == "changed" and P.size:
-                    # one value of the previous image or a map replaced: -1,
-                    # Q.size or a near miss
-                    if len(images[-1]) == P.size and data.draw(st.booleans()):
-                        image = list(images[-1])
-                    at = data.draw(st.integers(0, P.size - 1))
-                    near = st.sampled_from([image[at] - 1, image[at] + 1])
-                    image[at] = data.draw(st.one_of(st.sampled_from([-1, Q.size]), near, values))
-            images.append(tuple(image))
-        maps, raised = checked_prefix(P, Q, images)
-        assert (maps, raised) == monotone_prefix(P, Q, images)
+                # the block of a map, or the previous block, with one change
+                block = block_of(P, Q, free, data.draw(st.sampled_from(homs)))
+                if data.draw(st.booleans()):
+                    block = blocks[-1]
+                outer_img, mask_list = list(block[0]), list(block[1])
+                if kind == "outer" and len(outer_img) == k and k:
+                    # one outer value replaced: -1, Q.size or a near miss
+                    at = data.draw(st.integers(0, k - 1))
+                    near = st.sampled_from([outer_img[at] - 1, outer_img[at] + 1])
+                    outer_img[at] = data.draw(
+                        st.one_of(st.sampled_from([-1, Q.size]), near, values)
+                    )
+                elif kind == "mask" and free and len(mask_list) == len(free):
+                    # one mask widened, narrowed or replaced
+                    at = data.draw(st.integers(0, len(free) - 1))
+                    bit = 1 << data.draw(st.integers(0, Q.size))
+                    mask_list[at] = data.draw(
+                        st.sampled_from([mask_list[at] | bit, mask_list[at] & ~bit, -1, 0])
+                        | masks
+                    )
+                block = (tuple(outer_img), mask_list)
+            blocks.append(block)
+        maps, raised = checked_prefix(P, Q, blocks, free)
+        assert (maps, raised) == expanded_prefix(P, Q, blocks, free)
         assert all(type(f) is MonotoneMap for f in maps)
 
     def test_exhaustive_to_three_elements(self):
-        # every monotone first image, then every tuple over -1..Q.size
+        # a first block from a monotone map (every one when nothing is free,
+        # the last one otherwise), then every block of values over
+        # -1..Q.size and of masks over -1..2^Q.size
         posets = [P for P in posets_to_five() if P.size <= 3]
         for P in posets:
-            for Q in posets:
-                for f in monotone_maps(P, Q):
-                    for image in iproduct(range(-1, Q.size + 1), repeat=P.size):
-                        maps, raised = checked_prefix(P, Q, [f.image, image])
-                        good = monotone_on_all_pairs(P, Q, image)
-                        assert maps == ([f, MonotoneMap(P, Q, image)] if good else [f])
-                        assert raised != good
+            for free in antichains(P):
+                k = P.size - len(free)
+                for Q in posets:
+                    homs = monotone_maps(P, Q)
+                    firsts = [block_of(P, Q, free, f.image) for f in (homs[-1:] if free else homs)]
+                    first_maps = [expand_block(P, Q, free, first)[1] for first in firsts]
+                    for second in iproduct(
+                        iproduct(range(-1, Q.size + 1), repeat=k),
+                        iproduct(range(-1, (1 << Q.size) + 1), repeat=len(free)),
+                    ):
+                        good, second_maps = expand_block(P, Q, free, second)
+                        for first, maps_before in zip(firsts, first_maps):
+                            maps, raised = checked_prefix(P, Q, [first, second], free)
+                            assert maps == maps_before + second_maps
+                            assert raised != good
 
     def test_first_image_is_checked_in_full(self):
         with pytest.raises(ValueError, match="not monotone on 0 <= 1"):
-            next(checked_maps(chain(1), chain(1), [(1, 0), (0, 0)]))
+            next(checked_maps(chain(1), chain(1), [((1, 0), ())]))
+        with pytest.raises(ValueError, match="not monotone on 0 <= 1"):
+            next(checked_maps(chain(2), chain(1), [((1, 0), [0b11])], free=(2,)))
         assert list(checked_maps(chain(1), chain(1), [])) == []
 
     def test_wrong_length_after_the_first_is_rejected(self):
-        maps = checked_maps(chain(1), chain(1), [(0, 1), (0,)])
+        maps = checked_maps(chain(1), chain(1), [((0, 1), ()), ((0,), ())])
         assert next(maps) == identity_map(chain(1))
         with pytest.raises(ValueError, match="image length"):
             next(maps)
+
+    @pytest.mark.parametrize(
+        "free,match",
+        [((0, 1), "comparable"), ((1, 0), "comparable"), ((1, 1), "repeated"),
+         ((2,), "not in the domain"), ((-1,), "not in the domain")],
+    )
+    def test_free_must_be_an_antichain_of_the_domain(self, free, match):
+        # checked before any block, also when there is none
+        with pytest.raises(ValueError, match=match):
+            next(checked_maps(chain(1), chain(1), [], free))
+        good = next(checked_maps(vee(), chain(1), [((1,), [1, 1])], free=(0, 1)))
+        assert good.image == (0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "block,match",
+        [
+            (((0,), []), "one mask per free element"),
+            (((0,), [1, 1]), "one mask per free element"),
+            (((0,), [-1]), "empty or out of range"),
+            (((0,), [0]), "empty or out of range"),
+            (((0,), [0b100]), "empty or out of range"),
+            # 0 goes to 1, so the candidate 0 for 1 lies below a lower cover's value
+            (((1,), [0b11]), "not monotone on 0 <= 1"),
+        ],
+    )
+    def test_bad_mask_is_rejected(self, block, match):
+        with pytest.raises(ValueError, match=match):
+            next(checked_maps(chain(1), chain(1), [block], free=(1,)))
+
+    def test_candidate_above_an_upper_cover_is_rejected(self):
+        # 1 goes to 0, so the candidate 1 for 0 lies above an upper cover's value
+        with pytest.raises(ValueError, match="not monotone on 0 <= 1"):
+            next(checked_maps(chain(1), chain(1), [((0,), [0b10])], free=(0,)))
+        maps = checked_maps(chain(1), chain(1), [((1,), [0b11])], free=(0,))
+        assert [f.image for f in maps] == [(0, 1), (1, 1)]
 
 
 class TestProducts:
