@@ -14,11 +14,11 @@ lower covers.  One flat loop walks the search tree over an explicit stack of
 pending candidate masks.  Per-element masks of allowed images and an
 injectivity flag let the same loop find isomorphisms and retractions.
 A hom-set P -> Q is streamed in blocks: the search runs on P without a
-widest antichain A, and each of its images, with one candidate mask per
-element of A, stands for the product of those candidates.  Every
-materialized hom-set passes its blocks through `poset.checked_maps`, which
-checks each block against the previous one and builds its maps, so no map
-is trusted to the search.  Counting does not walk that tree: `_map_count`
+widest antichain A, and each of its images stands for every way to extend
+it over A.  Every materialized hom-set passes those images through
+`poset.checked_maps`, which checks each against the previous one, finds the
+candidates of each element of A and builds the maps, so no map is trusted
+to the search.  Counting does not walk that tree: `_map_count`
 goes along the same extension one level at a time and merges the partial
 maps whose remaining candidate masks agree.
 """
@@ -335,52 +335,21 @@ def _map_count(P: Poset, Q: Poset, allowed=None) -> int:
 
 @lru_cache(maxsize=64)
 def _antichain_split(P: Poset) -> tuple:
-    """(A, R, lower, upper): P cut into a widest antichain A and the rest.
+    """(A, R): P cut into a widest antichain A and the rest.
 
     A is the largest set of elements with equal down-set size, the last such
-    level on a tie: for a chain its top, for the cube [1]^4 its six rank-2
-    vertices.  It is an antichain, since x < y gives |down(x)| < |down(y)|.
-    R is the subposet induced on the other elements, in increasing index.
-    lower[t] and upper[t] hold the positions in R of the lower and upper
-    covers of A[t]; no cover of an element of A lies in A.  Cached per
-    domain, like `is_complete`, so the many short streams out of one domain
-    share it.
+    level on a tie, in increasing index: for a chain its top, for the cube
+    [1]^4 its six rank-2 vertices.  It is an antichain, since x < y gives
+    |down(x)| < |down(y)|.  R is the subposet induced on the other elements,
+    in increasing index.  Cached per domain, like `is_complete`, so the many
+    short streams out of one domain share it.
     """
-    n, covers = P.size, P.covers
     levels: dict[int, list[int]] = {}
-    for e in range(n):
+    for e in range(P.size):
         levels.setdefault(P.down[e].bit_count(), []).append(e)
     free = max((levels[d] for d in sorted(levels, reverse=True)), key=len, default=[])
-    keep = [e for e in range(n) if e not in free]
-    pos = {e: i for i, e in enumerate(keep)}
-    lower = tuple(tuple(pos[i] for i in keep if covers[i] >> a & 1) for a in free)
-    upper = tuple(tuple(pos[j] for j in keep if covers[a] >> j & 1) for a in free)
-    return tuple(free), Poset(len(keep), _induced_rows(P, keep)), lower, upper
-
-
-def _map_blocks(P: Poset, Q: Poset):
-    """The hom-set P -> Q as blocks (outer image, candidate masks) for `checked_maps`.
-
-    For each image of `_map_search` on P's outer part R, the candidates of
-    an element a of the antichain A are the values above the images of its
-    lower covers and below those of its upper covers.  Blocks where some
-    mask is empty hold no map and are skipped.
-    """
-    free, R, lower, upper = _antichain_split(P)
-    qup, qdown, full = Q.up, Q.down, (1 << Q.size) - 1
-    for image in _map_search(R, Q):
-        masks = []
-        for lo, hi in zip(lower, upper):
-            m = full
-            for p in lo:
-                m &= qup[image[p]]
-            for p in hi:
-                m &= qdown[image[p]]
-            if not m:
-                break
-            masks.append(m)
-        else:
-            yield image, masks
+    keep = [e for e in range(P.size) if e not in free]
+    return tuple(free), Poset(len(keep), _induced_rows(P, keep))
 
 
 def enumerate_monotone_maps(P: Poset, Q: Poset) -> Iterator[MonotoneMap]:
@@ -388,14 +357,16 @@ def enumerate_monotone_maps(P: Poset, Q: Poset) -> Iterator[MonotoneMap]:
 
     A map is monotone iff its restriction to R (P without the antichain A
     of `_antichain_split`) is, and each element of A goes between the images
-    of its covers, which all lie in R; so each map lies in exactly one block
-    of `_map_blocks`.  The blocks are checked by `checked_maps` once each,
-    and it builds the maps of a block by `itertools.product` in C.  Order:
-    lexicographic in the image read along the linear extension of R, then
-    along A in increasing index.  For a chain A is its top, so this is the
-    order of `_map_search` on P; for other domains it differs.
+    of its covers, which all lie in R.  So each map extends exactly one
+    image of `_map_search(R, Q)`, and `checked_maps` checks each such image,
+    finds the candidates of A under it and builds its maps by one
+    `itertools.product` in C.  Order: lexicographic in the image read along
+    the linear extension of R, then along A in increasing index.  For a
+    chain A is its top, so this is the order of `_map_search` on P; for
+    other domains it differs.
     """
-    return checked_maps(P, Q, _map_blocks(P, Q), _antichain_split(P)[0])
+    free, R = _antichain_split(P)
+    return checked_maps(P, Q, _map_search(R, Q), free)
 
 
 def count_monotone_maps(P: Poset, Q: Poset, workers: int = 1) -> int:

@@ -6,9 +6,9 @@ tuples (namedtuple subclasses whose `__new__` checks the fields), so they are
 immutable, compared and hashed by value in C, and can be shared freely and
 memoized.  Code reads them by field name only; `_make` and `_replace` would
 skip the checks.  A stream of maps between one pair of posets comes as
-blocks, each a set of outer values and a candidate mask per element of an
-antichain, and is checked by `checked_maps` once per block, where its outer
-values differ from the previous block's.
+images of the elements outside an antichain; `checked_maps` checks each
+image where it differs from the previous one, finds the values each
+antichain element may take, and builds the maps of the image itself.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from itertools import compress, product as iproduct
-from operator import is_not, itemgetter
+from itertools import compress, product as iproduct, repeat
+from operator import is_not
 
 from .errors import (
     BoundExceeded,
@@ -135,30 +135,32 @@ class MonotoneMap(namedtuple("MonotoneMap", "dom cod image")):
 
 
 def checked_maps(
-    dom: Poset, cod: Poset, blocks: Iterable[tuple], free: Iterable[int] = ()
+    dom: Poset, cod: Poset, images: Iterable[Iterable[int]], free: Iterable[int] = ()
 ) -> Iterator[MonotoneMap]:
-    """The maps of each block as MonotoneMaps dom -> cod, checked a block at a time.
+    """Every monotone extension of each outer image, as MonotoneMaps dom -> cod.
 
     `free` lists pairwise incomparable elements of dom; the others, in
-    increasing index, are the outer elements.  A block (outer, masks) gives
-    a value for each outer element and a nonempty candidate bitmask over cod
-    for each free one.  It stands for the maps that take those outer values
-    and any candidate on each free element; they are built from the block
-    and yielded in `itertools.product` order, the last free element varying
-    fastest.  With no free element a block (image, ()) is one map.
+    increasing index, are the outer elements, and each image gives a value
+    for each of them.  An image stands for a block: the maps that take its
+    outer values and, on each free element a, any value in `ok`: those at
+    or above the values of a's lower covers and at or below those of its
+    upper covers.
+    They are built in domain order by one `itertools.product`, varying along
+    the free elements in increasing index, the last fastest.  An image where
+    some `ok` is empty has no extension and yields nothing.  With no free
+    element an image is one map.
 
     `free` is checked first: distinct elements of dom, no two comparable.
-    Then each block gets the length checks, and its outer values are
-    checked where they differ from the previous block's, the first block
-    in full: the range check, and the order check on the cover edges between
-    two outer elements that touch a changed position.  Each free element's
-    mask must lie in the values its covers allow under this block's outer
-    values.  Every cover edge of dom joins two outer elements, checked when
-    one of its ends last changed, or a free and an outer element, checked
-    for every candidate; none joins two free elements, as they are
+    Then each image gets the length check, and its values are checked where
+    they differ from the previous image's, the first image in full: each
+    must be an int in range, and the cover edges between two outer elements
+    that touch a changed position must hold.  Every cover edge of dom joins
+    two outer elements, checked when one of its ends last changed, or a free
+    and an outer element, which holds for every candidate since the
+    candidates are exactly `ok`; none joins two free elements, as they are
     incomparable.  So by induction every map yielded is in range and
-    monotone on all covers, whatever produced the blocks.  Raises ValueError
-    at the first block that fails, after yielding the maps of the blocks
+    monotone on all covers, whatever produced the images.  Raises ValueError
+    at the first image that fails, after yielding the maps of the images
     before it.  A position counts as unchanged only when it holds the very
     object it held before (`is_not`, cheaper than `!=` and never looser: an
     equal but distinct value such as 1.0 for 1 is checked again).
@@ -174,73 +176,58 @@ def checked_maps(
             if dom_up[a] >> b & 1 or dom_up[b] >> a & 1:
                 raise ValueError(f"free elements {b} and {a} are comparable")
     outer = [e for e in range(n) if e not in free]
-    slot = [0] * n  # each element's position in outer + free
-    for p, e in enumerate(outer + list(free)):
-        slot[e] = p
+    slot = {e: p for p, e in enumerate(outer)}  # each outer element's position
     k = len(outer)
     touching = [[] for _ in range(k)]  # the outer-outer cover edges at each position
     for i, j in dom.cover_edges:
-        if i not in free and j not in free:
+        if i in slot and j in slot:
             edge = (slot[i], slot[j], i, j)
             touching[slot[i]].append(edge)
             touching[slot[j]].append(edge)
+    # the covers of a free element are outer, as free is an antichain
     covers = dom.covers
-    lower = [[slot[i] for i in range(n) if covers[i] >> a & 1] for a in free]
-    upper = [[slot[j] for j in range(n) if covers[a] >> j & 1] for a in free]
-    order = [slot[e] for e in range(n)]
-    gather = tuple if order == sorted(order) else itemgetter(*order)
+    free = sorted(free)
+    lower = [[slot[i] for i in outer if covers[i] >> a & 1] for a in free]
+    upper = [[slot[j] for j in outer if covers[a] >> j & 1] for a in free]
     full = (1 << q) - 1
-    values: dict[int, tuple[int, ...]] = {}  # candidate tuple of each mask seen
+    one = [(v,) for v in range(q)]
+    values: dict[int, tuple[int, ...]] = {}  # candidate tuple of each `ok` seen
+    args: list[tuple[int, ...]] = [()] * n  # the values product takes, in domain order
     positions = range(k)
-    last = (object(),) * k  # no block holds it, so the first is checked in full
-    new = tuple.__new__
-    for img, masks in blocks:
+    last = (object(),) * k  # no image holds it, so the first is checked in full
+    new, kind, doms, cods = tuple.__new__, repeat(MonotoneMap), repeat(dom), repeat(cod)
+    for img in images:
         img = tuple(img)
         if len(img) != k:
             raise ValueError("image length must equal the number of outer elements")
-        if len(masks) != len(free):
-            raise ValueError("block needs one mask per free element")
         changed = list(compress(positions, map(is_not, last, img)))
         for p in changed:
-            if not 0 <= img[p] < q:
+            v = img[p]
+            if not (_is_int(v) and 0 <= v < q):
                 raise ValueError("image value out of range")
         for p in changed:
             for pi, pj, i, j in touching[p]:
                 if not cod_up[img[pi]] >> img[pj] & 1:
                     raise ValueError(f"not monotone on {i} <= {j}")
+            args[outer[p]] = one[img[p]]
         last = img
-        cands = []
-        for a, m, lo, hi in zip(free, masks, lower, upper):
+        if not free:
+            yield new(MonotoneMap, (dom, cod, img))
+            continue
+        for a, lo, hi in zip(free, lower, upper):
             ok = full
             for p in lo:
                 ok &= cod_up[img[p]]
             for p in hi:
                 ok &= cod_down[img[p]]
-            if m <= 0 or m & ~ok:
-                raise _mask_error(dom, cod, a, m, lambda e: img[slot[e]])
+            if not ok:
+                break
             try:
-                cands.append(values[m])
+                args[a] = values[ok]
             except KeyError:
-                cands.append(values.setdefault(m, tuple(v for v in range(q) if m >> v & 1)))
-        for combo in iproduct(*cands):
-            yield new(MonotoneMap, (dom, cod, gather(img + combo)))
-
-
-def _mask_error(dom: Poset, cod: Poset, a: int, m, value) -> ValueError:
-    """Why `checked_maps` refused the mask m of free element a.
-
-    m is empty, has a bit outside cod, or holds a value v that breaks a
-    cover edge of a under the outer values `value(e)`: the least such v, at
-    the least such edge.
-    """
-    if m <= 0 or m >> cod.size:
-        return ValueError(f"candidate mask {m!r} of {a} is empty or out of range")
-    for v in range(cod.size):
-        for e in range(dom.size):
-            if m >> v & 1 and dom.covers[e] >> a & 1 and not cod.up[value(e)] >> v & 1:
-                return ValueError(f"not monotone on {e} <= {a}")
-            if m >> v & 1 and dom.covers[a] >> e & 1 and not cod.up[v] >> value(e) & 1:
-                return ValueError(f"not monotone on {a} <= {e}")
+                args[a] = values[ok] = tuple(v for v in range(q) if ok >> v & 1)
+        else:
+            yield from map(new, kind, zip(doms, cods, iproduct(*args)))
 
 
 class LatticeStructure(

@@ -775,8 +775,8 @@ def nat_hom_via_retract(L: Poset, L2: Poset) -> tuple[MonotoneMap, ...]:
     and every monotone function there extends to the whole cube (join
     extension into a complete target), so restrictions are enumerated and one
     extension g is built for each.  The extensions are checked monotone as
-    one stream by `checked_maps`, each a block (g, ()) with no free element:
-    the first in full, each later one where it differs from the one before.
+    one stream of images by `checked_maps`, with no free element: the first
+    in full, each later one where it differs from the one before.
     The result is asserted equal to the directly enumerated hom-set.
     """
     if L.size > NAT_HOM_BOUND or L2.size > NAT_HOM_BOUND:
@@ -801,7 +801,7 @@ def nat_hom_via_retract(L: Poset, L2: Poset) -> tuple[MonotoneMap, ...]:
                 for p in positions:
                     acc |= rho_image[p]
                 g_image.append(acc)
-            yield g_image, ()
+            yield g_image
 
     r2, s1 = cert2.retraction.image, cert1.section.image
     composites = {

@@ -451,19 +451,19 @@ class TestEnumerate:
 
         arrow = arrow_file(tmp_path)
         three = write_json(tmp_path, "three.json", {"size": 3, "relation": [[0, 1], [1, 2]]})
-        # a good block, then one that breaks 0 <= 1: on the arrow by a
-        # candidate for 1 below the value of 0, on the 3-chain (whose top is
-        # free) by its outer values
+        four = write_json(tmp_path, "four.json", {"size": 4, "relation": [[0, 1], [1, 2], [2, 3]]})
+        # good images of the elements below the top (which is free), then
+        # one that breaks 0 <= 1 or 1 <= 2 where it changed
         mutants = [
-            (arrow, [((0,), [0b11]), ((1,), [0b11])]),
-            (three, [((0, 0), [0b11]), ((1, 0), [0b10])]),
+            (three, [(0, 0), (1, 0)], "0 <= 1"),
+            (four, [(0, 0, 0), (0, 0, 1), (0, 1, 0)], "1 <= 2"),
         ]
-        for dom, blocks in mutants:
-            monkeypatch.setattr(catalog, "_map_blocks", lambda P, Q, blocks=blocks: iter(blocks))
+        for dom, images, edge in mutants:
+            monkeypatch.setattr(catalog, "_map_search", lambda P, Q, images=images: iter(images))
             argv = ["enumerate", "--kind", "maps", "--dom", dom, "--cod", arrow]
             code, out, err = run(capsys, argv)
             assert code == 1 and out == ""
-            assert err == "error: not monotone on 0 <= 1\n"
+            assert err == f"error: not monotone on {edge}\n"
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         for argv in (["--dom", str(bad), "--cod", arrow], ["--dom", arrow, "--cod", str(bad)]):

@@ -191,46 +191,65 @@ class TestCoverCheck:
             MonotoneMap(cube, broken, tuple(range(cube.size)))
 
 
-def checked_prefix(P, Q, blocks, free=()):
+def checked_prefix(P, Q, images, free=()):
     """The maps checked_maps yields, and whether it then raised ValueError."""
     maps = []
     try:
-        for f in checked_maps(P, Q, blocks, free):
+        for f in checked_maps(P, Q, images, free):
             maps.append(f)
     except ValueError:
         return maps, True
     return maps, False
 
 
-def expand_block(P, Q, free, block):
-    """The reference for one block: whether it is sound, and its maps.
+def brute_cover_edges(P):
+    """The pairs i < j of P with nothing strictly between, by brute force."""
+    return [
+        (i, j)
+        for i in range(P.size)
+        for j in range(P.size)
+        if i != j and P.leq(i, j)
+        and not any(k not in (i, j) and P.leq(i, k) and P.leq(k, j) for k in range(P.size))
+    ]
 
-    A sound block has a value per outer element, a nonempty mask per free
-    one, and all its maps monotone on all pairs; its maps are the product
-    of the candidates, the last free element varying fastest."""
-    outer_img, masks = block
+
+def expand_image(P, Q, free, outer_img):
+    """The reference for one outer image: whether it is sound, and its maps.
+
+    A sound image has an int in range per outer element and holds on every
+    cover edge between two outer elements.  Its maps are found by trying
+    every value on every free element and keeping the maps monotone on all
+    pairs, varying along the free elements in increasing index, the last
+    fastest; there may be none."""
     outer = [e for e in range(P.size) if e not in free]
-    if len(outer_img) != len(outer) or len(masks) != len(free) or min(masks, default=1) <= 0:
+    if len(outer_img) != len(outer) or not all(
+        type(v) is int and 0 <= v < Q.size for v in outer_img
+    ):
         return False, []
-    cands = [[v for v in range(m.bit_length()) if m >> v & 1] for m in masks]
     values = dict(zip(outer, outer_img))
-    images = []
-    for combo in iproduct(*cands):
-        values.update(zip(free, combo))
-        images.append(tuple(values[e] for e in range(P.size)))
-    if not all(monotone_on_all_pairs(P, Q, image) for image in images):
+    if any(
+        not Q.leq(values[i], values[j])
+        for i, j in brute_cover_edges(P)
+        if i in values and j in values
+    ):
         return False, []
-    return True, [MonotoneMap(P, Q, image) for image in images]
-
-
-def expanded_prefix(P, Q, blocks, free):
-    """The reference: the maps of every block up to the first unsound one."""
     maps = []
-    for block in blocks:
-        good, block_maps = expand_block(P, Q, free, block)
+    for combo in iproduct(range(Q.size), repeat=len(free)):
+        values.update(zip(sorted(free), combo))
+        image = tuple(values[e] for e in range(P.size))
+        if monotone_on_all_pairs(P, Q, image):
+            maps.append(MonotoneMap(P, Q, image))
+    return True, maps
+
+
+def expanded_prefix(P, Q, images, free):
+    """The reference: the maps of every image up to the first unsound one."""
+    maps = []
+    for outer_img in images:
+        good, image_maps = expand_image(P, Q, free, outer_img)
         if not good:
             return maps, True
-        maps += block_maps
+        maps += image_maps
     return maps, False
 
 
@@ -244,23 +263,18 @@ def antichains(P):
     ]
 
 
-def block_of(P, Q, free, image):
-    """The block of a monotone image: its outer values, and for each free
-    element every value that keeps the map monotone."""
-    outer = [e for e in range(P.size) if e not in free]
-    masks = []
-    for a in free:
-        moved = list(image)
-        masks.append(0)
-        for v in range(Q.size):
-            moved[a] = v
-            masks[-1] |= monotone_on_all_pairs(P, Q, moved) << v
-    return tuple(image[e] for e in outer), masks
+def outer_of(P, free, image):
+    """The values of a map on the elements outside `free`."""
+    return tuple(v for e, v in enumerate(image) if e not in free)
+
+
+# values that are not ints in range, though some compare like them
+NOT_IN_RANGE = (-1, 1.0, True, False)
 
 
 class TestCheckedMaps:
-    """checked_maps checks each block where it changed; it must agree with
-    expanding every block and checking all pairs."""
+    """checked_maps checks each image where it changed; it must agree with
+    checking every image in full and trying every value on each free element."""
 
     @given(st.data())
     @settings(max_examples=200)
@@ -277,70 +291,48 @@ class TestCheckedMaps:
         k = P.size - len(free)
         homs = [f.image for f in monotone_maps(P, Q)]
         values = st.integers(-1, Q.size)
-        masks = st.integers(-1, (2 << Q.size) - 1)
-        blocks = [block_of(P, Q, free, data.draw(st.sampled_from(homs)))] if homs else []
-        kinds = ["map", "outer", "mask", "length"] if homs else ["any", "length"]
+        images = [outer_of(P, free, data.draw(st.sampled_from(homs)))] if homs else []
+        kinds = ["map", "outer", "any", "length"] if homs else ["any", "length"]
         for _ in range(data.draw(st.integers(0, 6))):
             kind = data.draw(st.sampled_from(kinds))
             if kind == "length":
-                # too many or too few outer values, or masks
-                sizes = [k, len(free)]
-                at = data.draw(st.integers(0, 1))
-                wrong = st.integers(0, sizes[at] + 1).filter(lambda n: n != sizes[at])
-                sizes[at] = data.draw(wrong)
-                block = (
-                    data.draw(st.lists(values, min_size=sizes[0], max_size=sizes[0])),
-                    data.draw(st.lists(masks, min_size=sizes[1], max_size=sizes[1])),
-                )
+                # too many or too few outer values
+                size = data.draw(st.integers(0, k + 1).filter(lambda n: n != k))
+                image = tuple(data.draw(st.lists(values, min_size=size, max_size=size)))
             elif kind == "any":
-                block = (
-                    data.draw(st.lists(values, min_size=k, max_size=k)),
-                    data.draw(st.lists(masks, min_size=len(free), max_size=len(free))),
-                )
+                image = tuple(data.draw(st.lists(values, min_size=k, max_size=k)))
             else:
-                # the block of a map, or the previous block, with one change
-                block = block_of(P, Q, free, data.draw(st.sampled_from(homs)))
+                # the outer values of a map, or the previous image, with one change
+                image = outer_of(P, free, data.draw(st.sampled_from(homs)))
                 if data.draw(st.booleans()):
-                    block = blocks[-1]
-                outer_img, mask_list = list(block[0]), list(block[1])
-                if kind == "outer" and len(outer_img) == k and k:
-                    # one outer value replaced: -1, Q.size or a near miss
+                    image = images[-1]
+                image = list(image)
+                if kind == "outer" and len(image) == k and k:
+                    # one outer value replaced: out of range, not an int, or a near miss
                     at = data.draw(st.integers(0, k - 1))
-                    near = st.sampled_from([outer_img[at] - 1, outer_img[at] + 1])
-                    outer_img[at] = data.draw(
-                        st.one_of(st.sampled_from([-1, Q.size]), near, values)
+                    near = st.sampled_from([image[at] - 1, image[at] + 1])
+                    image[at] = data.draw(
+                        st.one_of(st.sampled_from([Q.size, *NOT_IN_RANGE]), near, values)
                     )
-                elif kind == "mask" and free and len(mask_list) == len(free):
-                    # one mask widened, narrowed or replaced
-                    at = data.draw(st.integers(0, len(free) - 1))
-                    bit = 1 << data.draw(st.integers(0, Q.size))
-                    mask_list[at] = data.draw(
-                        st.sampled_from([mask_list[at] | bit, mask_list[at] & ~bit, -1, 0])
-                        | masks
-                    )
-                block = (tuple(outer_img), mask_list)
-            blocks.append(block)
-        maps, raised = checked_prefix(P, Q, blocks, free)
-        assert (maps, raised) == expanded_prefix(P, Q, blocks, free)
+                image = tuple(image)
+            images.append(image)
+        maps, raised = checked_prefix(P, Q, images, free)
+        assert (maps, raised) == expanded_prefix(P, Q, images, free)
         assert all(type(f) is MonotoneMap for f in maps)
 
     def test_exhaustive_to_three_elements(self):
-        # a first block from a monotone map (every one when nothing is free,
-        # the last one otherwise), then every block of values over
-        # -1..Q.size and of masks over -1..2^Q.size
+        # a first image from every monotone map, then every image of values
+        # over -1..Q.size
         posets = [P for P in posets_to_five() if P.size <= 3]
         for P in posets:
             for free in antichains(P):
                 k = P.size - len(free)
                 for Q in posets:
                     homs = monotone_maps(P, Q)
-                    firsts = [block_of(P, Q, free, f.image) for f in (homs[-1:] if free else homs)]
-                    first_maps = [expand_block(P, Q, free, first)[1] for first in firsts]
-                    for second in iproduct(
-                        iproduct(range(-1, Q.size + 1), repeat=k),
-                        iproduct(range(-1, (1 << Q.size) + 1), repeat=len(free)),
-                    ):
-                        good, second_maps = expand_block(P, Q, free, second)
+                    firsts = sorted({outer_of(P, free, f.image) for f in homs})
+                    first_maps = [expand_image(P, Q, free, first)[1] for first in firsts]
+                    for second in iproduct(range(-1, Q.size + 1), repeat=k):
+                        good, second_maps = expand_image(P, Q, free, second)
                         for first, maps_before in zip(firsts, first_maps):
                             maps, raised = checked_prefix(P, Q, [first, second], free)
                             assert maps == maps_before + second_maps
@@ -348,13 +340,13 @@ class TestCheckedMaps:
 
     def test_first_image_is_checked_in_full(self):
         with pytest.raises(ValueError, match="not monotone on 0 <= 1"):
-            next(checked_maps(chain(1), chain(1), [((1, 0), ())]))
+            next(checked_maps(chain(1), chain(1), [(1, 0)]))
         with pytest.raises(ValueError, match="not monotone on 0 <= 1"):
-            next(checked_maps(chain(2), chain(1), [((1, 0), [0b11])], free=(2,)))
+            next(checked_maps(chain(2), chain(1), [(1, 0)], free=(2,)))
         assert list(checked_maps(chain(1), chain(1), [])) == []
 
     def test_wrong_length_after_the_first_is_rejected(self):
-        maps = checked_maps(chain(1), chain(1), [((0, 1), ()), ((0,), ())])
+        maps = checked_maps(chain(1), chain(1), [(0, 1), (0,)])
         assert next(maps) == identity_map(chain(1))
         with pytest.raises(ValueError, match="image length"):
             next(maps)
@@ -365,34 +357,75 @@ class TestCheckedMaps:
          ((2,), "not in the domain"), ((-1,), "not in the domain")],
     )
     def test_free_must_be_an_antichain_of_the_domain(self, free, match):
-        # checked before any block, also when there is none
+        # checked before any image, also when there is none
         with pytest.raises(ValueError, match=match):
             next(checked_maps(chain(1), chain(1), [], free))
-        good = next(checked_maps(vee(), chain(1), [((1,), [1, 1])], free=(0, 1)))
+        good = next(checked_maps(vee(), chain(1), [(1,)], free=(0, 1)))
         assert good.image == (0, 0, 1)
 
-    @pytest.mark.parametrize(
-        "block,match",
-        [
-            (((0,), []), "one mask per free element"),
-            (((0,), [1, 1]), "one mask per free element"),
-            (((0,), [-1]), "empty or out of range"),
-            (((0,), [0]), "empty or out of range"),
-            (((0,), [0b100]), "empty or out of range"),
-            # 0 goes to 1, so the candidate 0 for 1 lies below a lower cover's value
-            (((1,), [0b11]), "not monotone on 0 <= 1"),
-        ],
-    )
-    def test_bad_mask_is_rejected(self, block, match):
-        with pytest.raises(ValueError, match=match):
-            next(checked_maps(chain(1), chain(1), [block], free=(1,)))
+    def test_candidates_lie_between_the_values_of_the_covers(self):
+        # 1 is free between 0 and 2: its values run from f(0) up to f(2)
+        maps = checked_maps(chain(2), chain(3), [(1, 2), (0, 0), (2, 3)], free=(1,))
+        assert [f.image for f in maps] == [
+            (1, 1, 2), (1, 2, 2), (0, 0, 0), (2, 2, 3), (2, 3, 3),
+        ]
 
-    def test_candidate_above_an_upper_cover_is_rejected(self):
-        # 1 goes to 0, so the candidate 1 for 0 lies above an upper cover's value
-        with pytest.raises(ValueError, match="not monotone on 0 <= 1"):
-            next(checked_maps(chain(1), chain(1), [((0,), [0b10])], free=(0,)))
-        maps = checked_maps(chain(1), chain(1), [((1,), [0b11])], free=(0,))
-        assert [f.image for f in maps] == [(0, 1), (1, 1)]
+    def test_free_elements_vary_in_increasing_index(self):
+        # whatever order `free` is given in, the last free element varies fastest
+        for free in ((0, 1), (1, 0)):
+            maps = checked_maps(vee(), chain(1), [(1,)], free)
+            assert [f.image for f in maps] == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+
+    def test_outer_pair_related_only_through_a_free_element(self):
+        # 0 < 1 < 2 < 3 with 1 free: (1, 0, 0) sends 0 above 2, which no
+        # cover edge between outer elements sees, so it has no extension;
+        # the images after it are still checked where they changed
+        maps, raised = checked_prefix(
+            chain(3), chain(1), [(0, 1, 1), (1, 0, 0), (1, 1, 1), (1, 1, 0)], free=(1,)
+        )
+        assert [f.image for f in maps] == [(0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)]
+        assert raised
+        with pytest.raises(ValueError, match="not monotone on 2 <= 3"):
+            list(checked_maps(chain(3), chain(1), [(1, 0, 0), (1, 1, 0)], free=(1,)))
+
+    @pytest.mark.parametrize("bad", [*NOT_IN_RANGE, 2])
+    def test_image_value_must_be_an_int_in_range(self, bad):
+        # on an element with no cover edge, and on one with an edge, also
+        # after a first image that held the int value
+        for P, images, free in [
+            (chain(0), [(bad,)], ()),
+            (chain(1), [(0, 1), (0, bad)], ()),
+            (chain(2), [(1, 1), (bad, 1)], (1,)),
+        ]:
+            maps = checked_maps(P, chain(1), images, free)
+            for _ in images[1:]:
+                assert type(next(maps)) is MonotoneMap
+            with pytest.raises(ValueError, match="image value out of range"):
+                list(maps)
+
+    def test_image_value_checks_hold_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(posetcat.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", VALUES_UNDER_O],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1 ValueError: image value out of range"] * 5
+
+
+VALUES_UNDER_O = """
+import sys
+from posetcat.poset import chain, checked_maps
+assert sys.flags.optimize == 1
+for bad in (-1, 2, 1.0, True, False):
+    maps = checked_maps(chain(1), chain(1), [(0, 1), (0, bad)])
+    print(len([next(maps)]), end=" ")
+    try:
+        next(maps)
+    except ValueError as exc:
+        print(f"ValueError: {exc}")
+"""
 
 
 class TestProducts:
