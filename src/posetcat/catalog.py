@@ -37,6 +37,7 @@ from .poset import (
     chain,
     checked_maps,
     identity_map,
+    induced_rows,
     is_complete,
 )
 
@@ -50,16 +51,6 @@ def _linear_extension(P: Poset) -> list[int]:
     # |down-set| strictly increases along the order, so this sort is a linear
     # extension; index tiebreak makes it deterministic.
     return sorted(range(P.size), key=lambda i: (P.down[i].bit_count(), i))
-
-
-def _induced_rows(P: Poset, keep: list[int]) -> tuple[int, ...]:
-    """Up-set rows of the subposet of P on `keep`, element keep[i] as i.
-
-    Read off P's rows, as `induced_subposet` does, without its validation
-    and inclusion map.
-    """
-    up = P.up
-    return tuple(sum(1 << i for i, f in enumerate(keep) if up[e] >> f & 1) for e in keep)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +340,7 @@ def _antichain_split(P: Poset) -> tuple:
         levels.setdefault(P.down[e].bit_count(), []).append(e)
     free = max((levels[d] for d in sorted(levels, reverse=True)), key=len, default=[])
     keep = [e for e in range(P.size) if e not in free]
-    return tuple(free), Poset(len(keep), _induced_rows(P, keep))
+    return tuple(free), Poset(len(keep), induced_rows(P, keep))
 
 
 def enumerate_monotone_maps(P: Poset, Q: Poset) -> Iterator[MonotoneMap]:
@@ -446,7 +437,7 @@ def enumerate_retracts(max_size: int) -> Iterator[Retract]:
     A runs over isomorphism-class representatives; B runs over all induced
     subposets of A (sections of poset retracts are order-embeddings, so every
     retract appears this way), r over all monotone retractions fixing B.
-    B's up-rows are read off A's by `_induced_rows`, and equal rows share
+    B's up-rows are read off A's by `induced_rows`, and equal rows share
     one `Poset`, built and validated once per call (107 at max_size 5,
     for 2,235 keep sets), so its `down` and `covers` are computed once too.
     Each section is still checked in full as a `MonotoneMap` B -> A.
@@ -462,7 +453,7 @@ def enumerate_retracts(max_size: int) -> Iterator[Retract]:
                 continue
             for mask in range(1, 1 << n):
                 keep = [e for e in range(n) if mask >> e & 1]
-                rows = _induced_rows(A, keep)
+                rows = induced_rows(A, keep)
                 B = inner.get(rows)
                 if B is None:
                     B = inner[rows] = Poset(len(keep), rows)

@@ -107,8 +107,8 @@ class Poset(namedtuple("Poset", "size up")):
 class MonotoneMap(namedtuple("MonotoneMap", "dom cod image")):
     """Order-preserving function, stored as the image vector over dom indices.
 
-    Construction checks the length, the range of every image value, and
-    f(i) <= f(j) on the covering pairs i < j of the domain.
+    Construction checks the length, that every image value is an int (not a
+    bool) in range, and f(i) <= f(j) on the covering pairs i < j of the domain.
     """
 
     __slots__ = ()
@@ -117,7 +117,8 @@ class MonotoneMap(namedtuple("MonotoneMap", "dom cod image")):
         img = tuple(image)
         if len(img) != dom.size:
             raise ValueError("image length must equal domain size")
-        if img and not (0 <= min(img) and max(img) < cod.size):
+        # 1.0 and True pass min/max, so the types are checked too, in one C pass
+        if img and not ({*map(type, img)} == {int} and 0 <= min(img) and max(img) < cod.size):
             raise ValueError("image value out of range")
         # In a finite poset i < j iff a chain of covers runs from i to j, and
         # cod is transitive, so f(i) <= f(j) on covers gives it on all pairs.
@@ -126,9 +127,6 @@ class MonotoneMap(namedtuple("MonotoneMap", "dom cod image")):
             if not cod_up[img[i]] >> img[j] & 1:
                 raise ValueError(f"not monotone on {i} <= {j}")
         return tuple.__new__(cls, (dom, cod, img))
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
 
     def __repr__(self):
         return f"MonotoneMap({self.dom.size}->{self.cod.size}, {list(self.image)})"
@@ -419,20 +417,17 @@ def lattice_structure(P: Poset) -> LatticeStructure:
     return LatticeStructure(P, tuple(mt), tuple(jt), bot, top)
 
 
+def induced_rows(P: Poset, keep: list[int]) -> tuple[int, ...]:
+    """Up-set rows of the subposet of P on `keep`, element keep[i] as i."""
+    up = P.up
+    return tuple(sum(1 << i for i, f in enumerate(keep) if up[e] >> f & 1) for e in keep)
+
+
 def induced_subposet(P: Poset, elements: Iterable[int]) -> tuple[Poset, MonotoneMap]:
     """Subposet on the given elements (sorted) with its inclusion map."""
     els = sorted(set(elements))
-    pos = {e: i for i, e in enumerate(els)}
-    up = []
-    for e in els:
-        row = 0
-        above = P.up[e]
-        for f in els:
-            if above >> f & 1:
-                row |= 1 << pos[f]
-        up.append(row)
-    sub = Poset(len(els), tuple(up))
-    return sub, MonotoneMap(sub, P, tuple(els))
+    sub = Poset(len(els), induced_rows(P, els))
+    return sub, MonotoneMap(sub, P, els)
 
 
 def limit_via_retract(ret: Retract, targets: Iterable[int]) -> int:

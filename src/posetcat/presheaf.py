@@ -1,9 +1,9 @@
 """Finite presheaves over truncated poset-sites.
 
-A site is a finite full subcategory of posets (e.g. the chains [0]..[d] or the
-cubes [1]^0..[1]^d) with every hom-set materialized in enumeration order and a
-set of generating homs found by greedy closure (on the chain site, exactly the
-cofaces and codegeneracies).  A presheaf is given by a cell count per object
+A site is a finite full subcategory of posets (e.g. the chains [0]..[d]) with
+every hom-set materialized in enumeration order and a set of generating homs
+found by greedy closure (on the chain site, exactly the cofaces and
+codegeneracies).  A presheaf is given by a cell count per object
 and its generator tables: a functor is fixed by its values on generators
 (Mac Lane, Categories for the Working Mathematician, II.8).  Once the
 generators are chosen, the site records steps (g, w, g.w) of two kinds (see
@@ -67,7 +67,6 @@ from .poset import (
 from .poset import product as poset_product
 
 DELTA_SITE_BOUND = 5
-BOX_SITE_BOUND = 2
 TRIANGULATE_BOUND = 4
 HORN_DIM_BOUND = 4
 NAT_HOM_BOUND = 4
@@ -88,10 +87,14 @@ def _picker(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ..
 
 
 class PosetSite:
-    """Full subcategory of posets on a finite object list, homs materialized."""
+    """Full subcategory of posets on a finite object list, homs materialized.
 
-    def __init__(self, objects: Sequence[Poset], kind: str = "custom"):
-        self.kind = kind
+    Sites are equal when their object lists are.  Only a chain site [0]..[d]
+    (see _is_delta), however it was built, has a JSON form and a left Kan
+    extension.
+    """
+
+    def __init__(self, objects: Sequence[Poset]):
         self.objects = tuple(objects)
         n = len(self.objects)
         self.homs = tuple(
@@ -239,7 +242,7 @@ class PosetSite:
         return hash(self.objects)
 
     def __repr__(self):
-        return f"PosetSite({self.kind}, sizes={[P.size for P in self.objects]})"
+        return f"PosetSite(sizes={[P.size for P in self.objects]})"
 
 
 @lru_cache(maxsize=None)
@@ -249,22 +252,12 @@ def delta_site(d: int) -> PosetSite:
         raise ValueError("dimension must be >= 0")
     if d > DELTA_SITE_BOUND:
         raise BoundExceeded(f"chain site capped at dimension {DELTA_SITE_BOUND}")
-    return PosetSite([chain(k) for k in range(d + 1)], kind="delta")
+    return PosetSite([chain(k) for k in range(d + 1)])
 
 
-@lru_cache(maxsize=None)
-def box_site(d: int) -> PosetSite:
-    """Truncated cube site with objects [1]^0, ..., [1]^d.
-
-    Capped at BOX_SITE_BOUND: dimension 3 materializes |End([1]^3)| = 8000
-    homs and an action table for each, and no benchmark workload measures a
-    cube site yet; raise the cap together with one.
-    """
-    if d < 0:
-        raise ValueError("dimension must be >= 0")
-    if d > BOX_SITE_BOUND:
-        raise BoundExceeded(f"cube site capped at dimension {BOX_SITE_BOUND}")
-    return PosetSite([interval_power(k) for k in range(d + 1)], kind="box")
+def _is_delta(site: PosetSite) -> bool:
+    """Whether the site is a chain site: nonempty, with object k the chain [k]."""
+    return bool(site.objects) and all(Q == chain(k) for k, Q in enumerate(site.objects))
 
 
 class Presheaf:
@@ -607,9 +600,8 @@ def left_kan(X: Presheaf, M: Poset) -> KanResult:
     resolves any other cell by the image factorization.
     """
     site = X.site
-    for k, Q in enumerate(site.objects):
-        if Q != chain(k):
-            raise SiteMismatch("left Kan extension requires the chain-site truncation")
+    if not _is_delta(site):
+        raise SiteMismatch("left Kan extension requires the chain-site truncation")
     if not is_complete(M):
         raise NotComplete("left Kan extension is evaluated at complete posets only")
     # start[k][phi.image] is the first global id of the cells over a surjective phi
@@ -829,26 +821,27 @@ def contracting_homotopy(n: int) -> MonotoneMap:
 
 
 def site_to_json(site: PosetSite) -> dict:
-    if site.kind not in ("delta", "box"):
-        raise SiteMismatch(f"a {site.kind} site has no JSON form")
-    return {"kind": site.kind, "dim": len(site.objects) - 1}
+    if not _is_delta(site):
+        raise SiteMismatch(f"{site!r} has no JSON form")
+    return {"kind": "delta", "dim": len(site.objects) - 1}
 
 
 def site_from_json(data: dict) -> PosetSite:
     """Inverse of site_to_json; raises SchemaError on a malformed site.
 
-    A site is {"kind": "delta" | "box", "dim": d} with d a non-negative
-    integer; delta_site and box_site bound d.
+    A site is {"kind": "delta", "dim": d} with d a non-negative integer, read
+    as delta_site(d), which bounds d; a chain site built in code is written
+    in this form too.
     """
     if not isinstance(data, dict):
         raise SchemaError(f"site must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in ("delta", "box"):
-        raise SchemaError(f"site kind must be delta or box, got {kind!r}")
+    if kind != "delta":
+        raise SchemaError(f"site kind must be delta, got {kind!r}")
     dim = data.get("dim")
     if not _is_int(dim) or dim < 0:
         raise SchemaError(f"site dim must be a non-negative integer, got {dim!r}")
-    return delta_site(dim) if kind == "delta" else box_site(dim)
+    return delta_site(dim)
 
 
 def presheaf_to_json(X: Presheaf) -> dict:

@@ -550,13 +550,14 @@ class TestCheckedStream:
 
 
 class TestEnumerationDeterminism:
-    # no thread pool, and no `dataclasses` or the `inspect` it pulls in
+    # no thread pool, and no `dataclasses` or the `inspect` it pulls in, in
+    # what a CLI launch loads
     @pytest.mark.parametrize("module", ["concurrent.futures", "dataclasses", "inspect"])
     def test_import_does_not_load(self, module):
         src = os.path.dirname(os.path.dirname(catalog.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-c", f"import sys, posetcat; print({module!r} in sys.modules)"],
+            [sys.executable, "-c", f"import sys, posetcat.cli; print({module!r} in sys.modules)"],
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr

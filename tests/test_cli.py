@@ -200,9 +200,9 @@ class TestKanPresheaf:
 
 
     def test_custom_site_has_no_json_form(self, capsys, tmp_path):
-        # a site built in code from other objects is not written, and a
-        # document naming a third kind is not read, even when its objects
-        # are the chains of a delta site
+        # only a chain site [0]..[d] is written, however it was built, and a
+        # document naming another kind is not read, even when its objects are
+        # the chains of a delta site
         from posetcat import presheaf as ps
         from posetcat.errors import SchemaError, SiteMismatch
         from posetcat.poset import chain, interval_power, poset_to_json
@@ -210,14 +210,23 @@ class TestKanPresheaf:
         X = ps.representable(ps.PosetSite([chain(0), interval_power(2)]), chain(1))
         with pytest.raises(SiteMismatch, match="no JSON form"):
             ps.presheaf_to_json(X)
-        data = ps.presheaf_to_json(ps.representable(ps.delta_site(1), chain(1)))
-        data["site"] = {"kind": "custom", "objects": [poset_to_json(chain(k)) for k in (0, 1)]}
-        with pytest.raises(SchemaError, match="site kind must be delta or box"):
-            ps.presheaf_from_json(data)
-        path = write_json(tmp_path, "custom.json", data)
-        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
-        assert code == 2 and out == ""
-        assert "site kind must be delta or box" in err and "Traceback" not in err
+        with pytest.raises(SiteMismatch, match="no JSON form"):
+            ps.presheaf_to_json(ps.Presheaf(ps.PosetSite([]), [], {}))
+        X = ps.representable(ps.PosetSite([chain(0), chain(1), chain(2)]), chain(1))
+        data = ps.presheaf_to_json(X)
+        assert data["site"] == {"kind": "delta", "dim": 2}
+        assert ps.presheaf_from_json(json.loads(json.dumps(data))) == X
+        for site in (
+            {"kind": "custom", "objects": [poset_to_json(chain(k)) for k in (0, 1, 2)]},
+            {"kind": "box", "dim": 2},
+        ):
+            data["site"] = site
+            with pytest.raises(SchemaError, match="site kind must be delta"):
+                ps.presheaf_from_json(data)
+            path = write_json(tmp_path, "custom.json", data)
+            code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+            assert code == 2 and out == ""
+            assert "site kind must be delta" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("dim, cells, size", [(3, None, 60), (5, 1, 40)])
     def test_cell_bound_exits_2(self, capsys, tmp_path, dim, cells, size):

@@ -403,6 +403,13 @@ class TestCheckedMaps:
             with pytest.raises(ValueError, match="image value out of range"):
                 list(maps)
 
+    @pytest.mark.parametrize("bad", [*NOT_IN_RANGE, 2])
+    def test_monotone_map_value_must_be_an_int_in_range(self, bad):
+        # 1.0 and True pass a min/max range check
+        for P, image in [(chain(0), (bad,)), (chain(1), (0, bad)), (chain(1), (bad, 1))]:
+            with pytest.raises(ValueError, match="image value out of range"):
+                MonotoneMap(P, chain(1), image)
+
     def test_image_value_checks_hold_under_python_O(self):
         src = os.path.dirname(os.path.dirname(posetcat.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -411,12 +418,15 @@ class TestCheckedMaps:
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["1 ValueError: image value out of range"] * 5
+        assert proc.stdout.splitlines() == [
+            "1 ValueError: image value out of range",
+            "MonotoneMap ValueError: image value out of range",
+        ] * 5
 
 
 VALUES_UNDER_O = """
 import sys
-from posetcat.poset import chain, checked_maps
+from posetcat.poset import MonotoneMap, chain, checked_maps
 assert sys.flags.optimize == 1
 for bad in (-1, 2, 1.0, True, False):
     maps = checked_maps(chain(1), chain(1), [(0, 1), (0, bad)])
@@ -425,6 +435,10 @@ for bad in (-1, 2, 1.0, True, False):
         next(maps)
     except ValueError as exc:
         print(f"ValueError: {exc}")
+    try:
+        MonotoneMap(chain(1), chain(1), (0, bad))
+    except ValueError as exc:
+        print(f"MonotoneMap ValueError: {exc}")
 """
 
 
