@@ -273,14 +273,10 @@ def validate_poset(relation: Iterable[tuple[int, int]], size: int) -> Poset:
         for i in range(size):
             if up[i] & bit:
                 up[i] |= rk
-    for i in range(size):
-        m = up[i] & ~(1 << i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            if up[j] >> i & 1:
-                raise CycleError(f"elements {i} and {j} are in a cycle")
-    return Poset(size, tuple(up))
+    try:  # closed and in range, so antisymmetry is the only law Poset can find broken
+        return Poset(size, up)
+    except ValueError as exc:
+        raise CycleError(f"the relation has a cycle: {exc}") from None
 
 
 def identity_map(P: Poset) -> MonotoneMap:

@@ -12,12 +12,13 @@ in the generators, and one rule per minimal non-normal word.  The rules form
 a complete rewriting system, so they present the site.  Presheaf runs the
 steps in order, one gather each: X(w)X(g) becomes the table of g.w if that
 hom has none yet and is compared with it otherwise.  So the generator tables
-fix the others, every relation between words is checked, a presheaf holds
-one table per hom, and a key that names no hom of the site is rejected.
-Naturality of maps between presheaves, sub-presheaves, pushouts and the
-unions behind left Kan extension are likewise checked or taken along
-generators only.  Action tables are built and checked by gathers that run
-in C (itemgetter over a cell index, see _picker), not one cell at a time.
+fix the others, every relation between words is checked, a presheaf keeps
+its generator tables only, and a key that names no hom of the site is
+rejected.  The laws are checked where tables are made: a sub-presheaf or a
+pushout, carried along checked maps, inherits them.  Naturality and the
+unions behind left Kan extension are taken along generators only.  Tables
+are built and checked by gathers that run in C (itemgetter over a cell
+index, see _picker), not one cell at a time.
 Everything downstream (left Kan extension along the inclusion of chains
 into complete posets, horns, pushouts) is finite and checked exhaustively
 at construction time.  The standard simplex Delta[n] on the chain site
@@ -261,7 +262,10 @@ def _is_delta(site: PosetSite) -> bool:
 
 
 class Presheaf:
-    """Set-valued contravariant functor on a site; cells are 0..count-1 labels."""
+    """Set-valued contravariant functor on a site; cells are 0..count-1 labels.
+
+    actions[(i, j, h)] is the table of X(homs[i][j][h]), generators only once validated.
+    """
 
     def __init__(self, site: PosetSite, cells: Sequence[int], actions: dict, validate: bool = True):
         self.site = site
@@ -270,13 +274,10 @@ class Presheaf:
         if validate:
             self.validate()
 
-    def action(self, i: int, j: int, h: int) -> tuple[int, ...]:
-        """Table of X(f): X(obj j) -> X(obj i) for f = homs[i][j][h]."""
-        return self.actions[(i, j, h)]
-
-    def validate(self):
+    def validate(self) -> list[tuple[int, ...]]:
         """Check the tables given, complete the others along the site's steps
         and check the laws; raise InvariantViolation on the first failure.
+        Return every table in hom_keys order; keep the generators' in actions.
 
         Each cell count must be a non-negative int, each key must name a
         hom, and each table given must have the right shape and range (by
@@ -330,10 +331,11 @@ class Presheaf:
         if None in tables:
             key = site.hom_keys[tables.index(None)]
             raise InvariantViolation("missing or misshapen action table (%d,%d,%d)" % key)
-        self.actions = dict(zip(site.hom_keys, tables))
+        self.actions = {key: actions[key] for key in site.generators}
+        return tables
 
     def __eq__(self, other):
-        return (
+        return (  # the generator tables fix the functor
             isinstance(other, Presheaf)
             and self.site == other.site
             and self.cells == other.cells
@@ -399,8 +401,7 @@ def representable(site: PosetSite, P: Poset) -> Presheaf:
     P need not be an object of the site (restricted representable).  The
     table of each generator f sends each cell g to the index of g.f: the
     image of g.f is gathered from g's image by an itemgetter on f's image,
-    and looked up in the cell index, both in C.  Presheaf completes the
-    other tables from these.
+    and looked up in the cell index, both in C.  Presheaf checks the laws.
     """
     images = [[g.image for g in catalog.monotone_maps(Q, P)] for Q in site.objects]
     index = [{img: c for c, img in enumerate(imgs)} for imgs in images]
@@ -438,8 +439,8 @@ def subpresheaf(X: Presheaf, keep: Sequence[Iterable[int]]) -> tuple[Presheaf, P
     """Sub-presheaf on the given cells (must be closed under the actions).
 
     Only the generator tables are restricted: a selection closed under the
-    generators is closed under every hom, since each is a word in them, and
-    Presheaf completes the other tables of the sub-presheaf.
+    generators is closed under every hom, since each is a word in them.  The
+    inclusion is injective and natural, so every law holds as it does in X.
     """
     kept = [sorted(set(k)) for k in keep]
     pos = [{c: s for s, c in enumerate(ks)} for ks in kept]
@@ -449,7 +450,7 @@ def subpresheaf(X: Presheaf, keep: Sequence[Iterable[int]]) -> tuple[Presheaf, P
         if None in sub_tab:
             raise InvariantViolation("cell selection is not closed under the actions")
         actions[(i, j, h)] = sub_tab
-    sub = Presheaf(X.site, [len(ks) for ks in kept], actions)
+    sub = Presheaf(X.site, [len(ks) for ks in kept], actions, validate=False)
     incl = PresheafMap(sub, X, [tuple(ks) for ks in kept])
     return sub, incl
 
@@ -557,7 +558,8 @@ class KanResult(namedtuple("KanResult", "count M X start labels")):
     its first cell, and labels maps a cell id to its component.
     component() answers any phi by its image factorization phi = inj . surj
     with surj: M ->> [j] and inj: [j] >-> [k]: the cell (k, phi, c) lies in
-    the component of (j, surj, X(inj) c).
+    the component of (j, surj, X(inj) c), X(inj) being the tables of the
+    cofaces (generators) at the points inj misses, from level k down to j.
     """
 
     __slots__ = ()
@@ -569,12 +571,12 @@ class KanResult(namedtuple("KanResult", "count M X start labels")):
         if phi.dom != self.M or phi.cod != chain(k):
             raise DomainMismatch(f"phi is not a map from M to [{k}]")
         image = sorted(set(phi.image))
-        j = len(image) - 1
-        surj = phi.image
-        if j < k:  # phi = inj . surj, with inj the subchain image and surj the ranks in it
-            cell = X.action(j, k, X.site.hom_index(j, k, tuple(image)))[cell]
-            k, surj = j, tuple(map(image.index, surj))
-        return self.labels[self.start[k][surj] + cell]
+        missing = sorted(set(range(k + 1)).difference(image))
+        for level, m in zip(range(k, 0, -1), reversed(missing)):
+            coface = tuple(x for x in range(level + 1) if x != m)
+            cell = X.actions[(level - 1, level, X.site.hom_index(level - 1, level, coface))][cell]
+        surj = tuple(map(image.index, phi.image))  # phi = inj . surj
+        return self.labels[self.start[len(image) - 1][surj] + cell]
 
 
 def left_kan(X: Presheaf, M: Poset) -> KanResult:
@@ -663,7 +665,8 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
 
     At each level the cells of B, then of C, are divided into the classes
     joined by f(x) ~ g(x) (see _classes); the generator tables of the
-    quotient descend from those of B and C, and Presheaf completes the rest.
+    quotient descend from those of B and C.  The legs are natural and jointly
+    surjective, so every law that holds in B and C holds in the quotient.
     """
     if f.source != g.source:
         raise SiteMismatch("pushout legs must share their source presheaf")
@@ -678,8 +681,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
         lab_b.append(labels[:nb])
         lab_c.append(labels[nb:])
         counts.append(count)
-    # a quotient that is well defined on the generators is well defined on
-    # their composites, and Presheaf completes the rest
+    # a quotient well defined on the generators is so on their composites
     actions = {}
     for key in site.generators:
         i, j, _ = key
@@ -688,7 +690,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
             zip(lab_c[j], map(lab_c[i].__getitem__, C.actions[key])),
         )
         actions[key] = _descend(counts[j], pairs, "pushout action not well defined")
-    P = Presheaf(site, counts, actions)
+    P = Presheaf(site, counts, actions, validate=False)
     return P, PresheafMap(B, P, lab_b), PresheafMap(C, P, lab_c)
 
 
@@ -845,8 +847,10 @@ def site_from_json(data: dict) -> PosetSite:
 
 
 def presheaf_to_json(X: Presheaf) -> dict:
-    actions = {"%d,%d,%d" % key: list(X.actions[key]) for key in X.site.hom_keys}
-    return {"site": site_to_json(X.site), "cells": list(X.cells), "actions": actions}
+    """One table per hom, as validate derives and checks them."""
+    site = site_to_json(X.site)
+    actions = {"%d,%d,%d" % key: list(t) for key, t in zip(X.site.hom_keys, X.validate())}
+    return {"site": site, "cells": list(X.cells), "actions": actions}
 
 
 def presheaf_from_json(data: dict) -> Presheaf:

@@ -141,6 +141,13 @@ class TestKan:
         assert code == 2 and out == ""
         assert f"more than {cli.MAX_KAN_CELLS}" in err and "Traceback" not in err
 
+    def test_cyclic_target_exits_2(self, capsys, tmp_path):
+        # 0 <= 1 <= 2 <= 0 closes to a relation that is not antisymmetric
+        path = write_json(tmp_path, "cycle.json", {"size": 3, "relation": [[0, 1], [1, 2], [2, 0]]})
+        code, out, err = run(capsys, ["kan", "--simplex", "1", "--target", path])
+        assert code == 2 and out == ""
+        assert err == "error: the relation has a cycle: not antisymmetric at (0,1)\n"
+
 
 def chain_file(tmp_path, n):
     path = tmp_path / "chain.json"

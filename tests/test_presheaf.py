@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetcat import catalog, presheaf as ps
+from posetcat import catalog, checks, presheaf as ps
 from posetcat.errors import (
     BadIndexSet,
     BoundExceeded,
@@ -166,19 +166,25 @@ class TestGenerators:
         assert words_reach_every_hom(site)
 
 
-def full_pair_functorial(X):
-    """Reference: identity law, and X(g.f) = X(f)X(g) on every composable pair."""
+def all_tables(X):
+    """Every table of a checked presheaf, keyed by hom, as validate derives them."""
+    return dict(zip(X.site.hom_keys, X.validate()))
+
+
+def full_pair_functorial(X, tables):
+    """Reference: identity law, and X(g.f) = X(f)X(g) on every composable pair,
+    read from tables, which map every hom of X's site to its table."""
     site = X.site
     n = len(site.objects)
     for i in range(n):
-        if X.actions[(i, i, site.identity_index[i])] != tuple(range(X.cells[i])):
+        if tables[(i, i, site.identity_index[i])] != tuple(range(X.cells[i])):
             return False
     for i, j, k in product(range(n), repeat=3):
         for a, f in enumerate(site.homs[i][j]):
-            af = X.actions[(i, j, a)]
+            af = tables[(i, j, a)]
             for b, g in enumerate(site.homs[j][k]):
                 c = site.hom_index(i, k, tuple(g.image[x] for x in f.image))
-                if X.actions[(i, k, c)] != tuple(af[x] for x in X.actions[(j, k, b)]):
+                if tables[(i, k, c)] != tuple(af[x] for x in tables[(j, k, b)]):
                     return False
     return True
 
@@ -202,17 +208,17 @@ def reference_steps(site):
     return tuple(steps)
 
 
-def all_pairs_functorial(X):
+def all_pairs_functorial(X, tables):
     """Reference: the identity law, and X(g.w) = X(w)X(g) at every step of
     reference_steps, which gives every composable pair by induction on
     words.  As full_pair_functorial, with one comparison per (generator,
     hom) pair instead of per composable pair, so it runs on delta_site(4)."""
     site = X.site
     for i in range(len(site.objects)):
-        if X.actions[(i, i, site.identity_index[i])] != tuple(range(X.cells[i])):
+        if tables[(i, i, site.identity_index[i])] != tuple(range(X.cells[i])):
             return False
-    tables = [X.actions[key] for key in site.hom_keys]
-    gens = [X.actions[g] for g in site.generators]
+    gens = [tables[g] for g in site.generators]
+    tables = [tables[key] for key in site.hom_keys]
     return all(
         tables[c] == tuple(tables[w][x] for x in gens[p]) for p, w, c in reference_steps(site)
     )
@@ -220,8 +226,9 @@ def all_pairs_functorial(X):
 
 def full_naturality(F):
     """Reference: the naturality square at every hom of the site."""
-    for (i, j, h), ax in F.source.actions.items():
-        ay = F.target.actions[(i, j, h)]
+    target = all_tables(F.target)
+    for (i, j, h), ax in all_tables(F.source).items():
+        ay = target[(i, j, h)]
         ci, cj = F.components[i], F.components[j]
         if any(ay[cj[x]] != ci[ax[x]] for x in range(len(ax))):
             return False
@@ -252,7 +259,8 @@ def replace_entry(tab, x, rank):
 class TestGeneratorValidation:
     def test_references_accept_the_samples(self):
         for X in sample_presheaves():
-            assert full_pair_functorial(X) and all_pairs_functorial(X)
+            tables = all_tables(X)
+            assert full_pair_functorial(X, tables) and all_pairs_functorial(X, tables)
         for F in sample_maps():
             assert full_naturality(F)
 
@@ -264,10 +272,10 @@ class TestGeneratorValidation:
     def test_constant_endo_must_factor_through_the_vertex(self, endo):
         # y[1] with the constant endomorphism of [1] acting as the identity
         X = ps.representable(ps.delta_site(1), chain(1))
-        actions = dict(X.actions)
+        actions = all_tables(X)
         actions[(1, 1, endo)] = (0, 1, 2)
         bad = ps.Presheaf(X.site, X.cells, actions, validate=False)
-        assert not full_pair_functorial(bad)
+        assert not full_pair_functorial(bad, actions)
         with pytest.raises(InvariantViolation):
             bad.validate()
 
@@ -279,7 +287,7 @@ class TestGeneratorValidation:
         actions.update({(0, 1, h): (0,) for h in range(2)})
         actions.update({(1, 1, h): (0,) for h in range(3)})
         bad = ps.Presheaf(site, [2, 1], actions, validate=False)
-        assert not full_pair_functorial(bad)
+        assert not full_pair_functorial(bad, actions)
         with pytest.raises(InvariantViolation):
             bad.validate()
 
@@ -292,7 +300,8 @@ class TestGeneratorValidation:
         bad = ps.Presheaf(site, [2, 1], actions, validate=False)
         with pytest.raises(InvariantViolation, match="composition law fails"):
             bad.validate()
-        assert not full_pair_functorial(reference_completion(site, [2, 1], actions))
+        reference = reference_completion(site, [2, 1], actions)
+        assert not full_pair_functorial(reference, reference.actions)
 
     @pytest.mark.parametrize("edge_image", [(0, 2, 2), (0, 0, 2)])
     def test_edge_map_must_respect_each_vertex(self, edge_image):
@@ -321,15 +330,16 @@ class TestGeneratorValidation:
     @settings(max_examples=60, deadline=None)
     def test_one_corrupted_action_entry_is_rejected(self, data):
         X = data.draw(st.sampled_from(sample_presheaves()))
-        keys = [k for k in sorted(X.actions) if X.actions[k] and X.cells[k[0]] >= 2]
+        tables = all_tables(X)
+        keys = [k for k in sorted(tables) if tables[k] and X.cells[k[0]] >= 2]
         key = data.draw(st.sampled_from(keys))
-        tab = X.actions[key]
+        tab = tables[key]
         x = data.draw(st.integers(0, len(tab) - 1))
         rank = data.draw(st.integers(0, X.cells[key[0]] - 2))
-        actions = dict(X.actions)
+        actions = dict(tables)
         actions[key] = replace_entry(tab, x, rank)
         bad = ps.Presheaf(X.site, X.cells, actions, validate=False)
-        assert not full_pair_functorial(bad)
+        assert not full_pair_functorial(bad, actions)
         with pytest.raises(InvariantViolation):
             bad.validate()
 
@@ -375,7 +385,7 @@ def reference_subpresheaf(X, keep):
     kept = [sorted(set(k)) for k in keep]
     pos = [{c: s for s, c in enumerate(ks)} for ks in kept]
     actions = {}
-    for (i, j, h), tab in X.actions.items():
+    for (i, j, h), tab in all_tables(X).items():
         sub_tab = []
         for c in kept[j]:
             s = pos[i].get(tab[c])
@@ -425,7 +435,7 @@ class TestGatherTables:
         site = gather_site(kind, d)
         X = ps.representable(site, P)
         cells, actions = reference_representable(site, P)
-        assert X.cells == cells and X.actions == actions
+        assert X.cells == cells and all_tables(X) == actions
         for keep in sub_keeps(site, P):
             try:
                 expected = reference_subpresheaf(X, keep)
@@ -434,7 +444,7 @@ class TestGatherTables:
                     ps.subpresheaf(X, keep)
                 continue
             sub, _ = ps.subpresheaf(X, keep)
-            assert (sub.cells, sub.actions) == expected
+            assert (sub.cells, all_tables(sub)) == expected
 
     @pytest.mark.parametrize(
         "kind,d,P", GATHER_CASES, ids=[f"{k}{d}-{P.size}" for k, d, P in GATHER_CASES]
@@ -442,9 +452,10 @@ class TestGatherTables:
     def test_generator_tables_fix_the_presheaf(self, kind, d, P):
         site = gather_site(kind, d)
         X = ps.representable(site, P)
+        tables = all_tables(X)
         keys = {(i, i, h) for i, h in enumerate(site.identity_index)} | set(site.generators)
-        assert ps.Presheaf(site, X.cells, {key: X.actions[key] for key in keys}) == X
-        assert ps.Presheaf(site, X.cells, {g: X.actions[g] for g in site.generators}) == X
+        assert ps.Presheaf(site, X.cells, {key: tables[key] for key in keys}) == X
+        assert ps.Presheaf(site, X.cells, {g: tables[g] for g in site.generators}) == X
 
     def test_edge_site_uses_short_gathers(self):
         site = ps.PosetSite(EDGE_SITE_OBJECTS)
@@ -571,7 +582,8 @@ def rule_caught_corruption():
         for x, rank in product(range(len(tab)), range(X.cells[key[0]] - 1)):
             actions = dict(generator_only)
             actions[key] = replace_entry(tab, x, rank)
-            if not all_pairs_functorial(reference_completion(site, X.cells, actions)):
+            reference = reference_completion(site, X.cells, actions)
+            if not all_pairs_functorial(reference, reference.actions):
                 return site, X.cells, actions
     raise AssertionError("every corruption of the generator tables is a presheaf")
 
@@ -669,7 +681,7 @@ class TestCompositeTable:
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["InvariantViolation", "InvariantViolation", "1"]
+        assert proc.stdout.splitlines() == ["InvariantViolation"] * 3 + ["1"]
 
     def test_corruptions_get_the_reference_verdict(self):
         # one-entry corruptions of generator-only and of full-table inputs:
@@ -683,7 +695,7 @@ class TestCompositeTable:
         )
         for X in presheaves:
             generator_only = {g: X.actions[g] for g in X.site.generators}
-            for given in (generator_only, X.actions):
+            for given in (generator_only, all_tables(X)):
                 keys = [k for k in sorted(given) if given[k] and X.cells[k[0]] >= 2]
                 for _ in range(100):
                     key = rng.choice(keys)
@@ -696,11 +708,11 @@ class TestCompositeTable:
                     try:
                         Y = ps.Presheaf(X.site, X.cells, actions)
                     except InvariantViolation:
-                        assert not all_pairs_functorial(reference), (X, key)
+                        assert not all_pairs_functorial(reference, reference.actions), (X, key)
                         rejected += 1
                     else:
-                        assert all_pairs_functorial(reference), (X, key)
-                        assert Y.actions == reference.actions
+                        assert all_pairs_functorial(reference, reference.actions), (X, key)
+                        assert all_tables(Y) == reference.actions
                     tried += 1
         assert tried == 1600 and 0 < rejected < tried
         assert {X.site for X in presheaves} >= {delta4, cube_site(2)}
@@ -746,7 +758,7 @@ import sys
 from posetcat import presheaf as ps
 from posetcat.errors import InvariantViolation
 from posetcat.poset import chain
-from test_presheaf import drop_hom, rule_caught_corruption
+from test_presheaf import corrupted_face_union, drop_hom, rule_caught_corruption
 site = ps.PosetSite([chain(0), chain(1), chain(2)])
 drop_hom(site)
 try:
@@ -757,6 +769,11 @@ except InvariantViolation as exc:
 try:
     ps.Presheaf(*rule_caught_corruption())
     print("accepted")
+except InvariantViolation as exc:
+    print(type(exc).__name__)
+try:
+    ps.presheaf_to_json(corrupted_face_union())
+    print("exported")
 except InvariantViolation as exc:
     print(type(exc).__name__)
 print(sys.flags.optimize)
@@ -810,8 +827,8 @@ class TestRangeCheck:
         assert ps.Presheaf(site, [0, 0], empty).cells == (0, 0)
         # one cell on the empty poset, none on the others: empty tables
         # into a nonempty level as well
-        X = ps.representable(ps.PosetSite(EDGE_SITE_OBJECTS), EMPTY)
-        assert X.actions[(0, 1, 0)] == () and X.actions[(0, 0, 0)] == (0,)
+        tables = all_tables(ps.representable(ps.PosetSite(EDGE_SITE_OBJECTS), EMPTY))
+        assert tables[(0, 1, 0)] == () and tables[(0, 0, 0)] == (0,)
 
     def test_rejections_hold_under_python_O(self):
         src = os.path.dirname(os.path.dirname(ps.__file__))
@@ -1384,7 +1401,7 @@ class TestKanNormalForm:
         identity = MonotoneMap(chain(1), chain(1), (0, 1))
         coface = X.site.hom_index(1, 2, (0, 2))
         for c in range(X.cells[2]):
-            face = X.action(1, 2, coface)[c]
+            face = all_tables(X)[(1, 2, coface)][c]
             assert result.component(2, phi, c) == result.component(1, identity, face)
         with pytest.raises(IndexError):
             result.component(2, phi, X.cells[2])
@@ -1532,6 +1549,83 @@ class TestJson:
         data["cells"].append(1)
         with pytest.raises(InvariantViolation, match="one cell count per site object"):
             ps.presheaf_from_json(data)
+
+
+def corrupted_face_union():
+    """The face union of faces 0 and 2 of Delta[3], built unchecked as
+    subpresheaf builds it, with the degeneracy of vertex 0 sent to another
+    edge: that edge's faces are not both vertex 0, so d_i s = id fails."""
+    sub, _ = ps.face_union(3, {0, 2})
+    actions = dict(sub.actions)
+    actions[(1, 0, 0)] = replace_entry(actions[(1, 0, 0)], 0, 0)
+    return ps.Presheaf(sub.site, sub.cells, actions, validate=False)
+
+
+class TestJsonExport:
+    def test_export_writes_the_per_cell_reference_tables(self):
+        sub, incl = ps.face_union(3, {0, 2})
+        cells, tables = reference_subpresheaf(ps.simplex(3, 3), incl.components)
+        data = ps.presheaf_to_json(sub)
+        assert data["cells"] == list(cells)
+        assert data["actions"] == {"%d,%d,%d" % key: list(tab) for key, tab in tables.items()}
+        assert set(sub.actions) == set(sub.site.generators)
+
+    def test_corrupted_transport_is_rejected_at_export(self):
+        with pytest.raises(InvariantViolation, match="composition law fails"):
+            ps.presheaf_to_json(corrupted_face_union())
+
+
+@lru_cache(maxsize=None)
+def carried_presheaves():
+    """Every presheaf that subpresheaf or pushout builds, unvalidated, in the
+    default verify_all() and in every horn and attachment square of Delta[4]
+    at truncation 4 (a superset of the benchmark's sites ops)."""
+    made = []
+    real_sub, real_pushout = ps.subpresheaf, ps.pushout
+
+    def recording(build):
+        def wrapper(*args):
+            made.append(build(*args))
+            return made[-1]
+        return wrapper
+
+    ps.subpresheaf, ps.pushout = recording(real_sub), recording(real_pushout)
+    try:
+        assert checks.verify_all().passed
+        assert len(made) == 170
+        for I in horn_index_sets(4):
+            ps.horn(4, I, 4)
+            for i in sorted(I):
+                ps.horn_attachment_square(4, I, i, 4)
+    finally:
+        ps.subpresheaf, ps.pushout = real_sub, real_pushout
+    return tuple(result[0] for result in made)
+
+
+class TestCarriedLaws:
+    """subpresheaf and pushout skip validate, since their laws follow from
+    checked inputs along checked maps; on their traffic the skipped check
+    passes."""
+
+    def test_every_carried_presheaf_validates(self):
+        made = carried_presheaves()
+        assert len(made) == 500
+        for P in made:
+            assert set(P.actions) == set(P.site.generators)
+            P.validate()
+
+    def test_carried_tables_pass_the_all_pairs_reference(self):
+        # on delta_site(d <= 3), one of each distinct presheaf
+        distinct = {(P.site, P.cells, tuple(sorted(P.actions.items()))): P
+                    for P in carried_presheaves() if len(P.site.objects) <= 4}
+        assert all(full_pair_functorial(P, all_tables(P)) for P in distinct.values())
+
+    def test_checked_constructors_keep_generator_tables_only(self):
+        site = ps.delta_site(2)
+        X = ps.representable(site, interval_power(2))
+        Y = ps.presheaf_from_json(ps.presheaf_to_json(X))
+        for Z in (X, Y, ps.Presheaf(site, X.cells, all_tables(X))):
+            assert list(Z.actions) == list(site.generators) and Z == X
 
 
 class TestValidationErrors:
