@@ -54,14 +54,16 @@ class Idempotent(namedtuple("Idempotent", "map")):
 
 
 def split_idempotent(f: Idempotent) -> Retract:
-    """Retract of the domain onto its fixed points (= the image); s . r = f."""
+    """Retract of the domain onto its fixed points (= the image).
+
+    s . r = f by construction: f . f = f puts each f(a) among the fixed
+    points, and s . r sends a to f(a).  Retract checks r . s = id.
+    """
     P, img = f.map.dom, f.map.image
     fixed = [a for a in range(P.size) if img[a] == a]
     mid, incl = induced_subposet(P, fixed)
     pos = {a: i for i, a in enumerate(fixed)}
     retraction = MonotoneMap(P, mid, tuple(pos[img[a]] for a in range(P.size)))
-    if compose(incl, retraction) != f.map:
-        raise NotIdempotent("section . retraction differs from the idempotent")
     return Retract(P, mid, incl, retraction)
 
 

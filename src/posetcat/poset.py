@@ -430,24 +430,16 @@ def limit_via_retract(ret: Retract, targets: Iterable[int]) -> int:
     """Infimum in the inner poset, computed by transport along the retract.
 
     Lifts the targets through the section, takes the infimum in the (complete)
-    outer poset, and maps back through the retraction.  The result is verified
-    to be terminal among the inner lower bounds; failure means the input was
-    not a genuine retract with complete outer poset.
+    outer poset, and maps back through the retraction; raises NotComplete if
+    the outer poset is not complete.  The result is not checked here: the
+    `retract-transfer` audit compares every transported infimum with one read
+    off the inner order alone.
     """
-    ts = list(targets)
-    A, B = ret.outer, ret.inner
-    lat = lattice_structure(A)
+    lat = lattice_structure(ret.outer)
     acc, meet_table, section = lat.top, lat.meet_table, ret.section.image
-    for t in ts:
+    for t in targets:
         acc = meet_table[acc][section[t]]
-    result = ret.retraction.image[acc]
-    # verification: result is the greatest lower bound of ts in B
-    lb_mask = (1 << B.size) - 1
-    for t in ts:
-        lb_mask &= B.down[t]
-    if not lb_mask >> result & 1 or lb_mask & ~B.down[result]:
-        raise InvariantViolation("transported infimum is not terminal among lower bounds")
-    return result
+    return ret.retraction.image[acc]
 
 
 def poset_to_json(P: Poset) -> dict:

@@ -342,9 +342,6 @@ class Presheaf:
             and self.actions == other.actions
         )
 
-    def __repr__(self):
-        return f"Presheaf(cells={list(self.cells)})"
-
 
 class PresheafMap:
     """Natural transformation; one component table per site object."""
@@ -378,17 +375,6 @@ class PresheafMap:
             ci, cj = self.components[i], self.components[j]
             if _picker(cj)(ay) != _picker(ax)(ci):
                 raise InvariantViolation(f"naturality fails at hom ({i},{j},{h})")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PresheafMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
-
-    def __repr__(self):
-        return f"PresheafMap(cells={list(self.source.cells)} -> {list(self.target.cells)})"
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +444,12 @@ def subpresheaf(X: Presheaf, keep: Sequence[Iterable[int]]) -> tuple[Presheaf, P
 def face_union(n: int, I: Iterable[int], d: int | None = None) -> tuple[Presheaf, PresheafMap]:
     """Union of the i-th faces of the representable n-simplex, i in I.
 
-    I may be empty (empty sub-presheaf) or everything (the boundary has I
-    proper; horns add that restriction on top).  Its cells at each level are
-    the chain maps into [n] that miss some vertex in I.  n is capped at
-    HORN_DIM_BOUND here, where horns and attachment squares both build theirs.
+    I must lie in 0..n, unchecked here: both callers, horn and
+    horn_attachment_square, require a nonempty proper subset of 0..n first,
+    and pass it, a subset of it (I - {i} may be empty) or its preimage along
+    a coface.  Its cells at each level are the chain maps into [n] that miss
+    some vertex in I.  n is capped at HORN_DIM_BOUND here, where horns and
+    attachment squares both build theirs.
     """
     if n > HORN_DIM_BOUND:
         raise BoundExceeded(f"horns and face unions capped at dimension {HORN_DIM_BOUND}")
@@ -469,8 +457,6 @@ def face_union(n: int, I: Iterable[int], d: int | None = None) -> tuple[Presheaf
         d = n
     site = delta_site(d)
     Iset = frozenset(I)
-    if any(not 0 <= i <= n for i in Iset):
-        raise BadIndexSet("face indices must lie in 0..n")
     keep = [
         [c for c, h in enumerate(catalog.monotone_maps(Q, chain(n))) if not Iset <= set(h.image)]
         for Q in site.objects
@@ -665,8 +651,11 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
 
     At each level the cells of B, then of C, are divided into the classes
     joined by f(x) ~ g(x) (see _classes); the generator tables of the
-    quotient descend from those of B and C.  The legs are natural and jointly
-    surjective, so every law that holds in B and C holds in the quotient.
+    quotient descend from those of B and C.  The legs are built unchecked:
+    their components are class labels, so in range, and each quotient table
+    is _descend of exactly the pairs that the legs' naturality squares at its
+    generator equate, so once it returns every square holds.  Natural and
+    jointly surjective legs carry every law of B and C to the quotient.
     """
     if f.source != g.source:
         raise SiteMismatch("pushout legs must share their source presheaf")
@@ -691,7 +680,7 @@ def pushout(f: PresheafMap, g: PresheafMap) -> tuple[Presheaf, PresheafMap, Pres
         )
         actions[key] = _descend(counts[j], pairs, "pushout action not well defined")
     P = Presheaf(site, counts, actions, validate=False)
-    return P, PresheafMap(B, P, lab_b), PresheafMap(C, P, lab_c)
+    return P, PresheafMap(B, P, lab_b, validate=False), PresheafMap(C, P, lab_c, validate=False)
 
 
 def horn_attachment_square(n: int, I: Iterable[int], i: int, d: int | None = None) -> dict:

@@ -74,6 +74,55 @@ if mutant == source:
 exec(mutant, vars(presheaf))
 """ + SMALL_VERIFY_ALL
 
+# Applies four mutants in turn, each undone before the next, runs the checks
+# each one affects at small bounds, and prints how every check ended.
+AUDIT_GUARD_MUTANTS = """
+import inspect, json, sys
+from posetcat import checks, cube, presheaf
+from posetcat.poset import identity_map, interval_power
+
+def outcome(check, *args):
+    try:
+        check(*args)
+        return "pass"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+def run_checks():
+    return {
+        "horn-pushouts": outcome(checks.check_horn_pushouts, 2),
+        "mono-preservation": outcome(checks.check_mono_preservation, 2, 2),
+        "nat-hom": outcome(checks.check_nat_hom, 2),
+        "sort-splits": outcome(checks.check_sort_splits, 5),
+    }
+
+def source_mutant(module, name, old, new):
+    source = inspect.getsource(getattr(module, name))
+    if old not in source:
+        raise SystemExit(f"{name} has no {old!r} to mutate")
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return module, name, namespace[name]
+
+mutants = {
+    "coproduct pushout": (presheaf, "_classes", lambda size, pairs: (size, list(range(size)))),
+    "lossy direct stream": source_mutant(
+        presheaf, "nat_hom_via_retract", "{f.image for f in catalog.enumerate_monotone_maps(L, L2)}",
+        "{f.image for f in list(catalog.enumerate_monotone_maps(L, L2))[:-1]}"),
+    "identity sort": (cube, "sort_endomorphism", lambda m: identity_map(interval_power(m))),
+    "len(I) < n": source_mutant(checks, "_horn_index_sets", "len(I) <= n", "len(I) < n"),
+}
+failed = {"none": run_checks()}
+for label, (module, name, mutant) in mutants.items():
+    real = getattr(module, name)
+    setattr(module, name, mutant)
+    try:
+        failed[label] = {k: v for k, v in run_checks().items() if v != "pass"}
+    finally:
+        setattr(module, name, real)
+print(json.dumps({"optimize": sys.flags.optimize, "failed": failed}))
+"""
+
 
 def run_under_python_O(script):
     src = os.path.dirname(os.path.dirname(posetcat.__file__))
@@ -115,10 +164,37 @@ def test_one_inner_not_complete_fails_retract_transfer_under_python_O():
     assert failed["retract-transfer"].startswith("('completeness', ")
 
 
+def test_audit_guards_fail_their_checks_under_python_O():
+    failed = run_under_python_O(AUDIT_GUARD_MUTANTS)
+    assert failed == {
+        "none": dict.fromkeys(["horn-pushouts", "mono-preservation", "nat-hom", "sort-splits"],
+                              "pass"),
+        "coproduct pushout": {  # left_kan's quotient goes through _classes too
+            "horn-pushouts": "InvariantViolation: pushout differs from the horn at level 0",
+            "mono-preservation": "InvariantViolation: ('representable components', 1, "
+                                 "Poset(size=2, covers=[(0, 1)]))",
+        },
+        "lossy direct stream": {
+            "nat-hom": "InvariantViolation: transported hom-set differs from direct enumeration"
+        },
+        "identity sort": {"sort-splits": "InvariantViolation: ('sort split', 2)"},
+        "len(I) < n": {
+            "horn-pushouts": "InvariantViolation: ('squares', 3, 9)",
+            "mono-preservation": "InvariantViolation: ('horn instances', 6, 16)",
+        },
+    }
+
+
 def test_xor_extension_fails_nat_hom_under_python_O():
     failed = run_under_python_O(XOR_NAT_HOM_EXTENSION)
     assert list(failed) == ["nat-hom"]
     assert failed["nat-hom"].startswith("not monotone on ")
+
+
+def test_deep_cube_audit_adds_dimension_3():
+    counts = checks.check_cube_idempotents(2, deep=True)
+    assert list(counts)[-2:] == ["dim3_endos", "dim3_idempotents"]
+    assert counts["dim3_endos"] == 20 ** 3 and counts["dim3_idempotents"] == 1541
 
 
 def drop_last_class(monkeypatch, name, size):

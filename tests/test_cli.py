@@ -50,6 +50,15 @@ class TestAuditIdempotents:
         code, _, err = run(capsys, ["audit-idempotents", "--dim", "7"])
         assert code == 2 and "error" in err
 
+    def test_timings_add_only_the_wall_time(self, capsys):
+        code, out, _ = run(capsys, ["audit-idempotents", "--dim", "1"])
+        timed_code, timed_out, _ = run(capsys, ["audit-idempotents", "--dim", "1", "--timings"])
+        assert code == timed_code == 0
+        timed = json.loads(timed_out)
+        wall_time = timed.pop("wall_time")
+        assert type(wall_time) is float and wall_time >= 0
+        assert timed == json.loads(out)
+
 
 class TestCertify:
     def test_diamond(self, capsys, tmp_path):
@@ -109,6 +118,13 @@ class TestTriangulate:
         assert code == 0
         X = ps.presheaf_from_json(json.loads(out))
         assert X.cells == (2, 3, 4)
+
+    def test_human_format(self, capsys):
+        code, out, _ = run(
+            capsys, ["triangulate", "--cube-dim", "2", "--trunc", "3", "--format", "human"]
+        )
+        assert code == 0
+        assert out.splitlines() == [f"level [{m}]: {c} cells" for m, c in enumerate([4, 9, 16, 25])]
 
     def test_negative_truncation_exits_2(self, capsys):
         code, out, err = run(capsys, ["triangulate", "--cube-dim", "2", "--trunc", "-1"])
@@ -297,6 +313,13 @@ class TestKanPresheaf:
         code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
         assert code == 2 and out == ""
         assert "'01,0,0'" in err and "Traceback" not in err
+
+    def test_site_past_the_bound_exits_2(self, capsys, tmp_path):
+        data = {"site": {"kind": "delta", "dim": 6}, "cells": [1] * 7, "actions": {}}
+        path = write_json(tmp_path, "big.json", data)
+        code, out, err = run(capsys, ["kan", "--presheaf", path, "--target", arrow_file(tmp_path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: chain site capped at dimension 5") and "Traceback" not in err
 
     def test_missing_word_table_exits_2(self, capsys, tmp_path):
         from posetcat import presheaf as ps
@@ -615,6 +638,34 @@ class TestVerifyAllFlags:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify-all", "--max-dim", "99"])
         assert exc.value.code == 2 and "--max-dim: must be in 0..4" in capsys.readouterr().err
+
+    def test_non_integer_dim_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify-all", "--max-dim", "x"])
+        assert exc.value.code == 2 and "invalid int value: 'x'" in capsys.readouterr().err
+
+    SMALL_HUMAN = ["verify-all", "--max-poset", "1", "--max-dim", "0", "--max-simplex", "1",
+                   "--format", "human"]
+
+    def test_human_format_prints_one_line_per_check(self, capsys):
+        code, out, err = run(capsys, self.SMALL_HUMAN)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            [name, "pass"] for name in sorted(CHECK_FUNCTIONS)
+        ]
+        assert lines[-1] == "overall: pass"
+
+    def test_human_format_prints_a_failure_and_its_error(self, capsys, monkeypatch):
+        from posetcat import karoubi
+
+        monkeypatch.setattr(karoubi, "verify_sort_split", lambda m: (False, None))
+        code, out, _ = run(capsys, self.SMALL_HUMAN)
+        assert code == 1
+        failed = [line for line in out.splitlines() if "FAIL" in line]
+        assert len(failed) == 2 and failed[1] == "overall: FAIL"
+        assert failed[0].startswith("sort-splits              FAIL  {} (")
+        assert failed[0].endswith("s)  [('sort split', 0)]")
 
     def test_largest_flags_run_every_check_at_the_bound_it_prints(self, capsys):
         argv = ["verify-all", "--max-poset", "5", "--max-dim", "4", "--max-simplex", "4"]

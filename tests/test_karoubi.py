@@ -99,6 +99,7 @@ class TestSplittingUniqueness:
                         continue
                     idempotents += 1
                     sp = karoubi.split_idempotent(karoubi.Idempotent(f))
+                    assert compose(sp.section, sp.retraction) == f
                     q = coequalizer_quotient(karoubi.Idempotent(f))
                     assert catalog.find_isomorphism(sp.inner, q) is not None
         assert idempotents > 1000
@@ -369,6 +370,12 @@ class TestSortSplit:
             simplex = karoubi.simplex_retract(m)
             for x in range(1 << m):
                 assert iso.image[sp.retraction.image[x]] == simplex.retraction.image[x]
+
+    def test_identity_in_place_of_sort_fails_from_dimension_2(self, monkeypatch):
+        # the identity splits through [1]^m itself, a chain only for m <= 1
+        monkeypatch.setattr(cube, "sort_endomorphism", lambda m: identity_map(interval_power(m)))
+        assert [karoubi.verify_sort_split(m)[0] for m in range(4)] == [True, True, False, False]
+        assert karoubi.verify_sort_split(2) == (False, None)
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):

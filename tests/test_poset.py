@@ -83,6 +83,27 @@ class TestValidatePoset:
             validate_poset({(0, 1), (1, 2), (2, 0)}, 3)
 
 
+class TestPosetConstruction:
+    @pytest.mark.parametrize(
+        "size, up, match",
+        [
+            (2, (3,), "one row per element"),
+            (2, (3, 6), "out of range"),
+            (2, (2, 2), "not reflexive at 0"),
+            (3, (3, 6, 4), r"not transitive through \(0,1\)"),
+        ],
+    )
+    def test_each_law_is_checked(self, size, up, match):
+        with pytest.raises(ValueError, match=match):
+            Poset(size, up)
+
+    def test_negative_chain_and_cube_rejected(self):
+        with pytest.raises(ValueError, match="chain length must be >= 0"):
+            chain(-1)
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            interval_power(-1)
+
+
 class TestCompose:
     def test_identity_laws(self):
         P, Q = chain(1), chain(2)
@@ -504,6 +525,10 @@ class TestCompleteness:
         assert lat.bottom == 0 and lat.top == 3
         assert lat.meet_table[1][2] == 0 and lat.join_table[1][2] == 3
 
+    def test_lattice_structure_rejects_the_empty_poset(self):
+        with pytest.raises(NotComplete, match="empty poset"):
+            lattice_structure(Poset(0, ()))
+
     def test_lattice_structure_rejects_incomplete(self):
         # the cache keeps no exception, so a second call must raise again
         for _ in range(2):
@@ -553,6 +578,16 @@ class TestRetractValidation:
         bad_r = MonotoneMap(sq, chain(1), (0, 0, 0, 0))
         with pytest.raises(InvariantViolation):
             Retract(sq, chain(1), s, bad_r)
+
+    def test_maps_must_run_between_outer_and_inner(self):
+        sq = interval_power(2)
+        s = MonotoneMap(chain(1), sq, (0, 3))
+        r = MonotoneMap(sq, chain(1), (0, 0, 1, 1))
+        assert Retract(sq, chain(1), s, r).inner == chain(1)
+        with pytest.raises(DomainMismatch, match="section must map inner -> outer"):
+            Retract(sq, chain(1), identity_map(chain(1)), r)
+        with pytest.raises(DomainMismatch, match="retraction must map outer -> inner"):
+            Retract(sq, chain(1), s, identity_map(sq))
 
 
 # Every construction check must raise under python -O too.

@@ -105,6 +105,10 @@ class TestSites:
         with pytest.raises(ValueError):
             ps.face_union(2, [0], -1)
 
+    def test_delta_site_bound(self):
+        with pytest.raises(BoundExceeded, match=f"capped at dimension {ps.DELTA_SITE_BOUND}"):
+            ps.delta_site(ps.DELTA_SITE_BOUND + 1)
+
     def test_custom_full_site_closed(self):
         ps.PosetSite([chain(0), chain(1), interval_power(2)])
 
@@ -810,6 +814,20 @@ class TestRangeCheck:
         with pytest.raises(InvariantViolation, match=r"\(0,1,0\) out of range"):
             ps.Presheaf(X.site, X.cells, actions)
 
+    def test_table_of_the_wrong_length_rejected(self):
+        X = ps.representable(ps.delta_site(1), chain(1))
+        actions = dict(X.actions)
+        actions[(0, 1, 0)] += (0,)
+        with pytest.raises(InvariantViolation, match=r"misshapen action table \(0,1,0\)"):
+            ps.Presheaf(X.site, X.cells, actions)
+
+    def test_missing_generator_table_rejected(self):
+        X = ps.representable(ps.delta_site(1), chain(1))
+        actions = dict(X.actions)
+        del actions[(0, 1, 0)]
+        with pytest.raises(InvariantViolation, match=r"misshapen action table \(0,1,0\)"):
+            ps.Presheaf(X.site, X.cells, actions)
+
     @pytest.mark.parametrize("count", [-1, True, 1.0])
     def test_cell_count_must_be_a_non_negative_int(self, count):
         with pytest.raises(InvariantViolation, match="non-negative integers"):
@@ -1108,6 +1126,13 @@ class TestHornAttachmentSquares:
                       lambda: ps.horn_attachment_square(n, {0}, 0, n)):
             with pytest.raises(BoundExceeded, match=f"capped at dimension {ps.HORN_DIM_BOUND}"):
                 build()
+
+    def test_pushout_that_glues_nothing_is_rejected(self, monkeypatch):
+        # with _classes merging nothing the pushout is the coproduct, which
+        # has a vertex more than the horn
+        monkeypatch.setattr(ps, "_classes", lambda size, pairs: (size, list(range(size))))
+        with pytest.raises(InvariantViolation, match="pushout differs from the horn at level 0"):
+            ps.horn_attachment_square(2, {0, 1}, 0)
 
     def test_unnatural_comparison_is_rejected(self, monkeypatch):
         # swapping cells 0 and 1 of the pushout at the top level in both
@@ -1462,6 +1487,18 @@ class TestNatHomViaRetract:
         with pytest.raises(BoundExceeded):
             ps.nat_hom_via_retract(chain(4), chain(1))
 
+    def test_direct_stream_that_loses_a_map_is_rejected(self, monkeypatch):
+        # the composites still reach every map [2] -> [2]
+        real = catalog.enumerate_monotone_maps
+
+        def lossy(P, Q):
+            maps = list(real(P, Q))
+            return maps[:-1] if (P, Q) == (chain(2), chain(2)) else maps
+
+        monkeypatch.setattr(catalog, "enumerate_monotone_maps", lossy)
+        with pytest.raises(InvariantViolation, match="transported hom-set differs"):
+            ps.nat_hom_via_retract(chain(2), chain(2))
+
 
 class TestContractingHomotopy:
     @pytest.mark.parametrize("n", range(0, 6))
@@ -1576,10 +1613,11 @@ class TestJsonExport:
 
 
 @lru_cache(maxsize=None)
-def carried_presheaves():
-    """Every presheaf that subpresheaf or pushout builds, unvalidated, in the
-    default verify_all() and in every horn and attachment square of Delta[4]
-    at truncation 4 (a superset of the benchmark's sites ops)."""
+def carried_results():
+    """Every result of subpresheaf, (sub, inclusion), and of pushout, (P,
+    leg, leg), in the default verify_all() and in every horn and attachment
+    square of Delta[4] at truncation 4 (a superset of the benchmark's sites
+    ops)."""
     made = []
     real_sub, real_pushout = ps.subpresheaf, ps.pushout
 
@@ -1599,7 +1637,12 @@ def carried_presheaves():
                 ps.horn_attachment_square(4, I, i, 4)
     finally:
         ps.subpresheaf, ps.pushout = real_sub, real_pushout
-    return tuple(result[0] for result in made)
+    return tuple(made)
+
+
+def carried_presheaves():
+    """Every presheaf that subpresheaf or pushout builds, unvalidated."""
+    return tuple(result[0] for result in carried_results())
 
 
 class TestCarriedLaws:
@@ -1613,6 +1656,12 @@ class TestCarriedLaws:
         for P in made:
             assert set(P.actions) == set(P.site.generators)
             P.validate()
+
+    def test_every_pushout_leg_is_natural(self):
+        legs = [leg for result in carried_results() if len(result) == 3 for leg in result[1:]]
+        assert len(legs) == 2 * (37 + 75)  # the squares of verify_all() and of Delta[4]
+        for leg in legs:
+            leg.validate()
 
     def test_carried_tables_pass_the_all_pairs_reference(self):
         # on delta_site(d <= 3), one of each distinct presheaf
@@ -1646,3 +1695,22 @@ class TestValidationErrors:
         comps[0] = [1, 0]
         with pytest.raises(Exception):
             ps.PresheafMap(X, X, comps)
+
+    def test_map_between_sites_rejected(self):
+        X = ps.representable(ps.delta_site(1), chain(1))
+        Y = ps.representable(ps.delta_site(2), chain(1))
+        with pytest.raises(SiteMismatch, match="common site"):
+            ps.PresheafMap(X, Y, [])
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda c: c[:1], "one component per site object"),
+            (lambda c: [c[0][:-1], c[1]], "component 0 has wrong length"),
+            (lambda c: [c[0], c[1][:-1] + (len(c[1]),)], "component 1 out of range"),
+        ],
+    )
+    def test_map_components_are_checked(self, edit, match):
+        X = ps.representable(ps.delta_site(1), chain(1))
+        with pytest.raises(InvariantViolation, match=match):
+            ps.PresheafMap(X, X, edit([tuple(range(c)) for c in X.cells]))
