@@ -97,13 +97,15 @@ def report_to_json(report: VerificationReport, timings: bool = False) -> dict:
 
 
 def check_poset_laws(max_poset: int) -> dict:
-    """Meet/join against the definitional oracle, plus composition laws.
+    """Meet, join and terminal against the definitional oracle, plus
+    composition laws.
 
     The oracle reads only the order relation, as one table per poset, and
-    never calls `meet` or `join`.  The composition laws run on the first
-    maps of each sampled hom-set in stream order (`[:3]` and `[:2]`), so for
-    the square and the vee as domains the sample follows the block order of
-    `enumerate_monotone_maps`; the triple count does not depend on it.
+    never calls `meet`, `join` or `terminal`.  The composition laws run on
+    the first maps of each sampled hom-set in stream order (`[:3]` and
+    `[:2]`), so for the square and the vee as domains the sample follows the
+    block order of `enumerate_monotone_maps`; the triple count does not
+    depend on it.
     """
     posets = []
     for s in range(max_poset + 1):
@@ -114,6 +116,8 @@ def check_poset_laws(max_poset: int) -> dict:
     for P in posets:
         elements = range(P.size)
         leq = [[bool(row >> y & 1) for y in elements] for row in P.up]  # leq[x][y]: x <= y
+        top = [x for x in elements if all(leq[y][x] for y in elements)]
+        require(terminal(P) == (top[0] if top else None), ("terminal", P))
         for a in elements:
             for b in elements:
                 lower = [x for x in elements if leq[x][a] and leq[x][b]]
@@ -264,7 +268,22 @@ def _cube_chain_counts(n: int, top: int) -> list[int]:
 def check_triangulation(max_simplex: int) -> dict:
     """Cell counts of the cube triangulation against two independent oracles,
     the closed form (m + 2)^n and a chain count, for every cube up to
-    presheaf.TRIANGULATE_BOUND."""
+    presheaf.TRIANGULATE_BOUND.
+
+    The triangulations are representables, whose laws always hold, so a
+    planted control first requires `Presheaf.validate` to reject Delta[1]
+    with entry 0 of the face table (0, 1, 0) moved from 0 to 1.  Only a
+    rule step can see that: the derivations alone accept it.
+    """
+    X = presheaf.simplex(1, 1)
+    bad = dict(X.actions)
+    bad[(0, 1, 0)] = (1,) + bad[(0, 1, 0)][1:]
+    try:
+        presheaf.Presheaf(X.site, X.cells, bad)
+        error = "accepted"
+    except InvariantViolation as exc:
+        error = str(exc)
+    require("composition law fails" in error, ("planted Delta[1] corruption", error))
     d = max_simplex
     checked = 0
     for n in range(presheaf.TRIANGULATE_BOUND + 1):

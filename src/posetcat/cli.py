@@ -17,7 +17,7 @@ from .errors import BoundExceeded, PosetCatError, SchemaError
 from .poset import JSON_POSET_BOUND, chain, poset_from_json, poset_to_json
 
 # certify builds the cube [1]^n on an n-element lattice: 2^n vertices and
-# about 5x the time per extra element (1.9 s at 12 on a 2 vCPU Xeon VM).
+# 3.5 to 5x the time per extra element (1.0 s at 12 on a 2 vCPU Xeon VM).
 MAX_CERTIFY_SIZE = 12
 # `enumerate --kind maps` lists a hom-set only up to this many maps; it counts
 # them first, and the count itself is bounded by catalog.COUNT_STATE_BOUND.

@@ -26,12 +26,12 @@ from .poset import (
     MonotoneMap,
     Poset,
     Retract,
+    _bound,
     chain,
     compose,
     induced_subposet,
     interval_power,
     is_complete,
-    lattice_structure,
 )
 
 AUDIT_DIM_BOUND = 4
@@ -135,24 +135,24 @@ def audit_cube_idempotents(n: int) -> AuditReport:
 
 def retract_certificate(C: Poset) -> Retract:
     """C as a retract of [1]^|C|: section(c) is the indicator vertex of the
-    down-set of c, retraction(x) the join of the elements x indicates."""
-    if not is_complete(C):
-        raise NotComplete("only complete posets admit the certificate")
+    down-set of c, retraction(x) the join of the elements x indicates.
+
+    common[x], the upper bounds of the elements x indicates, is built by
+    doubling: common[x + 2^c] is common[x] & up[c] for x < 2^c, one AND per
+    vertex.  The join is the element whose up-row that is.  A finite poset
+    in which every subset has a join is complete, so C is complete exactly
+    when every vertex has one; else this raises NotComplete.
+    """
     n = C.size
+    common = [(1 << n) - 1]
+    for row in C.up:
+        common += [u & row for u in common]
+    images = [_bound(C.up, u) for u in common]
+    if None in images:
+        raise NotComplete("only complete posets admit the certificate")
     cube_poset = interval_power(n)
-    lat = lattice_structure(C)
-    join_table = lat.join_table
     section = MonotoneMap(C, cube_poset, tuple(C.down[c] for c in range(n)))
-    images = []
-    for x in range(cube_poset.size):
-        acc = lat.bottom
-        m = x
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc = join_table[acc][c]
-        images.append(acc)
-    retraction = MonotoneMap(cube_poset, C, tuple(images))
+    retraction = MonotoneMap(cube_poset, C, images)
     return Retract(cube_poset, C, section, retraction)
 
 

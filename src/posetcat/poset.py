@@ -228,14 +228,6 @@ def checked_maps(
             yield from map(new, kind, zip(doms, cods, iproduct(*args)))
 
 
-class LatticeStructure(
-    namedtuple("LatticeStructure", "base meet_table join_table bottom top")
-):
-    """Meet/join tables with bottom and top for a complete finite poset."""
-
-    __slots__ = ()
-
-
 class Retract(namedtuple("Retract", "outer inner section retraction")):
     """Retract diagram: retraction . section = identity on inner."""
 
@@ -331,38 +323,34 @@ def chain(m: int) -> Poset:
     return Poset(m + 1, tuple((full >> i) << i for i in range(m + 1)))
 
 
+def _bound(rows: tuple[int, ...], common: int) -> int | None:
+    """The element whose row is `common`, or None.
+
+    With rows = P.up and common the intersection of the up-rows of a set S,
+    that element is the join of S: it is an upper bound of S below every
+    other one.  With P.down it is the meet.  An empty S leaves the full
+    mask, so its join is the bottom and its meet the top.  Antisymmetry
+    makes the rows distinct, so at most one element matches.
+    """
+    try:
+        return rows.index(common)
+    except ValueError:
+        return None
+
+
 def terminal(P: Poset) -> int | None:
     """The unique element above everything, if it exists."""
-    full = (1 << P.size) - 1
-    for x in range(P.size):
-        if P.down[x] == full:
-            return x
-    return None
+    return _bound(P.down, (1 << P.size) - 1)
 
 
 def meet(P: Poset, a: int, b: int) -> int | None:
     """Greatest lower bound of {a, b}, or None."""
-    lb = P.down[a] & P.down[b]
-    m = lb
-    while m:
-        x = (m & -m).bit_length() - 1
-        m &= m - 1
-        if not lb & ~P.down[x]:
-            return x
-    return None
+    return _bound(P.down, P.down[a] & P.down[b])
 
 
 def join(P: Poset, a: int, b: int) -> int | None:
     """Least upper bound of {a, b}, or None."""
-    up = P.up
-    ub = up[a] & up[b]
-    m = ub
-    while m:
-        x = (m & -m).bit_length() - 1
-        m &= m - 1
-        if not ub & ~up[x]:
-            return x
-    return None
+    return _bound(P.up, P.up[a] & P.up[b])
 
 
 @lru_cache(maxsize=64)
@@ -385,34 +373,6 @@ def is_complete(P: Poset) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def lattice_structure(P: Poset) -> LatticeStructure:
-    """Meet/join tables plus bottom/top; raises NotComplete when absent.
-
-    Cached like `monotone_maps`, since retract transport asks for the same
-    outer lattices many times; a poset that raises is not cached.
-    """
-    if P.size == 0:
-        raise NotComplete("empty poset has no terminal object")
-    mt, jt = [], []
-    for a in range(P.size):
-        mrow, jrow = [], []
-        for b in range(P.size):
-            m = meet(P, a, b)
-            j = join(P, a, b)
-            if m is None or j is None:
-                raise NotComplete(f"pair ({a},{b}) lacks a meet or join")
-            mrow.append(m)
-            jrow.append(j)
-        mt.append(tuple(mrow))
-        jt.append(tuple(jrow))
-    bot, top = 0, 0
-    for x in range(1, P.size):
-        bot = mt[bot][x]
-        top = jt[top][x]
-    return LatticeStructure(P, tuple(mt), tuple(jt), bot, top)
-
-
 def induced_rows(P: Poset, keep: list[int]) -> tuple[int, ...]:
     """Up-set rows of the subposet of P on `keep`, element keep[i] as i."""
     up = P.up
@@ -429,17 +389,21 @@ def induced_subposet(P: Poset, elements: Iterable[int]) -> tuple[Poset, Monotone
 def limit_via_retract(ret: Retract, targets: Iterable[int]) -> int:
     """Infimum in the inner poset, computed by transport along the retract.
 
-    Lifts the targets through the section, takes the infimum in the (complete)
-    outer poset, and maps back through the retraction; raises NotComplete if
-    the outer poset is not complete.  The result is not checked here: the
-    `retract-transfer` audit compares every transported infimum with one read
-    off the inner order alone.
+    Lifts the targets through the section, takes their infimum m in the
+    outer poset, and maps it back through the retraction: r(m) is below
+    each target, and s(y) <= m for any lower bound y, so y = r(s(y)) <= r(m).
+    Raises NotComplete when the outer poset has no such infimum.  The
+    result is not checked here: the `retract-transfer` audit compares every
+    transported infimum with one read off the inner order alone.
     """
-    lat = lattice_structure(ret.outer)
-    acc, meet_table, section = lat.top, lat.meet_table, ret.section.image
+    down, section = ret.outer.down, ret.section.image
+    common = (1 << ret.outer.size) - 1
     for t in targets:
-        acc = meet_table[acc][section[t]]
-    return ret.retraction.image[acc]
+        common &= down[section[t]]
+    inf = _bound(down, common)
+    if inf is None:
+        raise NotComplete("the section images have no infimum in the outer poset")
+    return ret.retraction.image[inf]
 
 
 def poset_to_json(P: Poset) -> dict:

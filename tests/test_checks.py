@@ -74,11 +74,11 @@ if mutant == source:
 exec(mutant, vars(presheaf))
 """ + SMALL_VERIFY_ALL
 
-# Applies four mutants in turn, each undone before the next, runs the checks
+# Applies seven mutants in turn, each undone before the next, runs the checks
 # each one affects at small bounds, and prints how every check ended.
 AUDIT_GUARD_MUTANTS = """
-import inspect, json, sys
-from posetcat import checks, cube, presheaf
+import inspect, json, sys, textwrap
+from posetcat import checks, cube, presheaf, poset
 from posetcat.poset import identity_map, interval_power
 
 def outcome(check, *args):
@@ -90,36 +90,45 @@ def outcome(check, *args):
 
 def run_checks():
     return {
+        "poset-laws": outcome(checks.check_poset_laws, 3),
+        "retract-transfer": outcome(checks.check_retract_transfer, 3),
+        "triangulation-counts": outcome(checks.check_triangulation, 1),
         "horn-pushouts": outcome(checks.check_horn_pushouts, 2),
         "mono-preservation": outcome(checks.check_mono_preservation, 2, 2),
         "nat-hom": outcome(checks.check_nat_hom, 2),
         "sort-splits": outcome(checks.check_sort_splits, 5),
     }
 
-def source_mutant(module, name, old, new):
-    source = inspect.getsource(getattr(module, name))
+def source_mutant(function, old, new):
+    source = textwrap.dedent(inspect.getsource(function))
     if old not in source:
-        raise SystemExit(f"{name} has no {old!r} to mutate")
-    namespace = dict(vars(module))
+        raise SystemExit(f"{function.__name__} has no {old!r} to mutate")
+    namespace = dict(function.__globals__)
     exec(source.replace(old, new), namespace)
-    return module, name, namespace[name]
+    return namespace[function.__name__]
 
 mutants = {
     "coproduct pushout": (presheaf, "_classes", lambda size, pairs: (size, list(range(size)))),
-    "lossy direct stream": source_mutant(
-        presheaf, "nat_hom_via_retract", "{f.image for f in catalog.enumerate_monotone_maps(L, L2)}",
-        "{f.image for f in list(catalog.enumerate_monotone_maps(L, L2))[:-1]}"),
+    "lossy direct stream": (presheaf, "nat_hom_via_retract", source_mutant(
+        presheaf.nat_hom_via_retract, "{f.image for f in catalog.enumerate_monotone_maps(L, L2)}",
+        "{f.image for f in list(catalog.enumerate_monotone_maps(L, L2))[:-1]}")),
     "identity sort": (cube, "sort_endomorphism", lambda m: identity_map(interval_power(m))),
-    "len(I) < n": source_mutant(checks, "_horn_index_sets", "len(I) <= n", "len(I) < n"),
+    "len(I) < n": (checks, "_horn_index_sets", source_mutant(
+        checks._horn_index_sets, "len(I) <= n", "len(I) < n")),
+    "meet over the union": (checks, "meet", source_mutant(
+        poset.meet, "P.down[a] & P.down[b]", "P.down[a] | P.down[b]")),
+    "no terminal": (checks, "terminal", lambda P: None),
+    "validate skips its rules": (presheaf.Presheaf, "validate", source_mutant(
+        presheaf.Presheaf.validate, "elif tables[c] != tab:", "elif False:")),
 }
 failed = {"none": run_checks()}
-for label, (module, name, mutant) in mutants.items():
-    real = getattr(module, name)
-    setattr(module, name, mutant)
+for label, (owner, name, mutant) in mutants.items():
+    real = getattr(owner, name)
+    setattr(owner, name, mutant)
     try:
         failed[label] = {k: v for k, v in run_checks().items() if v != "pass"}
     finally:
-        setattr(module, name, real)
+        setattr(owner, name, real)
 print(json.dumps({"optimize": sys.flags.optimize, "failed": failed}))
 """
 
@@ -167,7 +176,8 @@ def test_one_inner_not_complete_fails_retract_transfer_under_python_O():
 def test_audit_guards_fail_their_checks_under_python_O():
     failed = run_under_python_O(AUDIT_GUARD_MUTANTS)
     assert failed == {
-        "none": dict.fromkeys(["horn-pushouts", "mono-preservation", "nat-hom", "sort-splits"],
+        "none": dict.fromkeys(["poset-laws", "retract-transfer", "triangulation-counts",
+                               "horn-pushouts", "mono-preservation", "nat-hom", "sort-splits"],
                               "pass"),
         "coproduct pushout": {  # left_kan's quotient goes through _classes too
             "horn-pushouts": "InvariantViolation: pushout differs from the horn at level 0",
@@ -181,6 +191,16 @@ def test_audit_guards_fail_their_checks_under_python_O():
         "len(I) < n": {
             "horn-pushouts": "InvariantViolation: ('squares', 3, 9)",
             "mono-preservation": "InvariantViolation: ('horn instances', 6, 16)",
+        },
+        "meet over the union": {
+            "poset-laws": "InvariantViolation: ('meet', Poset(size=2, covers=[(0, 1)]), 0, 1)"
+        },
+        "no terminal": {
+            "poset-laws": "InvariantViolation: ('terminal', Poset(size=1, covers=[]))"
+        },
+        "validate skips its rules": {
+            "triangulation-counts":
+                "InvariantViolation: ('planted Delta[1] corruption', 'accepted')"
         },
     }
 

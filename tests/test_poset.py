@@ -30,7 +30,6 @@ from posetcat.poset import (
     interval_power,
     is_complete,
     join,
-    lattice_structure,
     limit_via_retract,
     meet,
     poset_from_json,
@@ -520,21 +519,6 @@ class TestCompleteness:
     def test_empty_not_complete(self):
         assert not is_complete(Poset(0, ()))
 
-    def test_lattice_structure_tables(self):
-        lat = lattice_structure(diamond())
-        assert lat.bottom == 0 and lat.top == 3
-        assert lat.meet_table[1][2] == 0 and lat.join_table[1][2] == 3
-
-    def test_lattice_structure_rejects_the_empty_poset(self):
-        with pytest.raises(NotComplete, match="empty poset"):
-            lattice_structure(Poset(0, ()))
-
-    def test_lattice_structure_rejects_incomplete(self):
-        # the cache keeps no exception, so a second call must raise again
-        for _ in range(2):
-            with pytest.raises(NotComplete):
-                lattice_structure(vee())
-
 
 class TestLimitViaRetract:
     def sort_retract(self):
@@ -569,6 +553,13 @@ class TestLimitViaRetract:
             lower = [x for x in range(B.size) if all(B.leq(x, t) for t in targets)]
             best = [x for x in lower if all(B.leq(y, x) for y in lower)]
             assert limit_via_retract(ret, targets) == best[0]
+
+    def test_missing_outer_infimum_raises(self):
+        # the two bottoms of the vee have no lower bound at all
+        ret = Retract(vee(), vee(), identity_map(vee()), identity_map(vee()))
+        assert limit_via_retract(ret, [0, 2]) == 0
+        with pytest.raises(NotComplete, match="no infimum"):
+            limit_via_retract(ret, [0, 1])
 
 
 class TestRetractValidation:
@@ -619,7 +610,7 @@ class TestValueTypes:
         f = identity_map(sq)
         return [
             (sq, "size"), (sq, "up"), (f, "dom"), (f, "image"),
-            (lattice_structure(sq), "top"), (retract_certificate(chain(1)), "section"),
+            (retract_certificate(chain(1)), "section"),
             (enumerate_posets(2)[0], "key"), (Idempotent(f), "map"),
         ]
 
@@ -751,11 +742,15 @@ def test_meet_join_against_brute_force(P, a, b):
 
 
 def test_meet_join_brute_force_all_posets_to_six():
+    # and terminal and is_complete, against the same order-only definitions
     from posetcat.catalog import enumerate_posets
 
     for size in range(7):
         for cp in enumerate_posets(size):
             P = cp.poset
+            top = [x for x in range(P.size) if all(P.leq(y, x) for y in range(P.size))]
+            assert terminal(P) == (top[0] if top else None)
+            complete = P.size > 0
             for a in range(P.size):
                 for b in range(P.size):
                     lower = [x for x in range(P.size) if P.leq(x, a) and P.leq(x, b)]
@@ -764,3 +759,5 @@ def test_meet_join_brute_force_all_posets_to_six():
                     upper = [x for x in range(P.size) if P.leq(a, x) and P.leq(b, x)]
                     lub = [x for x in upper if all(P.leq(x, y) for y in upper)]
                     assert join(P, a, b) == (lub[0] if lub else None)
+                    complete = complete and bool(glb) and bool(lub)
+            assert is_complete(P) == complete
