@@ -6,10 +6,11 @@ acceptance tests call these functions directly at the spec bounds.
 
 The enumerations the checks run over are counted against known answers, so
 a catalog that loses a class fails its check: the posets of each size against
-OEIS A000112, the lattices of each size (and every lattice sample) against
-OEIS A006966, the cells of each cube triangulation against (m + 2)^n and
-a chain count over the cube's vertices, and the horn instances and
-attachment squares against closed forms in the dimension.
+OEIS A000112 (and the retracts onto a point or onto all of A by it), the
+lattices of each size (and every lattice sample) against OEIS A006966, the
+cube idempotents against End([1]^n), the cells of each cube triangulation
+against (m + 2)^n and a chain count over the cube's vertices, and the horn
+instances and attachment squares against closed forms in the dimension.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import InvariantViolation
 from .poset import (
     MonotoneMap,
     Poset,
+    Retract,
     chain,
     compose,
     identity_map,
@@ -53,6 +55,16 @@ def require(cond: bool, msg: object) -> None:
     """
     if not cond:
         raise InvariantViolation(str(msg))
+
+
+def _planted(name: str, build: Callable[[], object], expected: str) -> None:
+    """Require build(), which plants one defect, to fail with `expected` in its message."""
+    try:
+        build()
+        error = "accepted"
+    except InvariantViolation as exc:
+        error = str(exc)
+    require(expected in error, (name, error))
 
 
 CheckRecord = namedtuple(
@@ -174,13 +186,16 @@ def check_retract_transfer(max_poset: int) -> dict:
     `is_complete` and the definitional infima of each inner poset reached
     from a complete outer one.  Every retract still has its terminal transfer
     checked, and every target set its transported infimum compared with B's.
+    The retracts onto one point and onto all of A are counted by A000112.
     """
-    retracts = with_terminal = complete = limits = 0
+    retracts = with_terminal = complete = limits = points = whole = 0
     outer = None
     inner = {}  # inner poset -> (is_complete, definitional infima)
     for ret in catalog.enumerate_retracts(max_poset):
         retracts += 1
         A, B = ret.outer, ret.inner
+        points += B.size == 1
+        whole += B.size == A.size
         if A != outer:
             outer, t_a, a_complete = A, terminal(A), is_complete(A)
         if t_a is not None:
@@ -198,6 +213,9 @@ def check_retract_transfer(max_poset: int) -> dict:
                 got = limit_via_retract(ret, targets)
                 require(best is not None and got == best, ("infimum", A, B, targets))
                 limits += 1
+    sizes = range(max_poset + 1)
+    require(points == sum(s * A000112[s] for s in sizes), ("one-point retracts", points))
+    require(whole == sum(A000112[s] for s in sizes), ("identity retracts", whole))
     return {
         "retracts": retracts,
         "with_terminal": with_terminal,
@@ -206,8 +224,17 @@ def check_retract_transfer(max_poset: int) -> dict:
     }
 
 
+def _cube_idempotents(n: int) -> int:
+    """Idempotents f . f = f in End([1]^n), filtered from its stream up to
+    n = 3; at n = 4, 6,999,420 by backtracking over its 65,536 image sets."""
+    if n == 4:
+        return 6_999_420
+    Q = interval_power(n)
+    return sum(all(f.image[y] == y for y in f.image) for f in catalog.enumerate_monotone_maps(Q, Q))
+
+
 def check_cube_idempotents(max_dim: int, deep: bool = False) -> dict:
-    """Exhaustive splitting audits; every split middle must be complete."""
+    """Exhaustive splitting audits of every idempotent; each middle must be complete."""
     dims = list(range(max_dim + 1))
     if deep and 3 not in dims:
         dims.append(3)
@@ -217,6 +244,7 @@ def check_cube_idempotents(max_dim: int, deep: bool = False) -> dict:
         report = karoubi.audit_cube_idempotents(n)
         require(not report.violations, report.violations)
         require(report.endos == dedekind[n] ** n, ("endos", n, report.endos))
+        require(report.idempotents == _cube_idempotents(n), ("idempotents", n, report.idempotents))
         counts[f"dim{n}_endos"] = report.endos
         counts[f"dim{n}_idempotents"] = report.idempotents
     return counts
@@ -239,7 +267,10 @@ def check_lattice_certificates(max_size: int) -> dict:
 
 
 def check_simplex_retracts(max_dim: int) -> dict:
-    """Build each simplex retract; Retract checks retraction . section = id."""
+    """Build each simplex retract; Retract checks r . s = id and rejects a collapse."""
+    one, collapse = chain(1), MonotoneMap(chain(1), chain(1), (0, 0))
+    _planted("planted collapse", lambda: Retract(one, one, identity_map(one), collapse),
+             "not the identity")
     for n in range(max_dim + 1):
         karoubi.simplex_retract(n)
     return {"max_dim": max_dim}
@@ -278,12 +309,8 @@ def check_triangulation(max_simplex: int) -> dict:
     X = presheaf.simplex(1, 1)
     bad = dict(X.actions)
     bad[(0, 1, 0)] = (1,) + bad[(0, 1, 0)][1:]
-    try:
-        presheaf.Presheaf(X.site, X.cells, bad)
-        error = "accepted"
-    except InvariantViolation as exc:
-        error = str(exc)
-    require("composition law fails" in error, ("planted Delta[1] corruption", error))
+    _planted("planted Delta[1] corruption", lambda: presheaf.Presheaf(X.site, X.cells, bad),
+             "composition law fails")
     d = max_simplex
     checked = 0
     for n in range(presheaf.TRIANGULATE_BOUND + 1):

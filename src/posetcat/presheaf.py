@@ -102,16 +102,15 @@ class PosetSite:
             tuple(catalog.monotone_maps(self.objects[i], self.objects[j]) for j in range(n))
             for i in range(n)
         )
-        self._index = [
-            [{f.image: a for a, f in enumerate(self.homs[i][j])} for j in range(n)]
-            for i in range(n)
-        ]
-        self.identity_index = tuple(
-            self._index[i][i][tuple(range(self.objects[i].size))] for i in range(n)
-        )
-        # every hom as (i, j, h), in index order
+        # every hom as (i, j, h), in index order; _place[(i, j, image)] is its position
         self.hom_keys = tuple(
             (i, j, h) for i in range(n) for j in range(n) for h in range(len(self.homs[i][j]))
+        )
+        self._place = {
+            (i, j, self.homs[i][j][h].image): x for x, (i, j, h) in enumerate(self.hom_keys)
+        }
+        self.identity_index = tuple(
+            self.hom_index(i, i, tuple(range(P.size))) for i, P in enumerate(self.objects)
         )
         self._close()
 
@@ -152,28 +151,21 @@ class PosetSite:
         generators is the c of exactly one derivation.
         """
         n = len(self.objects)
-        homs, index, keys = self.homs, self._index, self.hom_keys
-        # hom_keys lists homs[i][j] at positions offset[i][j] onwards
-        offset = [[0] * n for _ in range(n)]
-        total = 0
-        for i in range(n):
-            for j in range(n):
-                offset[i][j] = total
-                total += len(homs[i][j])
-        identities = [offset[i][i] + h for i, h in enumerate(self.identity_index)]
+        homs, place, keys = self.homs, self._place, self.hom_keys
+        identities = [place[(i, i, tuple(range(P.size)))] for i, P in enumerate(self.objects)]
         reached = bytearray(len(keys))
         for x in identities:
             reached[x] = 1
         into: list[list[int]] = [[] for _ in range(n)]  # reached non-identity homs by codomain
         leaving: list[list[int]] = [[] for _ in range(n)]  # generator numbers p by domain
-        generators: list[tuple[int, int, int]] = []
+        letters: list[int] = []  # the generators' positions, in order
         fresh: list[int] = []  # homs reached but not yet met by the generators
 
         def compose(p: int, w: int) -> int:
-            _, k, b = generators[p]
+            _, k, b = keys[letters[p]]
             i, j, a = keys[w]
             image = homs[j][k][b].image
-            return offset[i][k] + index[i][k][tuple(map(image.__getitem__, homs[i][j][a].image))]
+            return place[(i, k, tuple(map(image.__getitem__, homs[i][j][a].image)))]
 
         def reach(p: int, w: int):
             c = compose(p, w)
@@ -181,32 +173,30 @@ class PosetSite:
                 reached[c] = 1
                 fresh.append(c)
 
-        def order(key):
-            i, j, h = key
-            return (max(i, j), i == j, abs(i - j), -len(set(homs[i][j][h].image)), key)
+        def order(g):
+            i, j, h = keys[g]
+            return (max(i, j), i == j, abs(i - j), -len(set(homs[i][j][h].image)), keys[g])
 
-        for key in sorted(keys, key=order):
-            j = key[0]
-            g = offset[j][key[1]] + key[2]
+        for g in sorted(range(len(keys)), key=order):
             if reached[g]:
                 continue
             reached[g] = 1
-            leaving[j].append(len(generators))
-            generators.append(key)
+            j = keys[g][0]
+            leaving[j].append(len(letters))
+            letters.append(g)
             fresh.append(g)
             for w in into[j]:
-                reach(len(generators) - 1, w)
+                reach(len(letters) - 1, w)
             while fresh:
                 w = fresh.pop()
                 cod = keys[w][1]
                 into[cod].append(w)
                 for p in leaving[cod]:
                     reach(p, w)
-        self.generators = tuple(generators)
+        self.generators = tuple(keys[g] for g in letters)
 
         # the second pass: the normal words of length 1 are the generators, in
         # order, and their tails are empty
-        letters = [offset[j][k] + b for j, k, b in generators]
         words = letters
         reached = bytearray(len(keys))
         for x in letters + identities:
@@ -234,7 +224,7 @@ class PosetSite:
         self.steps = tuple(derivations + rules)
 
     def hom_index(self, i: int, j: int, image: tuple[int, ...]) -> int:
-        return self._index[i][j][image]
+        return self.hom_keys[self._place[(i, j, image)]][2]
 
     def __eq__(self, other):
         return isinstance(other, PosetSite) and self.objects == other.objects

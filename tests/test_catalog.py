@@ -14,6 +14,7 @@ from posetcat.errors import BoundExceeded
 from posetcat.poset import (
     MonotoneMap,
     Poset,
+    Retract,
     chain,
     identity_map,
     induced_subposet,
@@ -763,6 +764,11 @@ class TestEnumerateRetracts:
                     for r in catalog.enumerate_retracts(n)
                 )
                 assert found, cp.poset
+
+    def test_empty_poset_has_only_its_identity_retract(self):
+        A = Poset(0, ())
+        identity = Retract(A, A, identity_map(A), identity_map(A))
+        assert list(catalog.enumerate_retracts(0)) == [identity]
 
     def test_no_chain_retract_of_antichain(self):
         for r in catalog.enumerate_retracts(2):

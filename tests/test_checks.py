@@ -74,11 +74,11 @@ if mutant == source:
 exec(mutant, vars(presheaf))
 """ + SMALL_VERIFY_ALL
 
-# Applies seven mutants in turn, each undone before the next, runs the checks
+# Applies ten mutants in turn, each undone before the next, runs the checks
 # each one affects at small bounds, and prints how every check ended.
 AUDIT_GUARD_MUTANTS = """
 import inspect, json, sys, textwrap
-from posetcat import checks, cube, presheaf, poset
+from posetcat import catalog, checks, cube, karoubi, presheaf, poset
 from posetcat.poset import identity_map, interval_power
 
 def outcome(check, *args):
@@ -92,6 +92,8 @@ def run_checks():
     return {
         "poset-laws": outcome(checks.check_poset_laws, 3),
         "retract-transfer": outcome(checks.check_retract_transfer, 3),
+        "cube-idempotents": outcome(checks.check_cube_idempotents, 2),
+        "simplex-retracts": outcome(checks.check_simplex_retracts, 2),
         "triangulation-counts": outcome(checks.check_triangulation, 1),
         "horn-pushouts": outcome(checks.check_horn_pushouts, 2),
         "mono-preservation": outcome(checks.check_mono_preservation, 2, 2),
@@ -120,6 +122,12 @@ mutants = {
     "no terminal": (checks, "terminal", lambda P: None),
     "validate skips its rules": (presheaf.Presheaf, "validate", source_mutant(
         presheaf.Presheaf.validate, "elif tables[c] != tab:", "elif False:")),
+    "weight = r": (karoubi, "audit_cube_idempotents", source_mutant(
+        karoubi.audit_cube_idempotents, "weight = r * len(orbit)", "weight = r")),
+    "B = A dropped": (catalog, "enumerate_retracts", source_mutant(
+        catalog.enumerate_retracts, "range(1 << n)", "range((1 << n) - 1)")),
+    "no r . s check": (poset.Retract, "__new__", source_mutant(
+        poset.Retract.__new__, "if r[s[b]] != b:", "if False:")),
 }
 failed = {"none": run_checks()}
 for label, (owner, name, mutant) in mutants.items():
@@ -176,9 +184,9 @@ def test_one_inner_not_complete_fails_retract_transfer_under_python_O():
 def test_audit_guards_fail_their_checks_under_python_O():
     failed = run_under_python_O(AUDIT_GUARD_MUTANTS)
     assert failed == {
-        "none": dict.fromkeys(["poset-laws", "retract-transfer", "triangulation-counts",
-                               "horn-pushouts", "mono-preservation", "nat-hom", "sort-splits"],
-                              "pass"),
+        "none": dict.fromkeys(["poset-laws", "retract-transfer", "cube-idempotents",
+                               "simplex-retracts", "triangulation-counts", "horn-pushouts",
+                               "mono-preservation", "nat-hom", "sort-splits"], "pass"),
         "coproduct pushout": {  # left_kan's quotient goes through _classes too
             "horn-pushouts": "InvariantViolation: pushout differs from the horn at level 0",
             "mono-preservation": "InvariantViolation: ('representable components', 1, "
@@ -201,6 +209,13 @@ def test_audit_guards_fail_their_checks_under_python_O():
         "validate skips its rules": {
             "triangulation-counts":
                 "InvariantViolation: ('planted Delta[1] corruption', 'accepted')"
+        },
+        "weight = r": {"cube-idempotents": "InvariantViolation: ('idempotents', 2, 15)"},
+        "B = A dropped": {
+            "retract-transfer": "InvariantViolation: ('one-point retracts', 19)"
+        },
+        "no r . s check": {
+            "simplex-retracts": "InvariantViolation: ('planted collapse', 'accepted')"
         },
     }
 
@@ -227,6 +242,14 @@ def test_poset_laws_counts_the_posets_of_each_size(monkeypatch):
     drop_last_class(monkeypatch, "enumerate_posets", 5)
     with pytest.raises(InvariantViolation, match="poset count"):
         checks.check_poset_laws(5)
+
+
+def test_retract_transfer_counts_the_identity_retracts(monkeypatch):
+    real = catalog.enumerate_retracts
+    nonempty = lambda m: (r for r in real(m) if r.outer.size)  # drops the empty identity
+    monkeypatch.setattr(catalog, "enumerate_retracts", nonempty)
+    with pytest.raises(InvariantViolation, match=r"\('identity retracts', 3\)"):
+        checks.check_retract_transfer(2)
 
 
 def test_lattice_certificates_count_the_lattices_of_each_size(monkeypatch):

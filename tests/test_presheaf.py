@@ -112,6 +112,20 @@ class TestSites:
     def test_custom_full_site_closed(self):
         ps.PosetSite([chain(0), chain(1), interval_power(2)])
 
+    @pytest.mark.parametrize(
+        "make_site",
+        [pytest.param(lambda d=d: ps.delta_site(d), id=f"delta_site({d})") for d in range(6)]
+        + [pytest.param(lambda: cube_site(2), id="cube_site(2)")],
+    )
+    def test_hom_index_is_the_position_in_the_hom_set(self, make_site):
+        site = make_site()
+        for i, row in enumerate(site.homs):
+            for j, homs in enumerate(row):
+                index = {f.image: h for h, f in enumerate(homs)}
+                assert {image: site.hom_index(i, j, image) for image in index} == index
+                if i == j:
+                    assert site.identity_index[i] == index[tuple(range(site.objects[i].size))]
+
 
 @lru_cache(maxsize=None)
 def cube_site(d):
