@@ -175,7 +175,7 @@ class PosetSite:
 
         def order(g):
             i, j, h = keys[g]
-            return (max(i, j), i == j, abs(i - j), -len(set(homs[i][j][h].image)), keys[g])
+            return (max(i, j), i == j, abs(i - j), -len(set(homs[i][j][h].image)), g)
 
         for g in sorted(range(len(keys)), key=order):
             if reached[g]:
